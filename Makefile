@@ -29,16 +29,20 @@ race: torture fuzz-smoke chaos-smoke
 # torture is the durability gate: the in-process crash-torture test
 # (deterministic kill points: mid-group-commit, mid-rotation,
 # mid-snapshot, mid-replay; torn log tails; legacy and adaptive
-# commit modes) under the race detector, plus ghtorture SIGKILLing a
+# commit modes) under the race detector, plus ghchaos SIGKILLing a
 # real serving process and auditing every acked write for exactly-once
 # survival — swept across the (T, B) group-commit matrix: synchronous,
 # the 100µs/64KiB default, and a wide 1ms/256KiB window, the latter
 # two with preallocated segments so kills land in zero-filled tails.
+# Seed 1's schedules are mostly SIGKILLs (21, 12 and 12 of them), with
+# drains and torn tails mixed in; the small capacity forces online
+# expansions on the flagship.
+TORTURE = $(GO) run -race ./cmd/ghchaos -engine grouphash -capacity 4096 -seed 1
 torture:
 	$(GO) test -race -run 'CrashTorture' -count=1 ./internal/server
-	$(GO) run -race ./cmd/ghtorture -cycles 20
-	$(GO) run -race ./cmd/ghtorture -cycles 12 -sync-every 100us -sync-bytes 65536 -prealloc 1048576
-	$(GO) run -race ./cmd/ghtorture -cycles 12 -sync-every 1ms -sync-bytes 262144 -prealloc 1048576
+	$(TORTURE) -sync-every 0 -sync-bytes 0 -cycles 24
+	$(TORTURE) -sync-every 100us -sync-bytes 65536 -prealloc 1048576 -cycles 15
+	$(TORTURE) -sync-every 1ms -sync-bytes 262144 -prealloc 1048576 -cycles 15
 
 # chaos-smoke is the randomized-schedule gate: 21 seeded schedules
 # (flagship + both logged comparison engines × seven seeds) of six
@@ -53,8 +57,8 @@ chaos-smoke:
 	$(GO) test -race -count=1 -timeout 240s -run 'TestChaosMatrix|TestScheduleDeterminism' ./internal/chaos
 
 # soak is the opt-in real-process arm of the chaos matrix: ghchaos
-# wraps ghtorture's supervisor/SIGKILL machinery around the same
-# schedule generator — real child processes, real SIGKILL and SIGTERM,
+# plays the same schedule generator against a supervised child —
+# real child processes, real SIGKILL and SIGTERM,
 # power-failure garbage on the live oplog segment — across the engine
 # seam. Bounded here; pass -duration for an open-ended soak, e.g.
 #   go run ./cmd/ghchaos -duration 30m -engine grouphash -capacity 4096
@@ -67,9 +71,9 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # bench-json regenerates the PR's benchmark numbers: the end-to-end
-# batching sweep (single-op pipelined with and without transparent
-# coalescing vs explicit OpBatch frames of 1/8/64/256, with allocation
-# and write-amplification counters per row), written to BENCH_PR8.json.
+# batching sweep (single-op pipelined, transparently coalesced, vs
+# explicit OpBatch frames of 1/8/64/256, with allocation and
+# write-amplification counters per row), written to BENCH_PR8.json.
 # Earlier PRs' files regenerate the same way (oplog -> BENCH_PR7.json,
 # probe,expand -> BENCH_PR6.json, metrics -> BENCH_PR5.json, oplog at
 # its pre-adaptive shape -> BENCH_PR4.json).

@@ -34,13 +34,13 @@ import (
 // batchRow is one (workload, shape) cell of the batch experiment.
 type batchRow struct {
 	Workload string  `json:"workload"` // get, put, mixed
-	Shape    string  `json:"shape"`    // "single-pipelined" or "batch-frames"
+	Shape    string  `json:"shape"`    // "single-coalesced" or "batch-frames"
 	Batch    int     `json:"batch"`    // sub-ops per OpBatch frame (0 = single frames)
 	Conns    int     `json:"conns"`
 	Ops      int     `json:"ops"` // measured acked operations
 	WallMs   float64 `json:"wall_ms"`
 	KopsSec  float64 `json:"kops_per_sec"`
-	// Speedup vs the same workload's single-pipelined baseline (1.0
+	// Speedup vs the same workload's single-coalesced baseline (1.0
 	// for the baseline row itself).
 	Speedup float64 `json:"speedup_vs_single"`
 	// Process-wide heap allocations per acked op over the measured
@@ -165,9 +165,8 @@ func (w *batchWorker) run(ops int, workload string, frame int) {
 
 // batchCell runs one cell: a fresh oplog-backed server, a preloaded
 // keyspace, a warmup phase on the same connections, then a measured
-// phase bracketed by GC + MemStats and counter snapshots. noCoalesce
-// reverts the server to per-op apply — the pre-batching baseline.
-func batchCell(workload string, conns, frame, warmOps, ops int, noCoalesce bool) batchRow {
+// phase bracketed by GC + MemStats and counter snapshots.
+func batchCell(workload string, conns, frame, warmOps, ops int) batchRow {
 	dir, err := os.MkdirTemp("", "ghbench-batch-*")
 	if err != nil {
 		panic(err)
@@ -194,7 +193,7 @@ func batchCell(workload string, conns, frame, warmOps, ops int, noCoalesce bool)
 	if err != nil {
 		panic(err)
 	}
-	srv, err := server.New(server.Config{Store: st, Oplog: lg, DisableCoalescing: noCoalesce})
+	srv, err := server.New(server.Config{Engine: st, Oplog: lg})
 	if err != nil {
 		panic(err)
 	}
@@ -241,9 +240,6 @@ func batchCell(workload string, conns, frame, warmOps, ops int, noCoalesce bool)
 	shape := "batch-frames"
 	if frame == 0 {
 		shape = "single-coalesced"
-		if noCoalesce {
-			shape = "single-unbatched"
-		}
 	}
 	row := batchRow{
 		Workload: workload, Shape: shape, Batch: frame, Conns: conns, Ops: total,
@@ -262,11 +258,9 @@ func batchCell(workload string, conns, frame, warmOps, ops int, noCoalesce bool)
 // runBatchExperiment sweeps workload × frame shape, best of three per
 // cell (throughput decides; the counter ratios of the winning run are
 // kept), and folds every row into the JSON report. The speedup
-// reference of each workload is the single-op pipelined baseline with
-// coalescing disabled — the pre-batching server's per-op apply and
-// per-op oplog append. The single-coalesced row shows what the
-// transparent half of the batching buys on its own; explicit frames
-// must then also beat that strong baseline, not just the per-op one.
+// reference of each workload is the single-op pipelined baseline,
+// which the server coalesces transparently; explicit frames must beat
+// that.
 func runBatchExperiment(w io.Writer, scale harness.Scale, report *jsonReport) {
 	ops := scale.Ops
 	if ops > 262_144 {
@@ -280,16 +274,14 @@ func runBatchExperiment(w io.Writer, scale harness.Scale, report *jsonReport) {
 	warm := conns * batchBurst * 4
 
 	shapes := []struct {
-		label      string
-		frame      int
-		noCoalesce bool
+		label string
+		frame int
 	}{
-		{"single-unbatched", 0, true}, // pre-batching baseline: per-op apply + append
-		{"single-coalesced", 0, false},
-		{"batch=1", 1, false},
-		{"batch=8", 8, false},
-		{"batch=64", 64, false},
-		{"batch=256", 256, false},
+		{"single-coalesced", 0},
+		{"batch=1", 1},
+		{"batch=8", 8},
+		{"batch=64", 64},
+		{"batch=256", 256},
 	}
 	for _, workload := range []string{"get", "put", "mixed"} {
 		fmt.Fprintf(w, "Batched throughput, %s workload (loopback TCP, %d conns, %d ops in flight per conn, adaptive oplog):\n",
@@ -301,7 +293,7 @@ func runBatchExperiment(w io.Writer, scale harness.Scale, report *jsonReport) {
 			// single run; the fastest is the honest capability number.
 			var row batchRow
 			for rep := 0; rep < 5; rep++ {
-				r := batchCell(workload, conns, sh.frame, warm, ops, sh.noCoalesce)
+				r := batchCell(workload, conns, sh.frame, warm, ops)
 				if rep == 0 || r.KopsSec > row.KopsSec {
 					row = r
 				}

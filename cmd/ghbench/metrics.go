@@ -44,7 +44,7 @@ func metricsOverheadBench(conns, batch, ops int, timing bool) metricsOverheadRow
 	if err != nil {
 		panic(err)
 	}
-	srv, err := server.New(server.Config{Store: st, DisableTiming: !timing})
+	srv, err := server.New(server.Config{Engine: st, DisableTiming: !timing})
 	if err != nil {
 		panic(err)
 	}

@@ -139,7 +139,7 @@ func oplogThroughputBench(mode string, conns, batch, depth, ops int, withLog boo
 			panic(err)
 		}
 	}
-	srv, err := server.New(server.Config{Store: st, Oplog: lg})
+	srv, err := server.New(server.Config{Engine: st, Oplog: lg})
 	if err != nil {
 		panic(err)
 	}

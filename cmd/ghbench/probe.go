@@ -24,7 +24,7 @@ type probeRow struct {
 	LfPct        float64 `json:"load_factor_pct"` // achieved fill
 	Fingerprints bool    `json:"fingerprints"`
 	NsOp         float64 `json:"ns_per_op"`
-	Speedup      float64 `json:"speedup"` // unfiltered ns / this ns (1.0 on unfiltered rows)
+	Speedup      float64 `json:"speedup"`         // unfiltered ns / this ns (1.0 on unfiltered rows)
 	FpHitsOp     float64 `json:"fp_hits_per_op"`  // cells dereferenced through the filter
 	FpSkipsOp    float64 `json:"fp_skips_per_op"` // cells screened out by the filter
 }

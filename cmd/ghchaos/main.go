@@ -1,21 +1,26 @@
-// Command ghchaos is the real-process arm of the chaos matrix: it
-// wraps ghtorture's supervisor/child SIGKILL machinery around the
-// internal/chaos schedule generator and the engine seam, so seeded
-// randomized fault schedules run against any engine as an actual
-// serving process — SIGKILL at scheduled moments, SIGTERM drains,
-// power-failure garbage appended to the live oplog segment — while a
-// supervisor-side model audits every acked insert for exactly-once
-// survival across recoveries.
+// Command ghchaos is the real-process arm of the chaos matrix: a
+// supervisor re-executes its own binary as a child that recovers and
+// serves exactly the way ghserver does (image + oplog replay through
+// the engine seam, group-committed acks, aggressive background
+// snapshots), and plays seeded internal/chaos fault schedules against
+// it — SIGKILL at scheduled moments (mid-snapshot, mid-rotation,
+// mid-group-commit or mid-batch, the scheduler decides), SIGTERM
+// drains, power-failure garbage appended to the live oplog segment —
+// while a supervisor-side model audits every acked insert for
+// exactly-once survival across recoveries.
 //
 // The in-process matrix (`make chaos-smoke`) composes more injector
 // kinds (sticky fsync faults, on-demand snapshots, torn-tail
-// truncation need in-process hooks); this command is the soak: real
-// processes, real SIGKILL, unbounded wall clock.
+// truncation need in-process hooks); this command is the real-process
+// half: `make torture` runs it across the (T, B) group-commit matrix,
+// `make soak` across engines, and -duration turns it into an
+// open-ended soak.
 //
 // Usage:
 //
 //	ghchaos -cycles 20 -engine pfht-l          # one schedule, then exit
 //	ghchaos -duration 30m -engine grouphash    # soak until the clock runs out
+//	ghchaos -capacity 4096 -sync-every 0 -sync-bytes 0 -cycles 24   # synchronous fsync per batch
 //
 // Exits non-zero at the first contract violation; the failing seed and
 // cycle are printed for exact reproduction.
@@ -173,15 +178,20 @@ func supervise(dir string, cycles int, soak time.Duration, seed int64, spec engi
 		verify(addr, keys, cycle)
 
 		// Mixed load: tracked insert bursts (alternating pipelined and
-		// OpBatch framing, like ghtorture) interleaved with Zipfian
-		// reads over everything inserted so far — kills land on a
-		// realistic read/write mix, and reads of a freshly recovered
-		// tail exercise the cold paths too.
+		// OpBatch framing) interleaved with Zipfian reads over
+		// everything inserted so far — kills land on a realistic
+		// read/write mix, and reads of a freshly recovered tail
+		// exercise the cold paths too.
 		const batch = 64
 		c, err := client.Dial(addr, 2*time.Second)
 		if err != nil {
 			log.Fatalf("cycle %d: dial: %v", cycle, err)
 		}
+		// The schedule decides how long this generation lives. Delays
+		// are rescaled from the in-process schedule to real-process
+		// time; the jitter is drawn before the load goroutine starts,
+		// because that goroutine owns rng until loadDone.
+		life := 30*time.Millisecond + ev.Delay*5 + time.Duration(rng.Intn(40))*time.Millisecond
 		loadDone := make(chan struct{})
 		go func() {
 			defer close(loadDone)
@@ -234,13 +244,12 @@ func supervise(dir string, cycles int, soak time.Duration, seed int64, spec engi
 			}
 		}()
 
-		// The schedule decides how this generation dies: SIGTERM for
-		// drain events (the graceful path must also preserve
+		// The schedule also decides how this generation dies: SIGTERM
+		// for drain events (the graceful path must also preserve
 		// everything), SIGKILL for every crash class — with
 		// power-failure garbage appended to the live segment for
-		// kill+tear. Delays are rescaled from the in-process schedule
-		// to real-process time.
-		time.Sleep(30*time.Millisecond + ev.Delay*5 + time.Duration(rng.Intn(40))*time.Millisecond)
+		// kill+tear.
+		time.Sleep(life)
 		if ev.Kind == chaos.KindDrain {
 			proc.Signal(syscall.SIGTERM)
 		} else if err := proc.Kill(); err != nil {

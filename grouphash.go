@@ -295,14 +295,18 @@ func (s *Store) InsertBatch(items []Item) (int, error) {
 
 // ApplyBatch applies a burst of mutations as stripe-grouped runs with
 // one lock acquisition, one persistent count update, and one commit-
-// hook call per run — the batch extension of the PutHook/InsertHook/
-// DeleteHook contract, and the entry point the network server drives
-// for both OpBatch frames and coalesced pipelined bursts. Per-op
-// outcomes land in out (len(out) must equal len(ops)); within a stripe
-// ops apply in submission order, which is all the ordering same-key
-// sequences need. committed (if non-nil) runs inside each run's
-// critical section with the indices of the ops that mutated cells, in
-// apply order; the slice is scratch, so consume it before returning.
+// hook call per run — the only path by which the network server
+// mutates the store, for OpBatch frames and coalesced pipelined bursts
+// alike. Per-op outcomes land in out (len(out) must equal len(ops));
+// within a stripe ops apply in submission order, which is all the
+// ordering same-key sequences need. committed (if non-nil) runs inside
+// each run's critical section with the indices of the ops that mutated
+// cells, in apply order; the slice is scratch, so consume it before
+// returning. The server appends the run to its oplog there, which
+// pairs (apply, append) atomically against SnapshotWriterAt's
+// all-stripes cut: no write can be applied-but-unlogged or
+// logged-but-unapplied at the moment the snapshot mark is read.
+// committed must not call back into the store and must be brief.
 //
 // Crash semantics: a crash mid-batch leaves some stripe-runs fully
 // committed, at most one committed up to a prefix, and the count word
@@ -404,60 +408,10 @@ func (s *Store) Get(k Key) (uint64, bool) {
 
 // Delete removes k, reporting whether it was present.
 func (s *Store) Delete(k Key) bool {
-	return s.DeleteHook(k, nil)
-}
-
-// PutHook is Put with a commit hook: on success, committed (if
-// non-nil) runs after the store mutation commits but before the
-// write's critical section is released — on a concurrent store, inside
-// the owning stripe's lock. The network server appends the operation
-// to its oplog there, which pairs (apply, append) atomically against
-// SnapshotWriterAt's all-stripes cut: no writer can be applied-but-
-// unlogged or logged-but-unapplied at the moment the snapshot mark is
-// read. The hook must not call back into the store and must be brief.
-func (s *Store) PutHook(k Key, v uint64, committed func()) error {
 	if s.conc != nil {
-		return s.conc.UpsertHook(k, v, committed)
+		return s.conc.Delete(k)
 	}
-	if err := s.Put(k, v); err != nil {
-		return err
-	}
-	// Sequential stores have no internal lock: the caller already owns
-	// exclusivity, so after-apply is inside the critical section.
-	if committed != nil {
-		committed()
-	}
-	return nil
-}
-
-// InsertHook is Insert with a commit hook; see PutHook for the
-// contract.
-func (s *Store) InsertHook(k Key, v uint64, committed func()) error {
-	if s.conc != nil {
-		return s.conc.InsertHook(k, v, committed)
-	}
-	if err := s.tab.Insert(k, v); err != nil {
-		return err
-	}
-	if committed != nil {
-		committed()
-	}
-	return nil
-}
-
-// DeleteHook is Delete with a commit hook; see PutHook for the
-// contract. The hook runs only when the key existed and was removed.
-func (s *Store) DeleteHook(k Key, committed func()) bool {
-	if s.conc != nil {
-		return s.conc.DeleteHook(k, committed)
-	}
-	if !s.tab.Delete(k) {
-		return false
-	}
-	if committed != nil {
-		committed()
-	}
-	return true
+	return s.tab.Delete(k)
 }
 
 // Len returns the number of stored items.
@@ -586,13 +540,13 @@ func (s *Store) SnapshotWriter(oplogMark uint64) (func(path string) error, error
 // internal quiesce, calling cut() with every writer excluded to decide
 // the image's oplog mark; it returns a function that later writes the
 // image to a file, crash-safely. Because mutations run their oplog
-// append inside the write's critical section (PutHook and friends) and
-// cut() runs with all of them held, the mark cut() returns covers
-// exactly the operations the captured image contains — the invariant
-// recovery's "load image, replay LSNs past the mark" depends on. The
-// server's cut reads the log's last LSN and rotates the segment there,
-// so sealed segments and image agree too. cut must not call back into
-// the store; a cut error aborts the capture.
+// append inside the write's critical section (ApplyBatch's committed
+// callback) and cut() runs with all of them held, the mark cut()
+// returns covers exactly the operations the captured image contains —
+// the invariant recovery's "load image, replay LSNs past the mark"
+// depends on. The server's cut reads the log's last LSN and rotates
+// the segment there, so sealed segments and image agree too. cut must
+// not call back into the store; a cut error aborts the capture.
 func (s *Store) SnapshotWriterAt(cut func() (uint64, error)) (func(path string) error, error) {
 	var img []byte
 	var allocated uint64

@@ -73,13 +73,16 @@ type BatchScratch struct {
 // and — still inside the critical section — calls committed with the
 // indices of the ops that actually mutated cells, in apply order. The
 // server appends those to its oplog there, making (apply, log) one
-// atomic step against Quiesce exactly like the single-op hooks. The
-// applied slice is scratch: committed must consume it before returning.
+// atomic step against Quiesce: the snapshot path reads its oplog mark
+// with every stripe held, so the mark always equals exactly what the
+// captured image contains. committed must not touch the store
+// (self-deadlock) and must be brief. The applied slice is scratch:
+// committed must consume it before returning.
 //
 // A full group mid-run commits the prefix (count + hook), releases the
 // stripe, waits for the online expansion to make room (awaitRoom), and
 // resumes the run against the grown table — the same retry loop as
-// InsertHook, amortised. If expansion itself fails, the blocked op
+// Insert, amortised. If expansion itself fails, the blocked op
 // reports ErrTableFull and the rest of the run still applies (deletes
 // and in-place puts can succeed in a full table).
 //

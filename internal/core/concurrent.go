@@ -189,18 +189,6 @@ func (c *Concurrent) Name() string { return "group-concurrent" }
 // far shorter than a full rehash — and retries against the doubled
 // arrays. ErrTableFull then only escapes if expansion itself fails.
 func (c *Concurrent) Insert(k layout.Key, v uint64) error {
-	return c.InsertHook(k, v, nil)
-}
-
-// InsertHook is Insert with a commit hook: on success, committed (if
-// non-nil) runs after the cells are updated but before the stripe lock
-// is released. The server logs the mutation to its oplog there, making
-// (apply, append) one atomic step against Quiesce — the snapshot path
-// reads its oplog mark with every stripe held, so the mark always
-// equals exactly what the captured image contains. The hook must not
-// touch the store (self-deadlock) and must be brief: it runs inside
-// the stripe's critical section.
-func (c *Concurrent) InsertHook(k layout.Key, v uint64, committed func()) error {
 	if !c.t.l.ValidKey(k) {
 		return hashtab.ErrInvalidKey
 	}
@@ -210,9 +198,6 @@ func (c *Concurrent) InsertHook(k layout.Key, v uint64, committed func()) error 
 		ok := c.t.placeIn(c.routeView(si), k, v)
 		if ok {
 			c.bumpCount(1)
-			if committed != nil {
-				committed()
-			}
 		}
 		s.unlock()
 		if ok {
@@ -233,13 +218,6 @@ func (c *Concurrent) InsertHook(k layout.Key, v uint64, committed func()) error 
 // networked front-end's PUT needs. Full groups expand-and-retry
 // exactly as in Insert.
 func (c *Concurrent) Upsert(k layout.Key, v uint64) error {
-	return c.UpsertHook(k, v, nil)
-}
-
-// UpsertHook is Upsert with a commit hook; see InsertHook for the
-// contract. The hook runs on both outcomes (in-place update and fresh
-// insert), always inside the stripe's critical section.
-func (c *Concurrent) UpsertHook(k layout.Key, v uint64, committed func()) error {
 	if !c.t.l.ValidKey(k) {
 		return hashtab.ErrInvalidKey
 	}
@@ -248,18 +226,12 @@ func (c *Concurrent) UpsertHook(k layout.Key, v uint64, committed func()) error 
 		s.lock()
 		vw := c.routeView(si)
 		if c.t.updateIn(vw, k, v) {
-			if committed != nil {
-				committed()
-			}
 			s.unlock()
 			return nil
 		}
 		ok := c.t.placeIn(vw, k, v)
 		if ok {
 			c.bumpCount(1)
-			if committed != nil {
-				committed()
-			}
 		}
 		s.unlock()
 		if ok {
@@ -311,12 +283,6 @@ func (c *Concurrent) Lookup(k layout.Key) (uint64, bool) {
 // Delete removes k under the group lock, delegating to the same
 // removeIn helper as the sequential Delete.
 func (c *Concurrent) Delete(k layout.Key) bool {
-	return c.DeleteHook(k, nil)
-}
-
-// DeleteHook is Delete with a commit hook; see InsertHook for the
-// contract. The hook runs only when the key existed and was removed.
-func (c *Concurrent) DeleteHook(k layout.Key, committed func()) bool {
 	s, si := c.stripeFor(k)
 	s.lock()
 	defer s.unlock()
@@ -324,9 +290,6 @@ func (c *Concurrent) DeleteHook(k layout.Key, committed func()) bool {
 		return false
 	}
 	c.bumpCount(-1)
-	if committed != nil {
-		committed()
-	}
 	return true
 }
 

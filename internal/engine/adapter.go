@@ -34,11 +34,11 @@ type scheme interface {
 // path, and snapshots through the pmfs image format over the native
 // backend.
 //
-// The commit-hook contract holds trivially: hooks run between the
-// mutation and the mutex release, and SnapshotWriterAt's cut() runs
-// with the writer lock held, so an applied mutation and its oplog
-// append are atomic against the snapshot cut exactly as on the
-// flagship.
+// The commit-hook contract holds trivially: ApplyBatch's committed
+// callback runs between the mutations and the mutex release, and
+// SnapshotWriterAt's cut() runs with the writer lock held, so an
+// applied mutation and its oplog append are atomic against the
+// snapshot cut exactly as on the flagship.
 type tableEngine struct {
 	mu   sync.RWMutex
 	tab  scheme
@@ -182,7 +182,7 @@ func (e *tableEngine) MGet(keys []layout.Key, vals []uint64, found []bool) {
 	}
 }
 
-// putLocked is the upsert shared by Put, PutHook and ApplyBatch:
+// putLocked is the upsert shared by Put and ApplyBatch:
 // update in place when the key exists, insert otherwise — the façade's
 // Put semantics. The explicit ValidKey check keeps the invalid-key
 // answer O(1) (and identical across schemes) instead of depending on
@@ -214,42 +214,6 @@ func (e *tableEngine) Delete(k layout.Key) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.tab.Delete(k)
-}
-
-func (e *tableEngine) PutHook(k layout.Key, v uint64, committed func()) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, err := e.putLocked(k, v); err != nil {
-		return err
-	}
-	if committed != nil {
-		committed()
-	}
-	return nil
-}
-
-func (e *tableEngine) InsertHook(k layout.Key, v uint64, committed func()) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.tab.Insert(k, v); err != nil {
-		return err
-	}
-	if committed != nil {
-		committed()
-	}
-	return nil
-}
-
-func (e *tableEngine) DeleteHook(k layout.Key, committed func()) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.tab.Delete(k) {
-		return false
-	}
-	if committed != nil {
-		committed()
-	}
-	return true
 }
 
 // ApplyBatch is the sequential fallback for schemes without a striped

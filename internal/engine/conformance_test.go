@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"grouphash/internal/core"
 	"grouphash/internal/hashtab"
@@ -225,11 +226,11 @@ func TestConformanceApplyBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		ops := []core.BatchOp{
-			{Kind: core.BatchPut, Key: key(1), Value: 11},    // upsert existing → Found
-			{Kind: core.BatchPut, Key: key(2), Value: 22},    // fresh put
-			{Kind: core.BatchInsert, Key: key(3), Value: 33}, // insert
-			{Kind: core.BatchDelete, Key: key(2)},            // delete just-written (same batch)
-			{Kind: core.BatchDelete, Key: key(99)},           // delete absent → NOT applied
+			{Kind: core.BatchPut, Key: key(1), Value: 11},      // upsert existing → Found
+			{Kind: core.BatchPut, Key: key(2), Value: 22},      // fresh put
+			{Kind: core.BatchInsert, Key: key(3), Value: 33},   // insert
+			{Kind: core.BatchDelete, Key: key(2)},              // delete just-written (same batch)
+			{Kind: core.BatchDelete, Key: key(99)},             // delete absent → NOT applied
 			{Kind: core.BatchPut, Key: layout.Key{}, Value: 1}, // zero key → error
 		}
 		out := make([]core.BatchResult, len(ops))
@@ -290,28 +291,55 @@ func TestConformanceApplyBatch(t *testing.T) {
 	})
 }
 
+// TestConformanceHooks pins the property the oplog relies on from the
+// commit hook, ApplyBatch's committed callback: it runs inside the
+// engine's critical section, so the snapshot cut (taken under Quiesce)
+// can never observe a mutation applied without its log append, or the
+// reverse. A Quiesce started from inside committed must therefore
+// wait: its fn may not run before committed returns, and must run once
+// ApplyBatch has returned. (Which ops reach committed is
+// TestConformanceApplyBatch's job.) The ops share one key, so they
+// form a single stripe-run.
 func TestConformanceHooks(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, spec Spec, e Engine) {
-		fired := 0
-		hook := func() { fired++ }
-		if err := e.PutHook(key(1), 1, hook); err != nil || fired != 1 {
-			t.Fatalf("PutHook: err=%v fired=%d", err, fired)
+		ops := []core.BatchOp{
+			{Kind: core.BatchPut, Key: key(1), Value: 1},
+			{Kind: core.BatchPut, Key: key(1), Value: 2},
+			{Kind: core.BatchDelete, Key: key(1)},
+			{Kind: core.BatchInsert, Key: key(1), Value: 3},
 		}
-		if err := e.InsertHook(key(2), 2, hook); err != nil || fired != 2 {
-			t.Fatalf("InsertHook: err=%v fired=%d", err, fired)
+		out := make([]core.BatchResult, len(ops))
+		ran := make(chan struct{})
+		quiesced := make(chan struct{})
+		calls := 0
+		e.ApplyBatch(ops, out, nil, func(applied []int) {
+			calls++
+			if calls > 1 {
+				return
+			}
+			go func() {
+				defer close(quiesced)
+				e.Quiesce(func() { close(ran) })
+			}()
+			// A correct engine holds the Quiesce off for this whole
+			// window; fn running inside it means committed is not
+			// in the critical section.
+			select {
+			case <-ran:
+				t.Error("Quiesce ran fn while committed was still running")
+			case <-time.After(50 * time.Millisecond):
+			}
+		})
+		if calls == 0 {
+			t.Fatal("committed never ran for a batch of mutations")
 		}
-		if !e.DeleteHook(key(2), hook) || fired != 3 {
-			t.Fatalf("DeleteHook(present): fired=%d", fired)
+		select {
+		case <-quiesced:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Quiesce started inside committed never completed after ApplyBatch returned")
 		}
-		// Non-mutations must not fire the hook: nothing to log.
-		if e.DeleteHook(key(99), hook) {
-			t.Fatal("DeleteHook(absent) = true")
-		}
-		if err := e.PutHook(layout.Key{}, 1, hook); !errors.Is(err, hashtab.ErrInvalidKey) {
-			t.Fatalf("PutHook(zero) = %v, want ErrInvalidKey", err)
-		}
-		if fired != 3 {
-			t.Fatalf("hook fired %d times, want 3 (non-mutations must not fire)", fired)
+		if v, ok := e.Get(key(1)); !ok || v != 3 {
+			t.Errorf("Get(1) = (%d, %t), want (3, true)", v, ok)
 		}
 		requireClean(t, e)
 	})

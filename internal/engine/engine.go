@@ -36,11 +36,11 @@ import (
 )
 
 // Engine is the storage-engine interface the serving stack programs
-// against. All methods must be safe for concurrent use; the batch and
-// hook methods carry the commit-hook contract the oplog depends on
-// (the hook runs inside the engine's own critical section, so an
-// applied mutation and its log append are atomic against Quiesce and
-// the snapshot cut).
+// against. All methods must be safe for concurrent use. ApplyBatch
+// carries the commit-hook contract the oplog depends on (committed
+// runs inside the engine's own critical section, so an applied
+// mutation and its log append are atomic against Quiesce and the
+// snapshot cut); it is the only way the server mutates an engine.
 type Engine interface {
 	// Name identifies the engine (the -engine flag value).
 	Name() string
@@ -59,19 +59,13 @@ type Engine interface {
 	// was present. Deleting an absent key must not touch the count.
 	Delete(k layout.Key) bool
 
-	// PutHook/InsertHook/DeleteHook are the logged-mutation entry
-	// points: committed (when non-nil) runs inside the engine's
-	// critical section iff the mutation took effect — the server's
-	// oplog append rides there.
-	PutHook(k layout.Key, v uint64, committed func()) error
-	InsertHook(k layout.Key, v uint64, committed func()) error
-	DeleteHook(k layout.Key, committed func()) bool
 	// ApplyBatch applies a burst of mutations, writing per-op outcomes
 	// into out (len(out) must equal len(ops)). Same-key ops apply in
 	// submission order; committed (when non-nil) runs inside the
 	// engine's critical section(s) with the indices of the ops that
 	// mutated cells, in apply order (the slice is scratch — consume it
-	// before returning). sc may be nil.
+	// before returning), and must not call back into the engine. sc may
+	// be nil.
 	ApplyBatch(ops []core.BatchOp, out []core.BatchResult, sc *core.BatchScratch, committed func(applied []int))
 
 	// Len returns the number of stored items; Capacity the structural

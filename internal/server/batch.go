@@ -180,11 +180,11 @@ func (ba *batchState) apply() {
 	for i := range ba.lsns {
 		ba.lsns[i] = 0
 	}
-	ba.s.eng.ApplyBatch(ba.ops, ba.outs, &ba.sc, ba.committed)
+	ba.s.cfg.Engine.ApplyBatch(ba.ops, ba.outs, &ba.sc, ba.committed)
 }
 
 // response maps staged op j's outcome to its wire response, bumping the
-// error counters exactly as the single-op path does.
+// error counters.
 func (ba *batchState) response(j int) wire.Response {
 	out := &ba.outs[j]
 	if out.Err != nil {
@@ -201,10 +201,19 @@ func (ba *batchState) response(j int) wire.Response {
 // response, ack LSN, and (for unlogged outcomes) a cleared timing
 // stamp. Runs at every pipelining boundary, before any read or batch
 // frame (preserving program order an observer can see), and before a
-// chunk moves to the acker. Draining refuses the whole run unapplied —
-// the same answer each op would have gotten from applyWrite, decided
-// at apply time exactly like the single-op path (Drain waits for the
-// handler, so the pair still completes before the final snapshot cut).
+// chunk moves to the acker.
+//
+// Once a drain has begun (the final image's contents are already
+// decided) or the oplog has suffered a sticky failure (nothing could
+// ever be acked), the whole run is refused unapplied. The check racing
+// Drain is safe without re-checking under a lock: Drain flips the
+// flag, then waits for every handler goroutine to exit before cutting
+// the final image, so a run that slipped past the check completes its
+// (apply, append) pairs AND its durable acks (or is discarded unacked)
+// strictly before the final snapshot's cut observes the log — acked ⇒
+// in the image, refused ⇒ absent, no third outcome. serveBatchFrame's
+// check rests on the same argument. TestDrainStraddleDurability pins
+// this.
 func (ba *batchState) flushCoalesced(chunk []pendingResp, timing bool) {
 	n := len(ba.ops)
 	if n == 0 {
@@ -294,7 +303,7 @@ func (s *Server) serveBatchFrame(subs []wire.Request, ba *batchState, timing boo
 		ba.flushInto(resps)
 		switch sub.Op {
 		case wire.OpPing, wire.OpGet, wire.OpLen:
-			resps[i], _ = s.dispatch(*sub)
+			resps[i] = s.dispatch(*sub)
 		default:
 			s.badreq.Inc()
 			resps[i] = wire.Response{Status: wire.StatusBadRequest}

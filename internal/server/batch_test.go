@@ -28,14 +28,14 @@ func TestServeBatchFrame(t *testing.T) {
 	subs := []wire.Request{
 		{Op: wire.OpPut, Key: layout.Key{Lo: 1}, Value: 10},
 		{Op: wire.OpInsert, Key: layout.Key{Lo: 2}, Value: 20},
-		{Op: wire.OpGet, Key: layout.Key{Lo: 1}},    // must see sub-op 0
+		{Op: wire.OpGet, Key: layout.Key{Lo: 1}}, // must see sub-op 0
 		{Op: wire.OpPut, Key: layout.Key{Lo: 1}, Value: 11},
 		{Op: wire.OpGet, Key: layout.Key{Lo: 1}},    // must see sub-op 3
 		{Op: wire.OpDelete, Key: layout.Key{Lo: 9}}, // absent
 		{Op: wire.OpDelete, Key: layout.Key{Lo: 2}},
 		{Op: wire.OpPut, Key: layout.Key{}, Value: 1}, // invalid zero key
-		{Op: wire.OpStats},                            // not batchable
-		{Op: wire.OpBatch},                            // nested batch
+		{Op: wire.OpStats}, // not batchable
+		{Op: wire.OpBatch}, // nested batch
 		{Op: wire.OpLen},
 		{Op: wire.OpPing},
 	}

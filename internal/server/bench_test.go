@@ -31,7 +31,7 @@ func benchAckedWrite(b *testing.B, withLog bool, lcfg oplog.Config) {
 			b.Fatal(err)
 		}
 	}
-	s, err := New(Config{Store: st, Oplog: lg})
+	s, err := New(Config{Engine: st, Oplog: lg})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func BenchmarkServeBatchPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(Config{Store: st, Oplog: lg})
+	s, err := New(Config{Engine: st, Oplog: lg})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -40,15 +40,15 @@ func TestEngineConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := New(Config{Engine: eng}); err != nil {
+		t.Fatalf("New with an adapter engine: %v", err)
+	}
 	st, err := grouphash.New(grouphash.Options{Capacity: 1 << 10, Concurrent: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Engine: eng, Store: st}); err == nil {
-		t.Fatal("New with both Engine and Store must fail")
-	}
-	if _, err := New(Config{Engine: eng}); err != nil {
-		t.Fatalf("New with an adapter engine: %v", err)
+	if _, err := New(Config{Engine: st}); err != nil {
+		t.Fatalf("New with a concurrent flagship store: %v", err)
 	}
 }
 

@@ -11,11 +11,11 @@
 // reads), and the façade's Quiesce/Snapshot hooks for consistent
 // images while serving.
 //
-// Batching: mutations reach the store through its stripe-grouped
-// ApplyBatch whenever more than one is in hand — explicit OpBatch
-// frames (N packed sub-ops, one packed response frame, all-or-nothing
-// ack) and, transparently, coalesced runs of consecutive single-frame
-// mutations within a pipelined burst. Either way each stripe-run costs
+// Batching: mutations reach the store only through its stripe-grouped
+// ApplyBatch — explicit OpBatch frames (N packed sub-ops, one packed
+// response frame, all-or-nothing ack) and, transparently, coalesced
+// runs of consecutive single-frame mutations within a pipelined burst
+// (a lone mutation is a run of one). Either way each stripe-run costs
 // one lock acquisition, ONE oplog append, and one count persist for
 // the whole run instead of one of each per operation. Coalescing never
 // reorders what a client can observe: any read (or other non-mutation)
@@ -69,13 +69,10 @@ import (
 // Config configures a Server.
 type Config struct {
 	// Engine is the storage engine to serve — the flagship group-hash
-	// store or any internal/engine adapter. Exactly one of Engine and
-	// Store must be set.
+	// store or any internal/engine adapter. Required. A flagship store
+	// must have been built with Options.Concurrent (every connection
+	// gets its own goroutine).
 	Engine engine.Engine
-	// Store is the flagship store to serve, a convenience alias for
-	// Engine (the store IS an engine). It must have been built with
-	// Options.Concurrent (every connection gets its own goroutine).
-	Store *grouphash.Store
 	// SnapshotPath, when non-empty, enables snapshots: a final image
 	// on Drain, plus periodic background images every SnapshotEvery.
 	SnapshotPath string
@@ -84,7 +81,7 @@ type Config struct {
 	SnapshotEvery time.Duration
 	// Oplog, when non-nil, is the operation log every mutating request
 	// is made durable on before it is acked. The caller opens it
-	// (after replaying it into Store) and the server takes ownership:
+	// (after replaying it into Engine) and the server takes ownership:
 	// Drain closes it. See cmd/ghserver for the recovery sequence.
 	Oplog *oplog.Log
 	// Registry, when non-nil, is where the server registers its metrics
@@ -99,13 +96,6 @@ type Config struct {
 	// class counters, oplog metrics — stays on. Used by ghbench's
 	// before/after overhead experiment.
 	DisableTiming bool
-	// DisableCoalescing turns off the transparent batching of
-	// pipelined single-op mutations: every mutation is applied (and
-	// oplog-appended) on its own, the pre-batching behaviour. Explicit
-	// OpBatch frames still batch. A benchmarking knob — ghbench's
-	// batch experiment uses it to measure what coalescing buys; never
-	// set it on a production server.
-	DisableCoalescing bool
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -141,7 +131,6 @@ type Metrics struct {
 // crash).
 type Server struct {
 	cfg  Config
-	eng  engine.Engine // resolved from cfg.Engine / cfg.Store
 	ln   net.Listener
 	logf func(string, ...any)
 
@@ -151,10 +140,10 @@ type Server struct {
 	// snapMu serialises snapshot saves (periodic ticker vs final drain).
 	// Writers no longer take any server-global lock: each mutation runs
 	// its oplog append inside the store's own per-stripe critical
-	// section (PutHook and friends), and the snapshot path reads its
-	// oplog mark via SnapshotWriterAt with every stripe held — the same
-	// applied==appended guarantee the old global RWMutex provided,
-	// without a process-wide writer convoy.
+	// section (ApplyBatch's committed callback), and the snapshot path
+	// reads its oplog mark via SnapshotWriterAt with every stripe held
+	// — the same applied==appended guarantee the old global RWMutex
+	// provided, without a process-wide writer convoy.
 	snapMu sync.Mutex
 
 	handlers   sync.WaitGroup // per-connection goroutines
@@ -188,17 +177,11 @@ type Server struct {
 
 // New validates cfg and builds a Server (not yet listening).
 func New(cfg Config) (*Server, error) {
-	eng := cfg.Engine
-	switch {
-	case eng == nil && cfg.Store == nil:
-		return nil, fmt.Errorf("server: one of Config.Engine or Config.Store is required")
-	case eng != nil && cfg.Store != nil:
-		return nil, fmt.Errorf("server: Config.Engine and Config.Store are mutually exclusive")
-	case eng == nil:
-		if !cfg.Store.Concurrent() {
-			return nil, fmt.Errorf("server: the store must be built with Options.Concurrent")
-		}
-		eng = cfg.Store
+	if cfg.Engine == nil {
+		return nil, fmt.Errorf("server: Config.Engine is required")
+	}
+	if st, ok := cfg.Engine.(*grouphash.Store); ok && !st.Concurrent() {
+		return nil, fmt.Errorf("server: the store must be built with Options.Concurrent")
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -206,7 +189,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:        cfg,
-		eng:        eng,
 		logf:       logf,
 		conns:      make(map[net.Conn]struct{}),
 		stop:       make(chan struct{}),
@@ -217,7 +199,7 @@ func New(cfg Config) (*Server, error) {
 		s.registry = stats.NewRegistry()
 	}
 	s.registerMetrics(s.registry)
-	eng.RegisterMetrics(s.registry, "gh")
+	cfg.Engine.RegisterMetrics(s.registry, "gh")
 	if cfg.Oplog != nil {
 		cfg.Oplog.RegisterMetrics(s.registry, "gh")
 	}
@@ -301,6 +283,13 @@ func (s *Server) ListenAndServe(addr string) error {
 // snapshot ticker starts here and stops at drain.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
+	if s.draining.Load() {
+		// Drain or Abort ran before the listener was registered, so
+		// nothing else will ever close it; Accept would block forever.
+		s.mu.Unlock()
+		ln.Close()
+		return nil
+	}
 	s.ln = ln
 	s.mu.Unlock()
 	s.serving.Store(true)
@@ -480,16 +469,16 @@ func (s *Server) snapshot(kind string) error {
 	defer s.snapMu.Unlock()
 	start := time.Now()
 	if s.cfg.Oplog == nil {
-		if err := s.eng.Snapshot(s.cfg.SnapshotPath); err != nil {
+		if err := s.cfg.Engine.Snapshot(s.cfg.SnapshotPath); err != nil {
 			return err
 		}
 		s.snapshots.Inc()
 		s.snapDur.Observe(uint64(time.Since(start)))
-		s.logf("server: %s snapshot (%d items) in %s", kind, s.eng.Len(), time.Since(start).Round(time.Millisecond))
+		s.logf("server: %s snapshot (%d items) in %s", kind, s.cfg.Engine.Len(), time.Since(start).Round(time.Millisecond))
 		return nil
 	}
 	var mark uint64
-	write, err := s.eng.SnapshotWriterAt(func() (uint64, error) {
+	write, err := s.cfg.Engine.SnapshotWriterAt(func() (uint64, error) {
 		// All stripes are held here: no (apply, append) pair is in
 		// flight, so the log's last LSN is exactly the image's content.
 		mark = s.cfg.Oplog.LastLSN()
@@ -514,7 +503,7 @@ func (s *Server) snapshot(kind string) error {
 		s.logf("server: oplog truncation after %s snapshot: %v", kind, err)
 	}
 	s.logf("server: %s snapshot (%d items, oplog mark %d) in %s",
-		kind, s.eng.Len(), mark, time.Since(start).Round(time.Millisecond))
+		kind, s.cfg.Engine.Len(), mark, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -622,15 +611,12 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			pc.resps = append(pc.resps, pr)
 			ba.stage(req, len(pc.resps)-1)
-			if s.cfg.DisableCoalescing {
-				ba.flushCoalesced(pc.resps, timing) // run of one: per-op apply and append
-			}
 		default:
 			ba.flushCoalesced(pc.resps, timing)
 			var pr pendingResp
 			if timing {
 				start := time.Now()
-				pr.resp, pr.lsn = s.dispatch(req)
+				pr.resp = s.dispatch(req)
 				op := int(req.Op)
 				if op >= len(s.opLat) {
 					op = 0
@@ -639,7 +625,7 @@ func (s *Server) handle(conn net.Conn) {
 				s.bytesRead.Add(4 + wire.ReqBodyLen)
 				s.bytesWritten.Add(uint64(4 + wire.RespFixedLen + len(pr.resp.Extra)))
 			} else {
-				pr.resp, pr.lsn = s.dispatch(req)
+				pr.resp = s.dispatch(req)
 			}
 			pc.resps = append(pc.resps, pr)
 		}
@@ -749,86 +735,31 @@ func (s *Server) acker(conn net.Conn, queue <-chan *pendingChunk, done chan<- st
 	}
 }
 
-// dispatch executes one request against the store, returning the
-// response and, for a logged mutation, the oplog LSN the ack must wait
-// for.
-func (s *Server) dispatch(req wire.Request) (wire.Response, uint64) {
-	st := s.eng
+// dispatch executes one non-mutating request against the store.
+// Mutations never come here: the reader stages them for ApplyBatch
+// (flushCoalesced, serveBatchFrame).
+func (s *Server) dispatch(req wire.Request) wire.Response {
 	switch req.Op {
 	case wire.OpPing:
 		s.others.Inc()
-		return wire.Response{Status: wire.StatusOK}, 0
+		return wire.Response{Status: wire.StatusOK}
 	case wire.OpGet:
 		s.reads.Inc()
-		v, ok := st.Get(req.Key)
+		v, ok := s.cfg.Engine.Get(req.Key)
 		if !ok {
-			return wire.Response{Status: wire.StatusNotFound}, 0
+			return wire.Response{Status: wire.StatusNotFound}
 		}
-		return wire.Response{Status: wire.StatusOK, Value: v}, 0
-	case wire.OpPut:
-		s.writes.Inc()
-		return s.applyWrite(oplog.OpPut, req)
-	case wire.OpInsert:
-		s.writes.Inc()
-		return s.applyWrite(oplog.OpInsert, req)
-	case wire.OpDelete:
-		s.deletes.Inc()
-		return s.applyWrite(oplog.OpDelete, req)
+		return wire.Response{Status: wire.StatusOK, Value: v}
 	case wire.OpLen:
 		s.others.Inc()
-		return wire.Response{Status: wire.StatusOK, Value: st.Len()}, 0
+		return wire.Response{Status: wire.StatusOK, Value: s.cfg.Engine.Len()}
 	case wire.OpStats:
 		s.others.Inc()
-		return wire.Response{Status: wire.StatusOK, Extra: s.statsExtra(req.Value)}, 0
+		return wire.Response{Status: wire.StatusOK, Extra: s.statsExtra(req.Value)}
 	default:
 		s.badreq.Inc()
-		return wire.Response{Status: wire.StatusBadRequest}, 0
+		return wire.Response{Status: wire.StatusBadRequest}
 	}
-}
-
-// applyWrite runs one mutating request: refused outright once a drain
-// has begun (the final image's contents are already decided) or the
-// oplog has suffered a sticky failure (the mutation could never be
-// acked), else applied to the store with the oplog append running as a
-// commit hook INSIDE the store's own critical section — on a
-// concurrent store, the owning stripe's lock. That pairs (apply,
-// append) atomically against the snapshot cut without any server-wide
-// lock. Only successful mutations are logged — a refused or failed
-// operation must not reappear at replay.
-//
-// The draining check racing Drain is safe without re-checking under
-// the lock: Drain flips the flag, then waits for every handler
-// goroutine to exit before cutting the final image, so a write that
-// slipped past the check completes its (apply, append) pair AND its
-// durable ack (or is discarded unacked) strictly before the final
-// snapshot's cut observes the log — acked ⇒ in the image, refused ⇒
-// absent, no third outcome. TestDrainStraddleDurability pins this.
-func (s *Server) applyWrite(op oplog.Op, req wire.Request) (wire.Response, uint64) {
-	if s.draining.Load() || s.oplogDead.Load() {
-		s.drainRejects.Inc()
-		return wire.Response{Status: wire.StatusDraining}, 0
-	}
-	st := s.eng
-	var lsn uint64
-	var hook func()
-	if s.cfg.Oplog != nil {
-		hook = func() { lsn = s.cfg.Oplog.Append(op, req.Key, req.Value) }
-	}
-	switch op {
-	case oplog.OpPut:
-		if err := st.PutHook(req.Key, req.Value, hook); err != nil {
-			return s.errResponse(err), 0
-		}
-	case oplog.OpInsert:
-		if err := st.InsertHook(req.Key, req.Value, hook); err != nil {
-			return s.errResponse(err), 0
-		}
-	case oplog.OpDelete:
-		if !st.DeleteHook(req.Key, hook) {
-			return wire.Response{Status: wire.StatusNotFound}, 0
-		}
-	}
-	return wire.Response{Status: wire.StatusOK}, lsn
 }
 
 // errResponse maps store write errors to wire statuses.
@@ -860,7 +791,7 @@ func (s *Server) Stats() Metrics {
 		BadRequest:    s.badreq.Load(),
 		DrainRejects:  s.drainRejects.Load(),
 		Snapshots:     s.snapshots.Load(),
-		Expansions:    s.eng.Expansions(),
+		Expansions:    s.cfg.Engine.Expansions(),
 	}
 	if s.cfg.Oplog != nil {
 		m.OplogLastLSN = s.cfg.Oplog.LastLSN()
@@ -915,12 +846,12 @@ func (s *Server) StatsText() string {
 			"full=%d invalid=%d bad=%d drain_rejects=%d snapshots=%d oplog_lsn=%d/%d "+
 			"expansions=%d expanding=%v draining=%v "+
 			"latency_us{p50=%.1f p90=%.1f p99=%.1f max=%.1f n=%d}",
-		s.eng.Len(), s.eng.LoadFactor(),
+		s.cfg.Engine.Len(), s.cfg.Engine.LoadFactor(),
 		m.ConnsActive, m.ConnsAccepted,
 		m.Reads, m.Writes, m.Deletes, m.Others,
 		m.Full, m.InvalidKey, m.BadRequest, m.DrainRejects, m.Snapshots,
 		m.OplogDurableLSN, m.OplogLastLSN,
-		m.Expansions, s.eng.Expanding(), s.draining.Load(),
+		m.Expansions, s.cfg.Engine.Expanding(), s.draining.Load(),
 		us(0.5), us(0.9), us(0.99), sample.Max()/1e3, sample.Count)
 }
 
@@ -948,9 +879,9 @@ type statsDoc struct {
 func (s *Server) StatsJSON() []byte {
 	doc := statsDoc{
 		Metrics:    s.Stats(),
-		Items:      s.eng.Len(),
-		LoadFactor: s.eng.LoadFactor(),
-		Expanding:  s.eng.Expanding(),
+		Items:      s.cfg.Engine.Len(),
+		LoadFactor: s.cfg.Engine.LoadFactor(),
+		Expanding:  s.cfg.Engine.Expanding(),
 		Draining:   s.draining.Load(),
 	}
 	sample := s.Latency()

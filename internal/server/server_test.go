@@ -4,8 +4,9 @@ import (
 	"bufio"
 	"errors"
 	"net"
-	"path/filepath"
 	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,7 +29,7 @@ func startServer(t *testing.T, opts grouphash.Options, cfg Config) (*Server, str
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Store = st
+	cfg.Engine = st
 	cfg.Logf = t.Logf
 	s, err := New(cfg)
 	if err != nil {
@@ -61,14 +62,53 @@ func dial(t *testing.T, addr string) *client.Client {
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
-		t.Fatal("New without a store must fail")
+		t.Fatal("New without an engine must fail")
 	}
 	seq, err := grouphash.New(grouphash.Options{Capacity: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Store: seq}); err == nil {
+	if _, err := New(Config{Engine: seq}); err == nil {
 		t.Fatal("New with a non-concurrent store must fail")
+	}
+}
+
+// TestServeAfterShutdownReturns pins the start-up race a caller hits
+// when it runs Serve on a goroutine and drains (or aborts) before that
+// goroutine is scheduled: Serve must return instead of blocking in
+// Accept on a listener nothing will ever close.
+func TestServeAfterShutdownReturns(t *testing.T) {
+	for name, shutdown := range map[string]func(*Server){
+		"drain": func(s *Server) { s.Drain() },
+		"abort": (*Server).Abort,
+	} {
+		t.Run(name, func(t *testing.T) {
+			st, err := grouphash.New(grouphash.Options{Capacity: 1 << 10, Concurrent: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(Config{Engine: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shutdown(s)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- s.Serve(ln) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("Serve after %s = %v, want nil", name, err)
+				}
+			case <-time.After(5 * time.Second):
+				ln.Close() // release the stuck Accept
+				<-done
+				t.Fatalf("Serve blocked in Accept after %s", name)
+			}
+		})
 	}
 }
 
@@ -223,7 +263,7 @@ func TestServerOnlineExpansion(t *testing.T) {
 	if full := s.Stats().Full; full != 0 {
 		t.Fatalf("saw %d StatusFull responses, want 0", full)
 	}
-	if exp := s.cfg.Store.Expansions(); exp == 0 {
+	if exp := s.cfg.Engine.Expansions(); exp == 0 {
 		t.Fatal("store never expanded despite 64x overload")
 	}
 	c := dial(t, addr)
@@ -376,7 +416,7 @@ func TestDrainRefusesBufferedWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{Store: st, SnapshotPath: img, Logf: t.Logf})
+		s, err := New(Config{Engine: st, SnapshotPath: img, Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,7 +591,7 @@ func TestStickyOplogFailureShutsDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Store: st, Oplog: lg, Logf: t.Logf})
+	s, err := New(Config{Engine: st, Oplog: lg, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,7 +629,11 @@ func TestStickyOplogFailureShutsDown(t *testing.T) {
 // Stats() gauge: it used to be computed as accepted − closed from two
 // independent atomics, so a sampler interleaving with a connection's
 // teardown could read ~2^64. Hammer short-lived connections while a
-// sampler polls; any reading beyond the connection count is the bug.
+// sampler polls. The bound is the invariant the gauge guarantees, not
+// a timing guess (handlers lag behind client closes by design, so the
+// live count can exceed the dialers): the accept loop counts a
+// connection accepted before it counts it active, so ConnsActive read
+// BEFORE ConnsAccepted can never exceed it — an underflow would.
 func TestConnsActiveNeverUnderflows(t *testing.T) {
 	s, addr := startServer(t, grouphash.Options{Capacity: 1 << 10}, Config{})
 
@@ -606,8 +650,9 @@ func TestConnsActiveNeverUnderflows(t *testing.T) {
 				return
 			default:
 			}
-			if n := s.Stats().ConnsActive; n > dialers*2 {
-				t.Errorf("ConnsActive = %d with at most %d connections open", n, dialers)
+			active := s.Stats().ConnsActive
+			if accepted := s.Stats().ConnsAccepted; active > accepted {
+				t.Errorf("ConnsActive = %d exceeds ConnsAccepted = %d", active, accepted)
 				return
 			}
 		}
@@ -662,7 +707,7 @@ func TestGroupCommitFailureFanOutServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Store: st, Oplog: lg, Logf: t.Logf})
+	s, err := New(Config{Engine: st, Oplog: lg, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -752,131 +797,177 @@ func TestGroupCommitFailureFanOutServer(t *testing.T) {
 	t.Logf("%d acked writes, all inside the durable prefix", total)
 }
 
+// drainTrigger is the flagship store with one ApplyBatch rigged: the
+// run that starts with key begins the server's drain and applies only
+// once the draining flag is up — the run that slipped past
+// flushCoalesced's check just before Drain flipped it.
+type drainTrigger struct {
+	*grouphash.Store
+	key layout.Key
+	srv *Server
+}
+
+func (d *drainTrigger) ApplyBatch(ops []grouphash.BatchOp, out []grouphash.BatchResult, sc *grouphash.BatchScratch, committed func(applied []int)) {
+	if len(ops) > 0 && ops[0].Key == d.key {
+		go d.srv.Drain()
+		for !d.srv.Draining() {
+			runtime.Gosched()
+		}
+	}
+	d.Store.ApplyBatch(ops, out, sc, committed)
+}
+
 // TestDrainStraddleDurability is the oplog-enabled drain/apply race
 // test: pipelined writers hammer an adaptively-committed server while
-// Drain flips the draining flag under them, so some batches straddle
-// the cut (part acked, part refused StatusDraining). applyWrite checks
-// the flag BEFORE the stripe-locked (apply, append) pair; this test
-// pins the ordering argument that makes that safe — Drain waits for
-// every handler before cutting the final image, so acked ⇒ in the
-// image, refused ⇒ absent, and the post-image log replays nothing.
+// Drain flips the draining flag under them. flushCoalesced checks the
+// flag BEFORE the stripe-locked (apply, append) pairs; this test pins
+// the ordering argument that makes that safe — Drain waits for every
+// handler before cutting the final image, so acked ⇒ in the image,
+// refused ⇒ absent, and the post-image log replays nothing. The
+// straddle is forced, not hoped for: one client pipelines puts, a
+// read barrier and more puts in one burst, and drainTrigger starts the
+// drain inside the first run's apply, so that run is acked and the
+// puts buffered behind the barrier are refused.
 func TestDrainStraddleDurability(t *testing.T) {
-	attempt := func(t *testing.T) bool {
-		dir := t.TempDir()
-		img := filepath.Join(dir, "store.pmfs")
-		logBase := filepath.Join(dir, "oplog")
-		lg, err := oplog.OpenConfig(logBase, 1, oplog.Config{SyncEvery: 200 * time.Microsecond, SyncBytes: 64 << 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := grouphash.New(grouphash.Options{Capacity: 1 << 14, Concurrent: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(Config{Store: st, SnapshotPath: img, Oplog: lg, Logf: t.Logf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		serveDone := make(chan error, 1)
-		go func() { serveDone <- s.Serve(ln) }()
+	dir := t.TempDir()
+	img := filepath.Join(dir, "store.pmfs")
+	logBase := filepath.Join(dir, "oplog")
+	lg, err := oplog.OpenConfig(logBase, 1, oplog.Config{SyncEvery: 200 * time.Microsecond, SyncBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := grouphash.New(grouphash.Options{Capacity: 1 << 14, Concurrent: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const half = 8
+	sbase := uint64(0xff) << 32
+	trig := &drainTrigger{Store: st, key: layout.Key{Lo: sbase + 1}}
+	s, err := New(Config{Engine: trig, SnapshotPath: img, Oplog: lg, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trig.srv = s
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- s.Serve(ln) }()
 
-		const workers = 4
-		const batch = 128
-		type outcome struct{ acked, refused []uint64 }
-		outs := make([]outcome, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				c, err := client.Dial(ln.Addr().String(), time.Second)
+	const workers = 4
+	const batch = 128
+	type outcome struct{ acked, refused []uint64 }
+	outs := make([]outcome, workers+1) // the last one is the straddling client's
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c, err := client.Dial(ln.Addr().String(), time.Second)
+			if err != nil {
+				t.Errorf("dial: %v", err)
+				return
+			}
+			defer c.Close()
+			base := uint64(w+1) << 32
+			for i := uint64(0); ; i += batch {
+				reqs := make([]wire.Request, batch)
+				for j := range reqs {
+					k := base + i + uint64(j) + 1
+					reqs[j] = wire.Request{Op: wire.OpPut, Key: layout.Key{Lo: k}, Value: k}
+				}
+				resps, err := c.Do(reqs)
 				if err != nil {
-					t.Errorf("dial: %v", err)
 					return
 				}
-				defer c.Close()
-				base := uint64(w+1) << 32
-				for i := uint64(0); ; i += batch {
-					reqs := make([]wire.Request, batch)
-					for j := range reqs {
-						k := base + i + uint64(j) + 1
-						reqs[j] = wire.Request{Op: wire.OpPut, Key: layout.Key{Lo: k}, Value: k}
-					}
-					resps, err := c.Do(reqs)
-					if err != nil {
-						return
-					}
-					for j, r := range resps {
-						k := reqs[j].Key.Lo
-						switch r.Status {
-						case wire.StatusOK:
-							outs[w].acked = append(outs[w].acked, k)
-						case wire.StatusDraining:
-							outs[w].refused = append(outs[w].refused, k)
-						default:
-							t.Errorf("unexpected status %d", r.Status)
-						}
-					}
-					if len(outs[w].refused) > 0 {
-						return
+				for j, r := range resps {
+					k := reqs[j].Key.Lo
+					switch r.Status {
+					case wire.StatusOK:
+						outs[w].acked = append(outs[w].acked, k)
+					case wire.StatusDraining:
+						outs[w].refused = append(outs[w].refused, k)
+					default:
+						t.Errorf("unexpected status %d", r.Status)
 					}
 				}
-			}(w)
-		}
-		time.Sleep(20 * time.Millisecond)
-		if err := s.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		wg.Wait()
-		if err := <-serveDone; err != nil {
-			t.Fatalf("Serve returned %v", err)
-		}
+				if len(outs[w].refused) > 0 {
+					return
+				}
+			}
+		}(w)
+	}
+	time.Sleep(20 * time.Millisecond)
 
-		// Full recovery: image + replay past its mark. The drain's final
-		// snapshot must already cover every acked write (replay finds
-		// nothing), contain no refused one, and the count must match.
-		re, mark, err := grouphash.LoadSnapshotMark(img, true)
-		if err != nil {
-			t.Fatal(err)
+	// The straddling burst: half puts, a get of the first, half puts.
+	// It is a few hundred bytes, so the server reads it whole before
+	// the drain's read deadline can cut the connection.
+	c := dial(t, ln.Addr().String())
+	var reqs []wire.Request
+	for k := sbase + 1; k <= sbase+2*half; k++ {
+		if k == sbase+half+1 {
+			reqs = append(reqs, wire.Request{Op: wire.OpGet, Key: layout.Key{Lo: sbase + 1}})
 		}
-		replayed, _, err := re.ReplayOplog(logBase, mark)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if replayed != 0 {
-			t.Fatalf("replayed %d records past the final image's mark %d — the drain snapshot missed acked writes", replayed, mark)
-		}
-		var straddled bool
-		var ackedTotal uint64
-		for w := range outs {
-			if len(outs[w].acked) > 0 && len(outs[w].refused) > 0 {
-				straddled = true
-			}
-			ackedTotal += uint64(len(outs[w].acked))
-			for _, k := range outs[w].acked {
-				if v, ok := re.Get(layout.Key{Lo: k}); !ok || v != k {
-					t.Fatalf("acked key %#x = (%d, %v) after recovery", k, v, ok)
-				}
-			}
-			for _, k := range outs[w].refused {
-				if _, ok := re.Get(layout.Key{Lo: k}); ok {
-					t.Fatalf("key %#x answered StatusDraining yet present after recovery", k)
-				}
-			}
-		}
-		if got := re.Len(); got != ackedTotal {
-			t.Fatalf("recovered Len = %d, want %d acked keys", got, ackedTotal)
-		}
-		return straddled
+		reqs = append(reqs, wire.Request{Op: wire.OpPut, Key: layout.Key{Lo: k}, Value: k})
 	}
-	for try := 0; try < 20; try++ {
-		if attempt(t) {
-			return
+	resps, err := c.Do(reqs)
+	if err != nil {
+		t.Fatalf("straddling burst: %v", err)
+	}
+	straddler := &outs[workers]
+	for j, r := range resps {
+		req := reqs[j]
+		switch {
+		case req.Op == wire.OpGet:
+			if r.Status != wire.StatusOK || r.Value != sbase+1 {
+				t.Fatalf("get behind the acked run = %+v", r)
+			}
+		case j < half && r.Status == wire.StatusOK:
+			straddler.acked = append(straddler.acked, req.Key.Lo)
+		case j > half && r.Status == wire.StatusDraining:
+			straddler.refused = append(straddler.refused, req.Key.Lo)
+		default:
+			t.Fatalf("straddling burst op %d (key %#x) answered status %d", j, req.Key.Lo, r.Status)
 		}
 	}
-	t.Fatal("no pipelined batch straddled the drain in 20 attempts")
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if err := <-serveDone; err != nil {
+		t.Fatalf("Serve returned %v", err)
+	}
+
+	// Full recovery: image + replay past its mark. The drain's final
+	// snapshot must already cover every acked write (replay finds
+	// nothing), contain no refused one, and the count must match.
+	re, mark, err := grouphash.LoadSnapshotMark(img, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, _, err := re.ReplayOplog(logBase, mark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed != 0 {
+		t.Fatalf("replayed %d records past the final image's mark %d — the drain snapshot missed acked writes", replayed, mark)
+	}
+	var ackedTotal uint64
+	for w := range outs {
+		ackedTotal += uint64(len(outs[w].acked))
+		for _, k := range outs[w].acked {
+			if v, ok := re.Get(layout.Key{Lo: k}); !ok || v != k {
+				t.Fatalf("acked key %#x = (%d, %v) after recovery", k, v, ok)
+			}
+		}
+		for _, k := range outs[w].refused {
+			if _, ok := re.Get(layout.Key{Lo: k}); ok {
+				t.Fatalf("key %#x answered StatusDraining yet present after recovery", k)
+			}
+		}
+	}
+	if got := re.Len(); got != ackedTotal {
+		t.Fatalf("recovered Len = %d, want %d acked keys", got, ackedTotal)
+	}
 }

@@ -79,7 +79,7 @@ func crashTorture(t *testing.T, cycles int, lcfg oplog.Config) {
 		st, lg := recoverStore(t, img, base, cycle%2 == 1, lcfg)
 		verifyModel(t, st, ws, cycle)
 
-		s, err := New(Config{Store: st, SnapshotPath: img, Oplog: lg, Logf: t.Logf})
+		s, err := New(Config{Engine: st, SnapshotPath: img, Oplog: lg, Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@ import (
 // 496 buckets with a relative width of at most 1/8. Observe is two
 // atomic adds and a handful of bit operations — no locks, no
 // allocation — cheap enough for a per-request network hot path, unlike
-// Reservoir (mutex + RNG) whose samples also forget the tail.
+// a mutex-guarded random sample, which also forgets the tail.
 //
 // The tradeoff against raw samples is bounded quantile error: a value
 // is only known to within its bucket, so any quantile estimate is off

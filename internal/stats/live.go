@@ -1,14 +1,11 @@
 package stats
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Live serving metrics — the expvar-style counters and concurrent
-// quantile estimation the network server publishes. Unlike Summary and
-// Sample (single-goroutine, experiment-harness use), these types are
-// safe for concurrent use on a request hot path.
+// Live serving metrics — the expvar-style counters and gauges the
+// network server publishes (its latency histograms are Histogram).
+// Unlike Summary and Sample (single-goroutine, experiment-harness
+// use), these types are safe for concurrent use on a request hot path.
 
 // Counter is a concurrency-safe monotonically increasing event
 // counter. The zero value is ready to use.
@@ -49,64 +46,3 @@ func (g *Gauge) Load() uint64 {
 	}
 	return uint64(v)
 }
-
-// Reservoir keeps a fixed-capacity uniform random sample of an
-// unbounded observation stream (Vitter's algorithm R), so a serving
-// process can answer quantile queries over millions of latencies in
-// constant memory. Safe for concurrent use; Add is a mutex + O(1)
-// update.
-type Reservoir struct {
-	mu  sync.Mutex
-	xs  []float64
-	cap int
-	n   uint64
-	rng uint64
-}
-
-// NewReservoir creates a reservoir holding at most capacity samples.
-func NewReservoir(capacity int) *Reservoir {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &Reservoir{cap: capacity, rng: 0x9e3779b97f4a7c15}
-}
-
-// Add records one observation, replacing a uniformly chosen earlier
-// one once the reservoir is full.
-func (r *Reservoir) Add(x float64) {
-	r.mu.Lock()
-	r.n++
-	if len(r.xs) < r.cap {
-		r.xs = append(r.xs, x)
-	} else {
-		// xorshift64*; cheap and good enough for reservoir positions.
-		r.rng ^= r.rng << 13
-		r.rng ^= r.rng >> 7
-		r.rng ^= r.rng << 17
-		if j := (r.rng * 0x2545f4914f6cdd1d >> 32) % r.n; j < uint64(r.cap) {
-			r.xs[j] = x
-		}
-	}
-	r.mu.Unlock()
-}
-
-// N returns how many observations have been offered (not how many are
-// retained).
-func (r *Reservoir) N() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// Snapshot copies the retained sample into a Sample for quantile
-// queries, leaving the reservoir collecting.
-func (r *Reservoir) Snapshot() *Sample {
-	r.mu.Lock()
-	xs := make([]float64, len(r.xs))
-	copy(xs, r.xs)
-	r.mu.Unlock()
-	return &Sample{xs: xs}
-}
-
-// Quantile returns the q-quantile of the retained sample.
-func (r *Reservoir) Quantile(q float64) float64 { return r.Snapshot().Quantile(q) }

@@ -270,31 +270,3 @@ func TestGauge(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestReservoir(t *testing.T) {
-	r := NewReservoir(256)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 5000; i++ {
-				r.Add(float64(i % 100))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if r.N() != 20000 {
-		t.Fatalf("N = %d, want 20000", r.N())
-	}
-	if s := r.Snapshot(); s.N() != 256 {
-		t.Fatalf("retained %d, want capacity 256", s.N())
-	}
-	med := r.Quantile(0.5)
-	if med < 20 || med > 80 {
-		t.Fatalf("median %g implausible for uniform 0..99", med)
-	}
-	if q := NewReservoir(0); q == nil {
-		t.Fatal("NewReservoir(0) must fall back to a default capacity")
-	}
-}

@@ -282,7 +282,7 @@ func TestMixValidation(t *testing.T) {
 	bad := []func(*MixConfig){
 		func(c *MixConfig) { c.Records = 1 },
 		func(c *MixConfig) { c.Tenants = 0 },
-		func(c *MixConfig) { c.ReadFrac = 0.9 },      // sum != 1
+		func(c *MixConfig) { c.ReadFrac = 0.9 }, // sum != 1
 		func(c *MixConfig) { c.Theta = -1 },
 		func(c *MixConfig) { c.Flash = &FlashCrowd{Peak: 2, Ramp: 1} },
 		func(c *MixConfig) { c.Flash = &FlashCrowd{Peak: 0.3} }, // ramp 0

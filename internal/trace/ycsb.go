@@ -98,7 +98,7 @@ func (y *YCSB) Reset() {
 	// YCSB's default zipfian constant, at its actual value now that
 	// the tunable generator exists (earlier revisions approximated it
 	// with rand.NewZipf s=1.001, which needs s > 1).
-	y.zipf = NewZipfian(y.seed ^ 0x5bd1e995, y.records, 0.99)
+	y.zipf = NewZipfian(y.seed^0x5bd1e995, y.records, 0.99)
 	y.maxKey = y.records
 	y.counter = 0
 }

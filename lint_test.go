@@ -1,10 +1,13 @@
 package grouphash_test
 
 import (
+	"bytes"
 	"go/ast"
+	"go/format"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -69,5 +72,42 @@ func TestAllExportedIdentifiersDocumented(t *testing.T) {
 		for _, m := range missing {
 			t.Log("  " + m)
 		}
+	}
+}
+
+// TestAllSourcesGofmtted walks every Go source file in the repository,
+// tests included, and fails for any that gofmt would rewrite — the
+// stdlib go/format check, so the gate needs no external tool.
+func TestAllSourcesGofmtted(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			// The walk root "." must not count as a hidden directory.
+			name := d.Name()
+			if name == "testdata" || (path != "." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		formatted, err := format.Source(src)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(src, formatted) {
+			t.Errorf("%s is not gofmt-formatted (run gofmt -w %s)", path, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
