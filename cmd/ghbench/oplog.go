@@ -23,10 +23,12 @@ import (
 // acked-write throughput through a real server over loopback TCP,
 // without the operation log, with the legacy synchronous
 // fsync-per-batch log, and with the adaptive group-commit windows the
-// server ships with. Pipelining and the (T, B) window are the whole
-// story — the wider the commit, the more acked writes share one fsync
-// — so each row also reports the fsync count and the ack-latency tail
-// the batching buys that throughput with.
+// server ships with. Pipelining is the whole story — the more writes
+// are staged while an fsync is in flight, the more acked writes share
+// the next one (a waiting ack closes an adaptive window at once, so
+// the (T, B) window only bounds writes nobody waits on) — so each row
+// also reports the fsync count and the ack-latency tail the batching
+// buys that throughput with.
 
 // oplogThroughputRow is one (mode, shape) measurement of pipelined
 // acked writes through the network server.

@@ -60,7 +60,7 @@ func main() {
 		serve    = flag.Bool("serve", false, "internal: run as the server child process")
 		addrFile = flag.String("addr-file", "", "internal: file the child publishes its address to")
 		seed     = flag.Int64("seed", 1, "schedule seed (schedules derive from it deterministically)")
-		syncT    = flag.Duration("sync-every", 100*time.Microsecond, "child oplog adaptive group-commit window (0 = synchronous fsync per batch)")
+		syncT    = flag.Duration("sync-every", 100*time.Microsecond, "child oplog adaptive group-commit timer: bounds the durability lag of unwaited writes, a waiting ack closes the window at once (0 = synchronous fsync per batch)")
 		syncB    = flag.Int("sync-bytes", 64<<10, "child oplog byte trigger")
 		prealloc = flag.Int64("prealloc", 0, "child oplog segment preallocation in bytes")
 	)

@@ -163,14 +163,18 @@ func loadAdapter(spec Spec, path string) (*tableEngine, uint64, error) {
 	return e, mark, nil
 }
 
+// Name returns the normalized spec name: lower case, with any "-l"
+// suffix folded into Spec.Logged.
 func (e *tableEngine) Name() string { return e.spec.Name }
 
+// Get looks k up under the read lock.
 func (e *tableEngine) Get(k layout.Key) (uint64, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.tab.Lookup(k)
 }
 
+// MGet looks every key up under one read-lock acquisition.
 func (e *tableEngine) MGet(keys []layout.Key, vals []uint64, found []bool) {
 	if len(keys) != len(vals) || len(keys) != len(found) {
 		panic("engine: MGet len(keys) != len(vals) or len(found)")
@@ -197,6 +201,7 @@ func (e *tableEngine) putLocked(k layout.Key, v uint64) (existed bool, err error
 	return false, e.tab.Insert(k, v)
 }
 
+// Put upserts under the writer lock (see putLocked).
 func (e *tableEngine) Put(k layout.Key, v uint64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -204,12 +209,15 @@ func (e *tableEngine) Put(k layout.Key, v uint64) error {
 	return err
 }
 
+// Insert is the scheme's own insert under the writer lock: no
+// existing-key check, duplicates allowed.
 func (e *tableEngine) Insert(k layout.Key, v uint64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.tab.Insert(k, v)
 }
 
+// Delete removes one item stored under k under the writer lock.
 func (e *tableEngine) Delete(k layout.Key) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -264,35 +272,46 @@ func (e *tableEngine) ApplyBatch(ops []core.BatchOp, out []core.BatchResult, _ *
 	e.applied = applied[:0]
 }
 
+// Len returns the scheme's item count under the read lock.
 func (e *tableEngine) Len() uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.tab.Len()
 }
 
+// Capacity returns the table's structural bound, fixed at build time.
 func (e *tableEngine) Capacity() uint64 { return e.tab.Capacity() }
 
+// LoadFactor returns Len/Capacity, 0 on a zero-capacity table.
 func (e *tableEngine) LoadFactor() float64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return safeLoadFactor(e.tab.Len(), e.tab.Capacity())
 }
 
-func (e *tableEngine) Expanding() bool    { return false }
+// Expanding is always false: the comparison schemes never grow.
+func (e *tableEngine) Expanding() bool { return false }
+
+// Expansions is always 0: the comparison schemes never grow.
 func (e *tableEngine) Expansions() uint64 { return 0 }
 
+// Quiesce runs fn holding the writer lock, so no mutation runs
+// concurrently.
 func (e *tableEngine) Quiesce(fn func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	fn()
 }
 
+// Recover runs the scheme's crash-recovery pass under the writer lock.
 func (e *tableEngine) Recover() (hashtab.RecoveryReport, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.tab.Recover()
 }
 
+// CheckConsistency runs the scheme's structural audit under the
+// writer lock, so it sees no half-applied mutation.
 func (e *tableEngine) CheckConsistency() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -312,6 +331,7 @@ func (e *tableEngine) RegisterMetrics(r *stats.Registry, prefix string) {
 	r.RegisterGauge(p+"load_factor", "", "Items / cells.", e.LoadFactor)
 }
 
+// Snapshot writes a pmfs image with oplog mark 0 to path.
 func (e *tableEngine) Snapshot(path string) error {
 	write, err := e.SnapshotWriterAt(func() (uint64, error) { return 0, nil })
 	if err != nil {
@@ -320,6 +340,8 @@ func (e *tableEngine) Snapshot(path string) error {
 	return write(path)
 }
 
+// SnapshotWriterAt copies the image and calls cut under the writer
+// lock, then returns a writer that saves the copy outside it.
 func (e *tableEngine) SnapshotWriterAt(cut func() (uint64, error)) (func(path string) error, error) {
 	e.mu.Lock()
 	mark, err := cut()
@@ -335,6 +357,8 @@ func (e *tableEngine) SnapshotWriterAt(cut func() (uint64, error)) (func(path st
 	}, nil
 }
 
+// ReplayOplog re-applies every record past after through Put, Insert
+// and Delete, one writer-lock acquisition per record.
 func (e *tableEngine) ReplayOplog(base string, after uint64) (applied int, next uint64, err error) {
 	next, applied, err = oplog.Scan(base, after, func(r oplog.Record) error {
 		switch r.Op {

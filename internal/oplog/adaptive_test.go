@@ -75,9 +75,51 @@ func TestAdaptiveRoundtrip(t *testing.T) {
 	t.Logf("%d records, %d fsyncs", workers*perWorker, fsyncs)
 }
 
-// TestAdaptiveByteTrigger pins the B side of the (T, B) window: with a
-// prohibitively long SyncEvery, crossing SyncBytes must release
-// waiters on its own, long before the timer.
+// TestWaiterEndsCommitWindow pins the ack side of adaptive commit: a
+// WaitDurable caller parking on a volatile record closes the commit
+// window at once, so with a one-minute SyncEvery and no byte trigger a
+// single append is acked after exactly one fsync, not after the timer.
+func TestWaiterEndsCommitWindow(t *testing.T) {
+	b := base(t)
+	l, err := OpenConfig(b, 1, Config{SyncEvery: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	lsn := l.Append(OpPut, layout.Key{Lo: 1}, 1)
+	done := make(chan error, 1)
+	go func() { done <- l.WaitDurable(lsn) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("WaitDurable stuck behind the one-minute timer: a parked waiter did not close the window")
+	}
+	if n := l.Fsyncs(); n != 1 {
+		t.Fatalf("%d fsyncs for one acked append, want exactly 1", n)
+	}
+}
+
+// awaitDurable polls DurableLSN, without ever calling WaitDurable (a
+// parked waiter would close the window itself), until lsn is durable or
+// the deadline passes.
+func awaitDurable(t *testing.T, l *Log, lsn uint64, what string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for l.DurableLSN() < lsn {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never fired: durable LSN %d, want %d", what, l.DurableLSN(), lsn)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestAdaptiveByteTrigger pins the B side of the (T, B) window for
+// records nobody waits on: with a prohibitively long SyncEvery and no
+// WaitDurable caller, crossing SyncBytes must commit on its own, long
+// before the timer.
 func TestAdaptiveByteTrigger(t *testing.T) {
 	b := base(t)
 	l, err := OpenConfig(b, 1, Config{SyncEvery: time.Minute, SyncBytes: 4 * recordLen})
@@ -89,16 +131,21 @@ func TestAdaptiveByteTrigger(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		last = l.Append(OpPut, layout.Key{Lo: uint64(i + 1)}, 1)
 	}
-	done := make(chan error, 1)
-	go func() { done <- l.WaitDurable(last) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("byte trigger never fired: WaitDurable stuck behind the one-minute timer")
+	awaitDurable(t, l, last, "byte trigger")
+}
+
+// TestAdaptiveTimerTrigger pins the T side for records nobody waits
+// on: with no byte trigger and no WaitDurable caller, SyncEvery alone
+// must commit the window.
+func TestAdaptiveTimerTrigger(t *testing.T) {
+	b := base(t)
+	l, err := OpenConfig(b, 1, Config{SyncEvery: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer l.Close()
+	lsn := l.Append(OpPut, layout.Key{Lo: 1}, 1)
+	awaitDurable(t, l, lsn, "SyncEvery timer")
 }
 
 // TestAdaptiveZeroTailIgnored proves preallocation is recovery-safe:

@@ -26,11 +26,21 @@
 //     somebody else's fsync returns without touching the disk.
 //   - Adaptive (Config.SyncEvery > 0): a committer goroutine owns the
 //     fsync clock. The first record staged into an empty buffer opens a
-//     commit window; the committer fsyncs when SyncEvery elapses or
-//     SyncBytes accumulate, whichever first, so one fsync amortises
-//     across every connection that appended inside the window — not
-//     just one pipelined batch. Callers park in WaitDurable until the
-//     durable-LSN watermark passes their record.
+//     commit window; the committer fsyncs as soon as a WaitDurable
+//     caller parks on a record that is not yet durable, SyncBytes
+//     accumulate, or SyncEvery elapses, whichever comes first. Callers
+//     park in WaitDurable until the durable-LSN watermark passes their
+//     record. A waiter that parks while an fsync is in flight closes
+//     the next window the moment it opens, so under load the fsyncs
+//     run back to back and each one covers every record staged, by
+//     every connection, while the previous one was on disk — not just
+//     one pipelined batch. An acked record therefore waits for at most
+//     the fsync in flight plus its own, never for the timer: SyncEvery
+//     and SyncBytes bound only the durability lag of records nobody
+//     waits on. (A timer would also be coarse: once every goroutine
+//     is parked, Go's Linux netpoller rounds a sub-millisecond timeout
+//     up to 1 ms, so a 100 µs window costs a full millisecond on an
+//     idle process.)
 //
 // Either way one fsync covers a whole batch of operations, amortising
 // the dominant cost the same way the paper's batched persists amortise
@@ -115,12 +125,16 @@ var ErrClosed = errors.New("oplog: log is closed")
 type Config struct {
 	// SyncEvery, when > 0, enables adaptive group commit: a committer
 	// goroutine fsyncs at most SyncEvery after the first record of a
-	// window is staged. It bounds both the added ack latency and the
-	// durability lag of an append nobody is waiting on.
+	// window is staged. A WaitDurable caller closes the window at once,
+	// so SyncEvery bounds only the durability lag of an append nobody
+	// is waiting on, not ack latency. On Linux a sub-millisecond
+	// SyncEvery rounds up to 1 ms whenever every goroutine is parked
+	// (the runtime's netpoller sleeps in whole milliseconds).
 	SyncEvery time.Duration
 	// SyncBytes, when > 0 in adaptive mode, closes a commit window
-	// early once at least SyncBytes of records are staged, so heavy
-	// pipelines do not queue a full SyncEvery behind the timer.
+	// early once at least SyncBytes of records are staged. Like
+	// SyncEvery it bounds only the records nobody waits on: a parked
+	// WaitDurable caller has already closed the window.
 	SyncBytes int
 	// PreallocBytes, when > 0, zero-fills each new segment file to this
 	// size at creation so steady-state record flushes never extend the
@@ -167,6 +181,7 @@ type Log struct {
 	// Adaptive-mode machinery (nil/unused when cfg.SyncEvery == 0).
 	kick          chan struct{} // a record was staged into an empty buffer
 	kickBytes     chan struct{} // staged bytes crossed cfg.SyncBytes
+	kickWait      chan struct{} // a WaitDurable caller parked on a non-durable record
 	stopc         chan struct{}
 	committerDone chan struct{}
 
@@ -375,6 +390,7 @@ func OpenConfig(base string, nextLSN uint64, cfg Config) (*Log, error) {
 	if l.adaptive() {
 		l.kick = make(chan struct{}, 1)
 		l.kickBytes = make(chan struct{}, 1)
+		l.kickWait = make(chan struct{}, 1)
 		l.stopc = make(chan struct{})
 		l.committerDone = make(chan struct{})
 		go l.committer()
@@ -390,8 +406,8 @@ func (l *Log) adaptive() bool { return l.cfg.SyncEvery > 0 }
 // NOT durable until a Sync or WaitDurable covering the LSN returns
 // nil — callers must not ack before that. In adaptive mode an append
 // into an empty buffer opens a commit window (the committer will fsync
-// within cfg.SyncEvery), and crossing cfg.SyncBytes closes the window
-// early.
+// within cfg.SyncEvery), and crossing cfg.SyncBytes or a WaitDurable
+// caller parking closes the window early.
 func (l *Log) Append(op Op, k layout.Key, v uint64) uint64 {
 	l.appends.Add(1)
 	l.mu.Lock()
@@ -458,9 +474,12 @@ func (l *Log) kickAfterStage(wasEmpty bool, staged int) {
 	}
 }
 
-// committer is the adaptive-mode fsync clock: it sleeps until a kick
-// opens a commit window, then flushes when cfg.SyncEvery elapses or
-// the byte trigger fires, whichever first.
+// committer is the adaptive-mode fsync clock and the only fsync
+// issuer outside Sync/Rotate/Close: it sleeps until a kick opens a
+// commit window, then flushes when a waiter parks, the byte trigger
+// fires or cfg.SyncEvery elapses, whichever first. A waiter's kick
+// that lands during an in-flight commit stays buffered and closes the
+// next window as soon as it opens.
 func (l *Log) committer() {
 	defer close(l.committerDone)
 	timer := time.NewTimer(time.Hour)
@@ -480,6 +499,10 @@ func (l *Log) committer() {
 				<-timer.C
 			}
 			return
+		case <-l.kickWait:
+			if !timer.Stop() {
+				<-timer.C
+			}
 		case <-l.kickBytes:
 			if !timer.Stop() {
 				<-timer.C
@@ -507,10 +530,12 @@ func (l *Log) commit() {
 }
 
 // WaitDurable blocks until every record with LSN ≤ upTo is durable, or
-// the log fails or closes. It is the adaptive-mode ack gate: callers
-// park here while the committer batches fsyncs across connections. In
-// legacy mode it degrades to Sync, preserving the caller-driven group
-// commit.
+// the log fails or closes. It is the adaptive-mode ack gate: a caller
+// that has to park first kicks the committer, which ends the open
+// commit window at once (or, with an fsync in flight, the next one as
+// soon as it opens), and every record staged by then — across all
+// connections — rides the same fsync. In legacy mode it degrades to
+// Sync, preserving the caller-driven group commit.
 func (l *Log) WaitDurable(upTo uint64) error {
 	if l.durable.Load() >= upTo {
 		return nil
@@ -529,6 +554,14 @@ func (l *Log) WaitDurable(upTo uint64) error {
 		}
 		if l.closed.Load() {
 			return ErrClosed
+		}
+		// Every park is preceded by a kick, so no waiter relies on one
+		// an earlier window consumed. A stale kick (its record was
+		// already in the fsync in flight) only closes the next window
+		// early — an extra fsync, never a lost one.
+		select {
+		case l.kickWait <- struct{}{}:
+		default:
 		}
 		l.waitCond.Wait()
 	}

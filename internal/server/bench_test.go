@@ -19,7 +19,8 @@ import (
 // adaptive group commit is built to cut. The client streams 64-op
 // pipelined batches with 8 in flight, the shape the apply/ack
 // decoupling targets: the reader applies the next burst while the
-// acker waits out the commit window for the previous one.
+// acker waits on the fsync covering the previous one (its parking
+// closes the commit window, so it never waits out the timer).
 func benchAckedWrite(b *testing.B, withLog bool, lcfg oplog.Config) {
 	st, err := grouphash.New(grouphash.Options{Capacity: 1 << 16, Concurrent: true})
 	if err != nil {

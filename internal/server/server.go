@@ -29,16 +29,19 @@
 // inside the store's own per-stripe critical section, and its response
 // is released only when the log's durable-LSN watermark passes the
 // record: one group-committed fsync per pipelined batch in legacy
-// mode, or per adaptive commit window (fsync every T µs or B bytes,
-// whichever first, batching across connections) when the log runs
-// adaptively. Periodic snapshots bound the log: each image records the
-// LSN it covers, the log rotates at the capture point (under a
-// full-store quiesce, so mark and image always agree), and
-// fully-covered segments are deleted once the image is durable. Recovery is LoadSnapshotMark + Store.ReplayOplog:
-// after any crash — power failure included — every acked write is
-// present exactly once. Without a Config.Oplog the server degrades to
-// the old cache-with-snapshots mode, where a power failure loses acked
-// writes since the last completed image. See DESIGN.md §6.
+// mode, or, when the log runs adaptively, one per commit window,
+// batching across connections. A waiting acker closes the window at
+// once, so an ack waits for at most the fsync in flight plus its own;
+// the window's T and B bound only records nobody waits on. Periodic
+// snapshots bound the log: each image records the LSN it covers, the
+// log rotates at the capture point (under a full-store quiesce, so
+// mark and image always agree), and fully-covered segments are
+// deleted once the image is durable. Recovery is LoadSnapshotMark +
+// Store.ReplayOplog: after any crash — power failure included — every
+// acked write is present exactly once. Without a Config.Oplog the
+// server degrades to the old cache-with-snapshots mode, where a power
+// failure loses acked writes since the last completed image. See
+// DESIGN.md §6.
 //
 // Drain contract: once Drain begins, already-buffered write requests
 // are answered with StatusDraining instead of being applied — the
@@ -552,11 +555,12 @@ type pendingResp struct {
 //
 // The acker goroutine releases chunks: one WaitDurable on the chunk's
 // highest LSN (in adaptive mode the committer goroutine owns the
-// fsync clock, and one fsync releases every connection waiting in the
-// window), then write and flush. Decoupling apply from ack is what
-// makes the commit window cheap: the reader keeps applying and
-// staging log records for the NEXT burst while the acker waits out
-// the window for the previous one, so a deep-pipelining client never
+// fsync clock; parking there closes the open commit window, or the
+// next one if an fsync is in flight, and one fsync releases every
+// connection waiting on it), then write and flush. Decoupling apply
+// from ack is what makes the fsync cheap: the reader keeps applying
+// and staging log records for the NEXT burst while the acker waits on
+// the fsync for the previous one, so a deep-pipelining client never
 // stalls the store on an fsync. If a wait fails, the connection is
 // torn down with its responses unwritten — nothing non-durable is
 // ever acked.

@@ -405,117 +405,39 @@ func TestSnapshotWhileServing(t *testing.T) {
 // protocol side: once Drain begins, writes the server has already
 // buffered are answered StatusDraining — observed here by a real
 // client — and the final image contains exactly the OK-acked keys:
-// every acked key present, every refused key absent. A single batch
-// straddling the drain boundary is probabilistic, so the test retries
-// with a fresh server until one batch yields both OK and Draining
-// responses.
+// every acked key present, every refused key absent. Background
+// writers keep pipelined put bursts in flight across the drain, and one
+// burst is made to straddle it: drainTrigger starts the drain inside
+// the apply of its first run, so that burst always yields both OK and
+// Draining responses.
 func TestDrainRefusesBufferedWrites(t *testing.T) {
-	attempt := func(t *testing.T) bool {
-		img := filepath.Join(t.TempDir(), "store.pmfs")
-		st, err := grouphash.New(grouphash.Options{Capacity: 1 << 14, Concurrent: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(Config{Engine: st, SnapshotPath: img, Logf: t.Logf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		serveDone := make(chan error, 1)
-		go func() { serveDone <- s.Serve(ln) }()
-
-		const workers = 4
-		const batch = 256
-		type outcome struct{ acked, refused []uint64 }
-		outs := make([]outcome, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				c, err := client.Dial(ln.Addr().String(), time.Second)
-				if err != nil {
-					t.Errorf("dial: %v", err)
-					return
-				}
-				defer c.Close()
-				base := uint64(w+1) << 32
-				for i := uint64(0); ; i += batch {
-					reqs := make([]wire.Request, batch)
-					for j := range reqs {
-						k := base + i + uint64(j) + 1
-						reqs[j] = wire.Request{Op: wire.OpPut, Key: layout.Key{Lo: k}, Value: k}
-					}
-					resps, err := c.Do(reqs)
-					if err != nil {
-						return // conn died mid-batch; no acks from it
-					}
-					for j, r := range resps {
-						k := reqs[j].Key.Lo
-						switch r.Status {
-						case wire.StatusOK:
-							outs[w].acked = append(outs[w].acked, k)
-						case wire.StatusDraining:
-							outs[w].refused = append(outs[w].refused, k)
-						default:
-							t.Errorf("unexpected status %d", r.Status)
-						}
-					}
-					if len(outs[w].refused) > 0 {
-						return // server is draining; the conn is done for
-					}
-				}
-			}(w)
-		}
-		time.Sleep(30 * time.Millisecond)
-		if err := s.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		wg.Wait()
-		if err := <-serveDone; err != nil {
-			t.Fatalf("Serve returned %v", err)
-		}
-
-		// Regardless of whether a batch straddled: acked ⊆ image,
-		// refused ∩ image = ∅.
-		re, err := grouphash.LoadSnapshot(img, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var straddled bool
-		for w := range outs {
-			if len(outs[w].acked) > 0 && len(outs[w].refused) > 0 {
-				straddled = true
-			}
-			for _, k := range outs[w].acked {
-				if v, ok := re.Get(layout.Key{Lo: k}); !ok || v != k {
-					t.Fatalf("acked key %#x = (%d, %v) after reload", k, v, ok)
-				}
-			}
-			for _, k := range outs[w].refused {
-				if _, ok := re.Get(layout.Key{Lo: k}); ok {
-					t.Fatalf("key %#x answered StatusDraining yet present in final image", k)
-				}
-			}
-		}
-		if straddled {
-			refused := 0
-			for w := range outs {
-				refused += len(outs[w].refused)
-			}
-			t.Logf("straddling batch: %d writes refused with StatusDraining", refused)
-		}
-		return straddled
+	img := filepath.Join(t.TempDir(), "store.pmfs")
+	st, err := grouphash.New(grouphash.Options{Capacity: 1 << 14, Concurrent: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for try := 0; try < 20; try++ {
-		if attempt(t) {
-			return
+	outs := drainUnderLoad(t, Config{SnapshotPath: img, Logf: t.Logf}, st, 256)
+
+	// acked ⊆ image, refused ∩ image = ∅.
+	re, err := grouphash.LoadSnapshot(img, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := 0
+	for w := range outs {
+		refused += len(outs[w].refused)
+		for _, k := range outs[w].acked {
+			if v, ok := re.Get(layout.Key{Lo: k}); !ok || v != k {
+				t.Fatalf("acked key %#x = (%d, %v) after reload", k, v, ok)
+			}
+		}
+		for _, k := range outs[w].refused {
+			if _, ok := re.Get(layout.Key{Lo: k}); ok {
+				t.Fatalf("key %#x answered StatusDraining yet present in final image", k)
+			}
 		}
 	}
-	t.Fatal("no pipelined batch straddled the drain in 20 attempts")
+	t.Logf("%d writes refused with StatusDraining", refused)
 }
 
 // TestPipelinedSpillNeverAcksUnsynced is the regression test for the
@@ -817,6 +739,129 @@ func (d *drainTrigger) ApplyBatch(ops []grouphash.BatchOp, out []grouphash.Batch
 	d.Store.ApplyBatch(ops, out, sc, committed)
 }
 
+// drainOutcome is one client's view of a drain: the keys answered
+// StatusOK and the keys answered StatusDraining.
+type drainOutcome struct{ acked, refused []uint64 }
+
+// putUntilRefused pipelines bursts of batch fresh puts (keys base+1,
+// base+2, ...) until a burst comes back with StatusDraining or the
+// connection dies, recording every answered key in out.
+func putUntilRefused(t *testing.T, addr string, base uint64, batch int, out *drainOutcome) {
+	c, err := client.Dial(addr, time.Second)
+	if err != nil {
+		t.Errorf("dial: %v", err)
+		return
+	}
+	defer c.Close()
+	for i := uint64(0); ; i += uint64(batch) {
+		reqs := make([]wire.Request, batch)
+		for j := range reqs {
+			k := base + i + uint64(j) + 1
+			reqs[j] = wire.Request{Op: wire.OpPut, Key: layout.Key{Lo: k}, Value: k}
+		}
+		resps, err := c.Do(reqs)
+		if err != nil {
+			return // conn died mid-burst; no acks from it
+		}
+		for j, r := range resps {
+			k := reqs[j].Key.Lo
+			switch r.Status {
+			case wire.StatusOK:
+				out.acked = append(out.acked, k)
+			case wire.StatusDraining:
+				out.refused = append(out.refused, k)
+			default:
+				t.Errorf("unexpected status %d", r.Status)
+			}
+		}
+		if len(out.refused) > 0 {
+			return // server is draining; the conn is done for
+		}
+	}
+}
+
+// straddleDrain sends the burst that straddles the drain to a server
+// whose engine is a drainTrigger keyed on sbase+1: half puts, a get of
+// the first, half more puts. The first run starts the drain and is
+// acked; the puts buffered behind the get's read barrier are refused.
+// It checks every response's status and records the keys in out. The
+// burst is a few hundred bytes, so the server reads it whole before
+// the drain's read deadline can cut the connection.
+func straddleDrain(t *testing.T, addr string, sbase uint64, half int, out *drainOutcome) {
+	t.Helper()
+	c := dial(t, addr)
+	var reqs []wire.Request
+	for k := sbase + 1; k <= sbase+2*uint64(half); k++ {
+		if k == sbase+uint64(half)+1 {
+			reqs = append(reqs, wire.Request{Op: wire.OpGet, Key: layout.Key{Lo: sbase + 1}})
+		}
+		reqs = append(reqs, wire.Request{Op: wire.OpPut, Key: layout.Key{Lo: k}, Value: k})
+	}
+	resps, err := c.Do(reqs)
+	if err != nil {
+		t.Fatalf("straddling burst: %v", err)
+	}
+	for j, r := range resps {
+		req := reqs[j]
+		switch {
+		case req.Op == wire.OpGet:
+			if r.Status != wire.StatusOK || r.Value != sbase+1 {
+				t.Fatalf("get behind the acked run = %+v", r)
+			}
+		case j < half && r.Status == wire.StatusOK:
+			out.acked = append(out.acked, req.Key.Lo)
+		case j > half && r.Status == wire.StatusDraining:
+			out.refused = append(out.refused, req.Key.Lo)
+		default:
+			t.Fatalf("straddling burst op %d (key %#x) answered status %d", j, req.Key.Lo, r.Status)
+		}
+	}
+}
+
+// drainUnderLoad serves st, wrapped in a drainTrigger, under cfg while
+// four background writers pipeline bursts of batch puts; it then sends
+// the straddling burst, which starts the drain, waits for the drain,
+// the writers and Serve to finish, and returns every client's outcome,
+// the straddling client's last.
+func drainUnderLoad(t *testing.T, cfg Config, st *grouphash.Store, batch int) []drainOutcome {
+	t.Helper()
+	const workers, half = 4, 8
+	sbase := uint64(0xff) << 32
+	trig := &drainTrigger{Store: st, key: layout.Key{Lo: sbase + 1}}
+	cfg.Engine = trig
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trig.srv = s
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- s.Serve(ln) }()
+
+	outs := make([]drainOutcome, workers+1)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			putUntilRefused(t, ln.Addr().String(), uint64(w+1)<<32, batch, &outs[w])
+		}(w)
+	}
+	time.Sleep(20 * time.Millisecond)
+	straddleDrain(t, ln.Addr().String(), sbase, half, &outs[workers])
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if err := <-serveDone; err != nil {
+		t.Fatalf("Serve returned %v", err)
+	}
+	return outs
+}
+
 // TestDrainStraddleDurability is the oplog-enabled drain/apply race
 // test: pipelined writers hammer an adaptively-committed server while
 // Drain flips the draining flag under them. flushCoalesced checks the
@@ -840,104 +885,7 @@ func TestDrainStraddleDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const half = 8
-	sbase := uint64(0xff) << 32
-	trig := &drainTrigger{Store: st, key: layout.Key{Lo: sbase + 1}}
-	s, err := New(Config{Engine: trig, SnapshotPath: img, Oplog: lg, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trig.srv = s
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.Serve(ln) }()
-
-	const workers = 4
-	const batch = 128
-	type outcome struct{ acked, refused []uint64 }
-	outs := make([]outcome, workers+1) // the last one is the straddling client's
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c, err := client.Dial(ln.Addr().String(), time.Second)
-			if err != nil {
-				t.Errorf("dial: %v", err)
-				return
-			}
-			defer c.Close()
-			base := uint64(w+1) << 32
-			for i := uint64(0); ; i += batch {
-				reqs := make([]wire.Request, batch)
-				for j := range reqs {
-					k := base + i + uint64(j) + 1
-					reqs[j] = wire.Request{Op: wire.OpPut, Key: layout.Key{Lo: k}, Value: k}
-				}
-				resps, err := c.Do(reqs)
-				if err != nil {
-					return
-				}
-				for j, r := range resps {
-					k := reqs[j].Key.Lo
-					switch r.Status {
-					case wire.StatusOK:
-						outs[w].acked = append(outs[w].acked, k)
-					case wire.StatusDraining:
-						outs[w].refused = append(outs[w].refused, k)
-					default:
-						t.Errorf("unexpected status %d", r.Status)
-					}
-				}
-				if len(outs[w].refused) > 0 {
-					return
-				}
-			}
-		}(w)
-	}
-	time.Sleep(20 * time.Millisecond)
-
-	// The straddling burst: half puts, a get of the first, half puts.
-	// It is a few hundred bytes, so the server reads it whole before
-	// the drain's read deadline can cut the connection.
-	c := dial(t, ln.Addr().String())
-	var reqs []wire.Request
-	for k := sbase + 1; k <= sbase+2*half; k++ {
-		if k == sbase+half+1 {
-			reqs = append(reqs, wire.Request{Op: wire.OpGet, Key: layout.Key{Lo: sbase + 1}})
-		}
-		reqs = append(reqs, wire.Request{Op: wire.OpPut, Key: layout.Key{Lo: k}, Value: k})
-	}
-	resps, err := c.Do(reqs)
-	if err != nil {
-		t.Fatalf("straddling burst: %v", err)
-	}
-	straddler := &outs[workers]
-	for j, r := range resps {
-		req := reqs[j]
-		switch {
-		case req.Op == wire.OpGet:
-			if r.Status != wire.StatusOK || r.Value != sbase+1 {
-				t.Fatalf("get behind the acked run = %+v", r)
-			}
-		case j < half && r.Status == wire.StatusOK:
-			straddler.acked = append(straddler.acked, req.Key.Lo)
-		case j > half && r.Status == wire.StatusDraining:
-			straddler.refused = append(straddler.refused, req.Key.Lo)
-		default:
-			t.Fatalf("straddling burst op %d (key %#x) answered status %d", j, req.Key.Lo, r.Status)
-		}
-	}
-	if err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if err := <-serveDone; err != nil {
-		t.Fatalf("Serve returned %v", err)
-	}
+	outs := drainUnderLoad(t, Config{SnapshotPath: img, Oplog: lg, Logf: t.Logf}, st, 128)
 
 	// Full recovery: image + replay past its mark. The drain's final
 	// snapshot must already cover every acked write (replay finds

@@ -15,7 +15,9 @@ import (
 
 // TestAllExportedIdentifiersDocumented walks every non-test source file
 // of the module and fails for exported declarations without a doc
-// comment — the repository's documentation contract.
+// comment — the repository's documentation contract. Subdirectories
+// with their own go.mod (perfbench/) are separate modules and are
+// skipped, as `go test ./...` skips them.
 func TestAllExportedIdentifiersDocumented(t *testing.T) {
 	var missing []string
 	fset := token.NewFileSet()
@@ -25,9 +27,15 @@ func TestAllExportedIdentifiersDocumented(t *testing.T) {
 			return err
 		}
 		if d.IsDir() {
+			// The walk root "." must not count as a hidden directory.
 			name := d.Name()
-			if name == "testdata" || strings.HasPrefix(name, ".") {
+			if name == "testdata" || (path != "." && strings.HasPrefix(name, ".")) {
 				return filepath.SkipDir
+			}
+			if path != "." {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			return nil
 		}
