@@ -16,11 +16,12 @@ vet:
 # test is the tier-1 gate: vet, the full suite, and the race detector
 # over the concurrent table (whose seqlock read path and online
 # expansion only a -race run can meaningfully exercise) plus the paged
-# native backend and the network layer built on top of it.
+# native backend, the network layer built on top of it, and the
+# operation log, whose committer goroutine runs behind every log.
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/core ./internal/engine ./internal/server ./internal/client ./internal/native
+	$(GO) test -race ./internal/core ./internal/engine ./internal/server ./internal/client ./internal/native ./internal/oplog
 
 race: torture fuzz-smoke chaos-smoke
 	$(GO) test -race ./internal/core ./internal/engine ./internal/server ./internal/client ./internal/native ./internal/oplog ./internal/harness .
@@ -28,12 +29,13 @@ race: torture fuzz-smoke chaos-smoke
 
 # torture is the durability gate: the in-process crash-torture test
 # (deterministic kill points: mid-group-commit, mid-rotation,
-# mid-snapshot, mid-replay; torn log tails; legacy and adaptive
-# commit modes) under the race detector, plus ghchaos SIGKILLing a
-# real serving process and auditing every acked write for exactly-once
-# survival — swept across the (T, B) group-commit matrix: synchronous,
-# the 100µs/64KiB default, and a wide 1ms/256KiB window, the latter
-# two with preallocated segments so kills land in zero-filled tails.
+# mid-snapshot, mid-replay; torn log tails; a zero-length and two
+# (T, B) commit windows) under the race detector, plus ghchaos
+# SIGKILLing a real serving process and auditing every acked write for
+# exactly-once survival — swept across the (T, B) group-commit matrix:
+# a zero-length window (fsync as soon as a write is staged), the
+# 100µs/64KiB default, and a wide 1ms/256KiB window, the latter two
+# with preallocated segments so kills land in zero-filled tails.
 # Seed 1's schedules are mostly SIGKILLs (21, 12 and 12 of them), with
 # drains and torn tails mixed in; the small capacity forces online
 # expansions on the flagship.
@@ -98,10 +100,10 @@ bench-workload:
 # The Go-benchmark set bench-baseline/bench-diff track: the substrate
 # microbenchmarks, the fingerprint-sensitive lookup benchmarks, the
 # allocation-pinned wire codecs, and the end-to-end acked-write path
-# through the server (no log, legacy synchronous log, adaptive group
-# commit) plus the batch-frame serving loop. -count 5 so ghbenchdiff
-# compares means, not single noisy samples; -benchmem so allocs/op is
-# tracked alongside ns/op.
+# through the server (no log, a zero-length commit window, the
+# 100µs/64KiB default) plus the batch-frame serving loop. -count 5 so
+# ghbenchdiff compares means, not single noisy samples; -benchmem so
+# allocs/op is tracked alongside ns/op.
 BENCH_TRACKED = { \
 	$(GO) test -run XXX -bench 'BenchmarkSubstrate' -benchtime 0.3s -benchmem -count 5 . && \
 	$(GO) test -run XXX -bench 'BenchmarkLookup(Hit|Miss)' -benchtime 0.3s -benchmem -count 5 ./internal/core && \

@@ -26,7 +26,7 @@ import (
 // 256 sub-ops. Every shape keeps the same number of operations in
 // flight per connection, so the comparison isolates framing and apply
 // shape from pipelining depth. Each row also reports the two write
-// amplification counters batching amortises — oplog Append calls
+// amplification counters batching amortises — oplog AppendBatch calls
 // (lock acquisitions + group-commit staging) and count-word persist
 // barriers — and the process-wide allocation rate over the measured
 // phase, which the pooled serving loop is required to hold near zero.
@@ -49,8 +49,8 @@ type batchRow struct {
 	// pooled, so this should stay well below one allocation per op.
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	// Durability write amplification, per thousand acked ops: oplog
-	// Append/AppendBatch calls and table count-word persists. Both
-	// drop as runs lengthen; zero for the pure-get workload.
+	// AppendBatch calls and table count-word persists. Both drop as
+	// runs lengthen; zero for the pure-get workload.
 	OplogAppendsPerKop  float64 `json:"oplog_appends_per_kop"`
 	CountPersistsPerKop float64 `json:"count_persists_per_kop"`
 }

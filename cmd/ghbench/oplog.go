@@ -7,7 +7,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -16,24 +15,25 @@ import (
 	"grouphash/internal/layout"
 	"grouphash/internal/oplog"
 	"grouphash/internal/server"
+	"grouphash/internal/stats"
 	"grouphash/internal/wire"
 )
 
 // The oplog experiment measures what the durability contract costs:
 // acked-write throughput through a real server over loopback TCP,
-// without the operation log, with the legacy synchronous
-// fsync-per-batch log, and with the adaptive group-commit windows the
+// without the operation log, with a zero-length commit window (fsync
+// as soon as a write is staged), and with the (T, B) windows the
 // server ships with. Pipelining is the whole story — the more writes
 // are staged while an fsync is in flight, the more acked writes share
-// the next one (a waiting ack closes an adaptive window at once, so
-// the (T, B) window only bounds writes nobody waits on) — so each row
+// the next one (a waiting ack closes a window at once, so the (T, B)
+// window only bounds writes nobody waits on) — so each row
 // also reports the fsync count and the ack-latency tail the batching
 // buys that throughput with.
 
 // oplogThroughputRow is one (mode, shape) measurement of pipelined
 // acked writes through the network server.
 type oplogThroughputRow struct {
-	Mode     string  `json:"mode"`  // "no-oplog", "oplog-sync", "oplog-100us-64KiB", ...
+	Mode     string  `json:"mode"`  // "no-oplog", "oplog-zero-window", "oplog-100us-64KiB", ...
 	Conns    int     `json:"conns"` // concurrent client connections
 	Batch    int     `json:"batch"` // requests per pipelined batch
 	Depth    int     `json:"depth"` // batches in flight per connection
@@ -51,23 +51,15 @@ type oplogThroughputRow struct {
 	RTTP99Us float64 `json:"rtt_p99_us"`
 }
 
-// quantileUs picks the q-quantile of sorted per-batch durations, in µs.
-func quantileUs(sorted []time.Duration, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return float64(sorted[i].Nanoseconds()) / 1e3
-}
-
 // oplogWorker streams perConn acked writes over one raw connection
 // with up to depth batches in flight — the windowed pipelining the
 // apply/ack decoupling is built for: the server keeps applying (and
 // staging log records) while earlier batches' acks wait for the
 // durable watermark, so one group commit releases a window's worth of
 // work. depth 1 degenerates to the synchronous Do-per-batch client.
-// Per-batch round trips (send start → last response) land in rtts.
-func oplogWorker(addr string, base uint64, perConn, batch, depth int, rtts *[]time.Duration, mu *sync.Mutex) {
+// Per-batch round trips (send start → last response), in nanoseconds,
+// land in rtt.
+func oplogWorker(addr string, base uint64, perConn, batch, depth int, rtt *stats.Histogram) {
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
 		panic(err)
@@ -79,7 +71,6 @@ func oplogWorker(addr string, base uint64, perConn, batch, depth int, rtts *[]ti
 	sent := make(chan time.Time, depth-1) // buffered sends beyond the one being read
 	done := make(chan error, 1)
 	go func() {
-		mine := make([]time.Duration, 0, batches)
 		for b := 0; b < batches; b++ {
 			t0 := <-sent
 			for j := 0; j < batch; j++ {
@@ -93,11 +84,8 @@ func oplogWorker(addr string, base uint64, perConn, batch, depth int, rtts *[]ti
 					return
 				}
 			}
-			mine = append(mine, time.Since(t0))
+			rtt.Observe(uint64(time.Since(t0)))
 		}
-		mu.Lock()
-		*rtts = append(*rtts, mine...)
-		mu.Unlock()
 		done <- nil
 	}()
 	var buf []byte
@@ -123,8 +111,8 @@ func oplogWorker(addr string, base uint64, perConn, batch, depth int, rtts *[]ti
 // oplogThroughputBench acks `ops` pipelined writes through a freshly
 // started server and returns the wall time plus latency quantiles.
 // With withLog, every ack is covered by the durable watermark of an
-// operation log running under lcfg (the zero Config is the legacy
-// synchronous fsync-per-batch mode).
+// operation log running under lcfg (the zero Config is a zero-length
+// commit window).
 func oplogThroughputBench(mode string, conns, batch, depth, ops int, withLog bool, lcfg oplog.Config) oplogThroughputRow {
 	dir, err := os.MkdirTemp("", "ghbench-oplog-*")
 	if err != nil {
@@ -154,14 +142,13 @@ func oplogThroughputBench(mode string, conns, batch, depth, ops int, withLog boo
 
 	perConn := ops / conns
 	var wg sync.WaitGroup
-	var rttMu sync.Mutex
-	var rtts []time.Duration
+	var rtt stats.Histogram
 	start := time.Now()
 	for c := 0; c < conns; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			oplogWorker(ln.Addr().String(), uint64(c+1)<<40, perConn, batch, depth, &rtts, &rttMu)
+			oplogWorker(ln.Addr().String(), uint64(c+1)<<40, perConn, batch, depth, &rtt)
 		}(c)
 	}
 	wg.Wait()
@@ -176,9 +163,9 @@ func oplogThroughputBench(mode string, conns, batch, depth, ops int, withLog boo
 		row.AckP50Us = ack.Quantile(0.50) / 1e3
 		row.AckP99Us = ack.Quantile(0.99) / 1e3
 	}
-	sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
-	row.RTTP50Us = quantileUs(rtts, 0.50)
-	row.RTTP99Us = quantileUs(rtts, 0.99)
+	rtts := rtt.Snapshot()
+	row.RTTP50Us = rtts.Quantile(0.50) / 1e3
+	row.RTTP99Us = rtts.Quantile(0.99) / 1e3
 	if err := srv.Drain(); err != nil {
 		panic(err)
 	}
@@ -187,10 +174,10 @@ func oplogThroughputBench(mode string, conns, batch, depth, ops int, withLog boo
 }
 
 // runOplogExperiment measures acked-write throughput without the log,
-// with the legacy synchronous log, and with the two shipped adaptive
+// with a zero-length commit window, and with the two shipped (T, B)
 // group-commit windows, folding every row (throughput, fsyncs, ack and
 // RTT quantiles) into the JSON report. The acceptance bar is the
-// adaptive default staying within 1.2x of the no-oplog baseline.
+// 100µs/64KiB default staying within 1.2x of the no-oplog baseline.
 func runOplogExperiment(w io.Writer, scale harness.Scale, report *jsonReport) {
 	ops := scale.Ops
 	if ops > 200_000 {
@@ -206,7 +193,7 @@ func runOplogExperiment(w io.Writer, scale harness.Scale, report *jsonReport) {
 		cfg     oplog.Config
 	}{
 		{"no-oplog", false, oplog.Config{}},
-		{"oplog-sync", true, oplog.Config{}},
+		{"oplog-zero-window", true, oplog.Config{}},
 		{"oplog-100us-64KiB", true, oplog.Config{
 			SyncEvery: 100 * time.Microsecond, SyncBytes: 64 << 10, PreallocBytes: 4 << 20}},
 		{"oplog-1ms-256KiB", true, oplog.Config{

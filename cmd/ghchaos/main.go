@@ -20,7 +20,7 @@
 //
 //	ghchaos -cycles 20 -engine pfht-l          # one schedule, then exit
 //	ghchaos -duration 30m -engine grouphash    # soak until the clock runs out
-//	ghchaos -capacity 4096 -sync-every 0 -sync-bytes 0 -cycles 24   # synchronous fsync per batch
+//	ghchaos -capacity 4096 -sync-every 0 -sync-bytes 0 -cycles 24   # zero-length commit window
 //
 // Exits non-zero at the first contract violation; the failing seed and
 // cycle are printed for exact reproduction.
@@ -60,7 +60,7 @@ func main() {
 		serve    = flag.Bool("serve", false, "internal: run as the server child process")
 		addrFile = flag.String("addr-file", "", "internal: file the child publishes its address to")
 		seed     = flag.Int64("seed", 1, "schedule seed (schedules derive from it deterministically)")
-		syncT    = flag.Duration("sync-every", 100*time.Microsecond, "child oplog adaptive group-commit timer: bounds the durability lag of unwaited writes, a waiting ack closes the window at once (0 = synchronous fsync per batch)")
+		syncT    = flag.Duration("sync-every", 100*time.Microsecond, "child oplog group-commit window: bounds the durability lag of unwaited writes, a waiting ack closes the window at once (0 = fsync as soon as a write is staged)")
 		syncB    = flag.Int("sync-bytes", 64<<10, "child oplog byte trigger")
 		prealloc = flag.Int64("prealloc", 0, "child oplog segment preallocation in bytes")
 	)

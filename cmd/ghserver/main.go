@@ -13,19 +13,19 @@
 //
 // Durability: with -oplog, acked means durable — every mutating
 // request is appended to the operation log and its response is held
-// until an adaptive group commit carries its LSN past the durable
-// watermark. A commit window closes as soon as a connection waits on
-// it, so an ack waits for at most the fsync in flight plus its own;
+// until a group commit carries its LSN past the durable watermark. A
+// commit window closes as soon as a connection waits on it, so an ack
+// waits for at most the fsync in flight plus its own;
 // -oplog-sync-every / -oplog-sync-bytes (fsync when the window ages
 // out or enough bytes stage) only bound how long a write nobody waits
 // on stays volatile. They are not an ack-latency knob: on an idle
 // process a sub-millisecond timer rounds up to 1 ms anyway.
-// -oplog-sync-every 0 restores the synchronous fsync-per-batch mode.
-// Snapshots bound the log's length, and start-up recovery is image +
-// replay: after any crash, power failure included, every acked write
-// is back, exactly once. Without -oplog the server degrades to
-// snapshots only, where a crash loses acked writes since the last
-// image. See DESIGN.md §6.
+// -oplog-sync-every 0 is a zero-length window: fsync as soon as a
+// write is staged. Snapshots bound the log's length, and start-up
+// recovery is image + replay: after any crash, power failure included,
+// every acked write is back, exactly once. Without -oplog the server
+// degrades to snapshots only, where a crash loses acked writes since
+// the last image. See DESIGN.md §6.
 package main
 
 import (
@@ -54,8 +54,8 @@ func main() {
 		seed     = flag.Uint64("seed", 0, "hash-function seed (must match across restarts of the same image)")
 		image    = flag.String("image", "", "pmfs image path: loaded at start if present, snapshot target while serving")
 		logBase  = flag.String("oplog", "", "operation log base path: acked writes are fsynced here before the ack and replayed over the image at start (\"\" = snapshots only; a crash then loses acked writes since the last image)")
-		syncT    = flag.Duration("oplog-sync-every", 100*time.Microsecond, "adaptive group commit: fsync at most this long after a write nobody waits on was staged; a waiting ack closes the window at once (0 = fsync synchronously per pipelined batch, the pre-adaptive behaviour)")
-		syncB    = flag.Int("oplog-sync-bytes", 64<<10, "close the group-commit window once this many staged bytes accumulate, even with no ack waiting (0 = timer only; ignored when -oplog-sync-every is 0)")
+		syncT    = flag.Duration("oplog-sync-every", 100*time.Microsecond, "group-commit window: fsync at most this long after a write nobody waits on was staged; a waiting ack closes the window at once (0 = fsync as soon as a write is staged)")
+		syncB    = flag.Int("oplog-sync-bytes", 64<<10, "close the group-commit window once this many staged bytes accumulate, even with no ack waiting (0 = timer only)")
 		prealloc = flag.Int64("oplog-prealloc", 4<<20, "preallocate (zero-fill) each log segment to this size so steady-state group commits are data-only fdatasyncs (0 = grow on demand)")
 		every    = flag.Duration("snapshot-every", 30*time.Second, "background snapshot period (0 = only the final drain snapshot)")
 		statsDur = flag.Duration("stats-every", 0, "log server stats at this period (0 = off)")

@@ -615,7 +615,8 @@ func LoadSnapshotMark(path string, concurrent bool) (*Store, uint64, error) {
 // recovered by replaying again from the same image — the store's
 // in-memory state is rebuilt from scratch either way, which is what
 // makes replay idempotent. It returns the number of operations applied
-// and the LSN the log should continue from (pass it to oplog.Open).
+// and the LSN the log should continue from (pass it to
+// oplog.OpenConfig).
 func (s *Store) ReplayOplog(base string, after uint64) (applied int, next uint64, err error) {
 	next, applied, err = oplog.Scan(base, after, func(r oplog.Record) error {
 		switch r.Op {

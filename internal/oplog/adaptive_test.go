@@ -12,11 +12,11 @@ import (
 	"grouphash/internal/layout"
 )
 
-// TestAdaptiveRoundtrip proves the committer-driven mode keeps the
-// exact durability contract of the legacy mode: records acknowledged
-// by WaitDurable are on disk in strict LSN order, across concurrent
-// appenders, with segments preallocated. It also pins the whole point
-// of adaptive commit — far fewer fsyncs than records.
+// TestAdaptiveRoundtrip proves a committer with a (T, B) window keeps
+// the durability contract: records acknowledged by WaitDurable are on
+// disk in strict LSN order, across concurrent appenders, with segments
+// preallocated. It also pins the whole point of group commit — far
+// fewer fsyncs than records.
 func TestAdaptiveRoundtrip(t *testing.T) {
 	b := base(t)
 	l, err := OpenConfig(b, 1, Config{
@@ -36,7 +36,7 @@ func TestAdaptiveRoundtrip(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				lsn := l.Append(OpPut, layout.Key{Lo: uint64(w)<<32 | uint64(i)}, uint64(i))
+				lsn := appendOne(l, OpPut, layout.Key{Lo: uint64(w)<<32 | uint64(i)}, uint64(i))
 				if err := l.WaitDurable(lsn); err != nil {
 					errs <- fmt.Errorf("WaitDurable(%d): %w", lsn, err)
 					return
@@ -86,7 +86,7 @@ func TestWaiterEndsCommitWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	lsn := l.Append(OpPut, layout.Key{Lo: 1}, 1)
+	lsn := appendOne(l, OpPut, layout.Key{Lo: 1}, 1)
 	done := make(chan error, 1)
 	go func() { done <- l.WaitDurable(lsn) }()
 	select {
@@ -129,23 +129,33 @@ func TestAdaptiveByteTrigger(t *testing.T) {
 	defer l.Close()
 	var last uint64
 	for i := 0; i < 4; i++ {
-		last = l.Append(OpPut, layout.Key{Lo: uint64(i + 1)}, 1)
+		last = appendOne(l, OpPut, layout.Key{Lo: uint64(i + 1)}, 1)
 	}
 	awaitDurable(t, l, last, "byte trigger")
 }
 
 // TestAdaptiveTimerTrigger pins the T side for records nobody waits
 // on: with no byte trigger and no WaitDurable caller, SyncEvery alone
-// must commit the window.
+// must commit the window — and the zero Config is a zero-length
+// window, which commits a staged record at once.
 func TestAdaptiveTimerTrigger(t *testing.T) {
-	b := base(t)
-	l, err := OpenConfig(b, 1, Config{SyncEvery: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"1ms", Config{SyncEvery: time.Millisecond}},
+		{"zero-window", Config{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := OpenConfig(base(t), 1, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			lsn := appendOne(l, OpPut, layout.Key{Lo: 1}, 1)
+			awaitDurable(t, l, lsn, "SyncEvery timer")
+		})
 	}
-	defer l.Close()
-	lsn := l.Append(OpPut, layout.Key{Lo: 1}, 1)
-	awaitDurable(t, l, lsn, "SyncEvery timer")
 }
 
 // TestAdaptiveZeroTailIgnored proves preallocation is recovery-safe:
@@ -154,13 +164,15 @@ func TestAdaptiveTimerTrigger(t *testing.T) {
 // prefix, even when unsynced staged records and the zero tail coexist.
 func TestAdaptiveZeroTailIgnored(t *testing.T) {
 	b := base(t)
-	l, err := OpenConfig(b, 1, Config{SyncEvery: time.Millisecond, PreallocBytes: 64 << 10})
+	// An hour-long window: only WaitDurable commits, so the records
+	// staged after it stay volatile until the simulated power failure.
+	l, err := OpenConfig(b, 1, Config{SyncEvery: time.Hour, PreallocBytes: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var last uint64
 	for i := 0; i < 5; i++ {
-		last = l.Append(OpPut, layout.Key{Lo: uint64(i + 1)}, uint64(i))
+		last = appendOne(l, OpPut, layout.Key{Lo: uint64(i + 1)}, uint64(i))
 	}
 	if err := l.WaitDurable(last); err != nil {
 		t.Fatal(err)
@@ -171,7 +183,7 @@ func TestAdaptiveZeroTailIgnored(t *testing.T) {
 	}
 	// Stage three more records but never let them commit.
 	for i := 5; i < 8; i++ {
-		l.Append(OpPut, layout.Key{Lo: uint64(i + 1)}, uint64(i))
+		appendOne(l, OpPut, layout.Key{Lo: uint64(i + 1)}, uint64(i))
 	}
 	l.Abort() // power failure: staged records die in memory, zero tail stays on disk
 	recs, next := collect(t, b, 0)
@@ -190,7 +202,7 @@ func TestBatchFailureFanOut(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"legacy", Config{}},
+		{"zero-window", Config{}},
 		{"adaptive", Config{SyncEvery: 200 * time.Microsecond}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
@@ -211,7 +223,7 @@ func TestBatchFailureFanOut(t *testing.T) {
 			defer SetTestFsyncErr(nil)
 
 			// A healthy batch first: the failure must not be retroactive.
-			lsn := l.Append(OpPut, layout.Key{Lo: 1}, 1)
+			lsn := appendOne(l, OpPut, layout.Key{Lo: 1}, 1)
 			if err := l.WaitDurable(lsn); err != nil {
 				t.Fatalf("healthy batch: %v", err)
 			}
@@ -224,7 +236,7 @@ func TestBatchFailureFanOut(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					lsn := l.Append(OpPut, layout.Key{Lo: uint64(i + 2)}, 1)
+					lsn := appendOne(l, OpPut, layout.Key{Lo: uint64(i + 2)}, 1)
 					got[i] = l.WaitDurable(lsn)
 				}(i)
 			}
@@ -246,12 +258,9 @@ func TestBatchFailureFanOut(t *testing.T) {
 
 			// Sticky: clearing the fault does not resurrect the log.
 			armed.Store(false)
-			lsn = l.Append(OpPut, layout.Key{Lo: 100}, 1)
+			lsn = appendOne(l, OpPut, layout.Key{Lo: 100}, 1)
 			if err := l.WaitDurable(lsn); err == nil {
 				t.Fatal("WaitDurable succeeded after a sticky I/O failure")
-			}
-			if err := l.Sync(lsn); err == nil {
-				t.Fatal("Sync succeeded after a sticky I/O failure")
 			}
 		})
 	}
@@ -276,7 +285,7 @@ func TestCloseRacesAppendAndWaitDurable(t *testing.T) {
 		go func(w uint64) {
 			defer wg.Done()
 			for i := uint64(0); ; i++ {
-				lsn := l.Append(OpPut, layout.Key{Lo: w<<32 | i}, i)
+				lsn := appendOne(l, OpPut, layout.Key{Lo: w<<32 | i}, i)
 				if err := l.WaitDurable(lsn); err != nil {
 					if !errors.Is(err, ErrClosed) {
 						t.Errorf("worker %d: %v", w, err)

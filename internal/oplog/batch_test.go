@@ -9,10 +9,10 @@ import (
 // TestAppendBatch pins the batch staging contract: one call stages N
 // records under one buffer-lock acquisition, assigns strictly
 // sequential LSNs starting at the returned first, interleaves correctly
-// with single Appends, and replays in exactly append order.
+// with one-record batches, and replays in exactly append order.
 func TestAppendBatch(t *testing.T) {
 	b := base(t)
-	l, err := Open(b, 1)
+	l, err := OpenConfig(b, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +23,8 @@ func TestAppendBatch(t *testing.T) {
 		t.Fatalf("empty AppendBatch counted as an append (%d)", got)
 	}
 
-	if lsn := l.Append(OpPut, layout.Key{Lo: 1}, 10); lsn != 1 {
-		t.Fatalf("single Append LSN %d, want 1", lsn)
+	if lsn := appendOne(l, OpPut, layout.Key{Lo: 1}, 10); lsn != 1 {
+		t.Fatalf("one-record batch LSN %d, want 1", lsn)
 	}
 	recs := []Record{
 		{Op: OpInsert, Key: layout.Key{Lo: 2}, Value: 20},
@@ -40,18 +40,18 @@ func TestAppendBatch(t *testing.T) {
 			t.Fatalf("recs[%d].LSN = %d, want %d", i, r.LSN, first+uint64(i))
 		}
 	}
-	if lsn := l.Append(OpPut, layout.Key{Lo: 5}, 50); lsn != 5 {
-		t.Fatalf("post-batch Append LSN %d, want 5", lsn)
+	if lsn := appendOne(l, OpPut, layout.Key{Lo: 5}, 50); lsn != 5 {
+		t.Fatalf("post-batch one-record LSN %d, want 5", lsn)
 	}
 	if got := l.Appends(); got != 3 {
-		t.Fatalf("Appends() = %d, want 3 (two singles + one batch)", got)
+		t.Fatalf("Appends() = %d, want 3 (two one-record batches + one batch)", got)
 	}
 
-	if err := l.Sync(5); err != nil {
+	if err := l.WaitDurable(5); err != nil {
 		t.Fatal(err)
 	}
 	if l.DurableLSN() != 5 {
-		t.Fatalf("durable %d after Sync(5)", l.DurableLSN())
+		t.Fatalf("durable %d after WaitDurable(5)", l.DurableLSN())
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

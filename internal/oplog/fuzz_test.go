@@ -15,21 +15,21 @@ import (
 // mutates from.
 func fuzzSeedSegments(f *testing.F) ([]byte, []byte) {
 	base := filepath.Join(f.TempDir(), "log")
-	l, err := Open(base, 1)
+	l, err := OpenConfig(base, 1, Config{})
 	if err != nil {
 		f.Fatal(err)
 	}
 	for i := uint64(1); i <= 5; i++ {
-		l.Append(OpPut, layout.Key{Lo: i}, i*100)
+		appendOne(l, OpPut, layout.Key{Lo: i}, i*100)
 	}
-	if err := l.Sync(5); err != nil {
+	if err := l.WaitDurable(5); err != nil {
 		f.Fatal(err)
 	}
 	if err := l.Rotate(); err != nil {
 		f.Fatal(err)
 	}
 	for i := uint64(6); i <= 9; i++ {
-		l.Append(OpInsert, layout.Key{Lo: i, Hi: i}, i)
+		appendOne(l, OpInsert, layout.Key{Lo: i, Hi: i}, i)
 	}
 	if err := l.Close(); err != nil {
 		f.Fatal(err)

@@ -22,7 +22,7 @@ func (l *Log) RegisterMetrics(r *stats.Registry, prefix string) {
 			return float64(n)
 		})
 	r.RegisterCounter(p+"fsyncs_total", "", "Group-commit fsyncs issued.", l.fsyncs.Load)
-	r.RegisterCounter(p+"appends_total", "", "Append/AppendBatch calls (buffer-lock acquisitions; divide records by this for the batch amortisation).", l.appends.Load)
+	r.RegisterCounter(p+"appends_total", "", "AppendBatch calls (buffer-lock acquisitions; divide records by this for the batch amortisation).", l.appends.Load)
 	r.RegisterCounter(p+"rotations_total", "", "Segment rotations (one per snapshot).", l.rotations.Load)
 	r.RegisterCounter(p+"truncated_segments_total", "", "Sealed segments deleted after a covering snapshot.", l.truncated.Load)
 	r.RegisterCounter(p+"bytes_written_total", "", "Record bytes written to segment files (headers excluded).", l.bytesOut.Load)
@@ -33,8 +33,8 @@ func (l *Log) RegisterMetrics(r *stats.Registry, prefix string) {
 // Fsyncs returns the number of group-commit fsyncs issued so far.
 func (l *Log) Fsyncs() uint64 { return l.fsyncs.Load() }
 
-// Appends returns the number of Append/AppendBatch calls so far — each
-// is one buffer-lock acquisition, so records÷appends is the staging
+// Appends returns the number of AppendBatch calls so far — each is one
+// buffer-lock acquisition, so records÷appends is the staging
 // amortisation the batch paths buy.
 func (l *Log) Appends() uint64 { return l.appends.Load() }
 

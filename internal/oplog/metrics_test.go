@@ -4,16 +4,18 @@ import (
 	"bytes"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"grouphash/internal/layout"
 	"grouphash/internal/stats"
 )
 
-// TestRegisterMetrics drives a log through append / sync / rotate /
+// TestRegisterMetrics drives a log through append / wait / rotate /
 // truncate and checks the registered series both render conformantly
 // and carry the values the log's own accessors report.
 func TestRegisterMetrics(t *testing.T) {
-	l, err := Open(filepath.Join(t.TempDir(), "log"), 1)
+	// An hour-long window: only the two WaitDurable calls commit.
+	l, err := OpenConfig(filepath.Join(t.TempDir(), "log"), 1, Config{SyncEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,14 +25,14 @@ func TestRegisterMetrics(t *testing.T) {
 
 	// Two group commits: 5 records under one fsync, then 2 more.
 	for i := uint64(1); i <= 5; i++ {
-		l.Append(OpPut, layout.Key{Lo: i}, i)
+		appendOne(l, OpPut, layout.Key{Lo: i}, i)
 	}
-	if err := l.Sync(5); err != nil {
+	if err := l.WaitDurable(5); err != nil {
 		t.Fatal(err)
 	}
-	l.Append(OpDelete, layout.Key{Lo: 1}, 0)
-	l.Append(OpInsert, layout.Key{Lo: 9}, 90)
-	if err := l.Sync(7); err != nil {
+	appendOne(l, OpDelete, layout.Key{Lo: 1}, 0)
+	appendOne(l, OpInsert, layout.Key{Lo: 9}, 90)
+	if err := l.WaitDurable(7); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Rotate(); err != nil {
@@ -44,8 +46,8 @@ func TestRegisterMetrics(t *testing.T) {
 		t.Fatalf("Fsyncs = %d, want ≥ 2", got)
 	}
 	batches := l.BatchSizes()
-	if batches.Count < 2 || batches.Sum != 7 {
-		t.Fatalf("batch distribution count=%d sum=%d, want ≥2 batches summing to 7 records",
+	if batches.Count != 2 || batches.Sum != 7 {
+		t.Fatalf("batch distribution count=%d sum=%d, want 2 batches summing to 7 records",
 			batches.Count, batches.Sum)
 	}
 	if lat := l.SyncLatency(); lat.Count != uint64(l.Fsyncs()) {

@@ -16,34 +16,27 @@
 //
 // # Group commit
 //
-// Appends go to an in-memory buffer and are durable only after an
-// fsync covers them. Two commit modes share that buffer:
+// AppendBatch stages records in an in-memory buffer; they are durable
+// only after an fsync covers them. A committer goroutine owns the fsync
+// clock. The first record staged into an empty buffer opens a commit
+// window; the committer fsyncs as soon as a WaitDurable caller parks on
+// a record that is not yet durable, SyncBytes accumulate, or SyncEvery
+// elapses, whichever comes first (a zero SyncEvery is a zero-length
+// window: the fsync starts as soon as a record is staged). Callers park
+// in WaitDurable until the durable-LSN watermark passes their record.
+// A waiter that parks while an fsync is in flight closes the next
+// window the moment it opens, so under load the fsyncs run back to
+// back and each one covers every record staged, by every connection,
+// while the previous one was on disk — not just one pipelined batch.
+// An acked record therefore waits for at most the fsync in flight plus
+// its own, never for the timer: SyncEvery and SyncBytes bound only the
+// durability lag of records nobody waits on. (A timer would also be
+// coarse: once every goroutine is parked, Go's Linux netpoller rounds a
+// sub-millisecond timeout up to 1 ms, so a 100 µs window costs a full
+// millisecond on an idle process.)
 //
-//   - Legacy (zero Config): the caller drives the fsync. Sync is a
-//     group commit with a leader/waiter fast path: while one caller's
-//     fsync is in flight, later appenders pile into the buffer and the
-//     next Sync covers them all; a caller whose records were covered by
-//     somebody else's fsync returns without touching the disk.
-//   - Adaptive (Config.SyncEvery > 0): a committer goroutine owns the
-//     fsync clock. The first record staged into an empty buffer opens a
-//     commit window; the committer fsyncs as soon as a WaitDurable
-//     caller parks on a record that is not yet durable, SyncBytes
-//     accumulate, or SyncEvery elapses, whichever comes first. Callers
-//     park in WaitDurable until the durable-LSN watermark passes their
-//     record. A waiter that parks while an fsync is in flight closes
-//     the next window the moment it opens, so under load the fsyncs
-//     run back to back and each one covers every record staged, by
-//     every connection, while the previous one was on disk — not just
-//     one pipelined batch. An acked record therefore waits for at most
-//     the fsync in flight plus its own, never for the timer: SyncEvery
-//     and SyncBytes bound only the durability lag of records nobody
-//     waits on. (A timer would also be coarse: once every goroutine
-//     is parked, Go's Linux netpoller rounds a sub-millisecond timeout
-//     up to 1 ms, so a 100 µs window costs a full millisecond on an
-//     idle process.)
-//
-// Either way one fsync covers a whole batch of operations, amortising
-// the dominant cost the same way the paper's batched persists amortise
+// One fsync covers a whole batch of operations, amortising the
+// dominant cost the same way the paper's batched persists amortise
 // clflush traffic.
 //
 // # Crash safety
@@ -119,22 +112,23 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // ErrClosed reports use of a closed log.
 var ErrClosed = errors.New("oplog: log is closed")
 
-// Config tunes the log's commit scheduling and segment allocation. The
-// zero value is the legacy synchronous mode: callers drive every fsync
-// through Sync and segments grow on demand.
+// Config tunes the log's commit window and segment allocation. The zero
+// value fsyncs as soon as a record is staged and grows segments on
+// demand.
 type Config struct {
-	// SyncEvery, when > 0, enables adaptive group commit: a committer
-	// goroutine fsyncs at most SyncEvery after the first record of a
-	// window is staged. A WaitDurable caller closes the window at once,
-	// so SyncEvery bounds only the durability lag of an append nobody
-	// is waiting on, not ack latency. On Linux a sub-millisecond
-	// SyncEvery rounds up to 1 ms whenever every goroutine is parked
-	// (the runtime's netpoller sleeps in whole milliseconds).
+	// SyncEvery is the commit window: the committer fsyncs at most
+	// SyncEvery after the first record of a window is staged (zero or
+	// negative: at once). A WaitDurable caller closes the window at
+	// once, so SyncEvery bounds only the durability lag of an append
+	// nobody is waiting on, not ack latency. On Linux a
+	// sub-millisecond SyncEvery rounds up to 1 ms whenever every
+	// goroutine is parked (the runtime's netpoller sleeps in whole
+	// milliseconds).
 	SyncEvery time.Duration
-	// SyncBytes, when > 0 in adaptive mode, closes a commit window
-	// early once at least SyncBytes of records are staged. Like
-	// SyncEvery it bounds only the records nobody waits on: a parked
-	// WaitDurable caller has already closed the window.
+	// SyncBytes, when > 0, closes a commit window early once at least
+	// SyncBytes of records are staged. Like SyncEvery it bounds only
+	// the records nobody waits on: a parked WaitDurable caller has
+	// already closed the window.
 	SyncBytes int
 	// PreallocBytes, when > 0, zero-fills each new segment file to this
 	// size at creation so steady-state record flushes never extend the
@@ -152,9 +146,9 @@ type segment struct {
 	dead  bool   // header unreadable (crash mid-creation): no records
 }
 
-// Log is an append-only, group-committed operation log. Append and
-// Sync are safe for concurrent use, including concurrently with
-// Rotate (a record assigned during a rotation lands in the new
+// Log is an append-only, group-committed operation log. AppendBatch
+// and WaitDurable are safe for concurrent use, including concurrently
+// with Rotate (a record assigned during a rotation lands in the new
 // segment, whose header start covers it); Rotate/TruncateThrough/
 // Close are the snapshot path's and must not race each other.
 type Log struct {
@@ -178,7 +172,7 @@ type Log struct {
 	durable atomic.Uint64
 	closed  atomic.Bool
 
-	// Adaptive-mode machinery (nil/unused when cfg.SyncEvery == 0).
+	// Committer machinery.
 	kick          chan struct{} // a record was staged into an empty buffer
 	kickBytes     chan struct{} // staged bytes crossed cfg.SyncBytes
 	kickWait      chan struct{} // a WaitDurable caller parked on a non-durable record
@@ -195,7 +189,7 @@ type Log struct {
 	syncLat   stats.Histogram // fsync syscall latency, nanoseconds
 	batchRec  stats.Histogram // records made durable per fsync (group-commit batch)
 	fsyncs    atomic.Uint64
-	appends   atomic.Uint64 // Append/AppendBatch calls — buffer-lock acquisitions, not records
+	appends   atomic.Uint64 // AppendBatch calls — buffer-lock acquisitions, not records
 	rotations atomic.Uint64
 	truncated atomic.Uint64
 	bytesOut  atomic.Uint64
@@ -203,9 +197,9 @@ type Log struct {
 
 // testHookRotateAfterDrain, when non-nil, runs inside Rotate between
 // the flush-drain and the new segment's creation — the window where a
-// concurrent Append may assign LSNs past the drained high-water mark.
-// Tests use it to pin that such a record lands in the new segment
-// under a header start that covers it.
+// concurrent AppendBatch may assign LSNs past the drained high-water
+// mark. Tests use it to pin that such a record lands in the new
+// segment under a header start that covers it.
 var testHookRotateAfterDrain func()
 
 // testHookFsyncErr, when non-nil, is consulted before every record
@@ -344,19 +338,12 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Open opens the log based at base for appending with the legacy
-// (caller-driven Sync) configuration. See OpenConfig.
-func Open(base string, nextLSN uint64) (*Log, error) {
-	return OpenConfig(base, nextLSN, Config{})
-}
-
 // OpenConfig opens the log based at base for appending, starting a
 // fresh segment whose first LSN is nextLSN (callers derive it from
 // Scan and the snapshot's oplog mark: one past the highest LSN known).
 // A fresh segment — never appending to an existing file — means a torn
-// tail left by a crash can never precede new records. When
-// cfg.SyncEvery > 0 the returned log runs in adaptive group-commit
-// mode with its own committer goroutine; Close (or Abort) stops it.
+// tail left by a crash can never precede new records. The returned
+// log runs its own committer goroutine; Close (or Abort) stops it.
 func OpenConfig(base string, nextLSN uint64, cfg Config) (*Log, error) {
 	if nextLSN == 0 {
 		nextLSN = 1
@@ -384,41 +371,17 @@ func OpenConfig(base string, nextLSN uint64, cfg Config) (*Log, error) {
 		prealloc: cfg.PreallocBytes,
 		lastLSN:  nextLSN - 1,
 		segs:     append(segs, segment{path: path, seq: seq, start: nextLSN}),
+
+		kick:          make(chan struct{}, 1),
+		kickBytes:     make(chan struct{}, 1),
+		kickWait:      make(chan struct{}, 1),
+		stopc:         make(chan struct{}),
+		committerDone: make(chan struct{}),
 	}
 	l.durable.Store(nextLSN - 1)
 	l.waitCond = sync.NewCond(&l.waitMu)
-	if l.adaptive() {
-		l.kick = make(chan struct{}, 1)
-		l.kickBytes = make(chan struct{}, 1)
-		l.kickWait = make(chan struct{}, 1)
-		l.stopc = make(chan struct{})
-		l.committerDone = make(chan struct{})
-		go l.committer()
-	}
+	go l.committer()
 	return l, nil
-}
-
-// adaptive reports whether the committer goroutine owns the fsync
-// clock.
-func (l *Log) adaptive() bool { return l.cfg.SyncEvery > 0 }
-
-// Append stages one mutation record and returns its LSN. The record is
-// NOT durable until a Sync or WaitDurable covering the LSN returns
-// nil — callers must not ack before that. In adaptive mode an append
-// into an empty buffer opens a commit window (the committer will fsync
-// within cfg.SyncEvery), and crossing cfg.SyncBytes or a WaitDurable
-// caller parking closes the window early.
-func (l *Log) Append(op Op, k layout.Key, v uint64) uint64 {
-	l.appends.Add(1)
-	l.mu.Lock()
-	l.lastLSN++
-	lsn := l.lastLSN
-	wasEmpty := len(l.buf) == 0
-	l.buf = appendRecord(l.buf, Record{LSN: lsn, Op: op, Key: k, Value: v})
-	staged := len(l.buf)
-	l.mu.Unlock()
-	l.kickAfterStage(wasEmpty, staged)
-	return lsn
 }
 
 // AppendBatch stages every record of recs under ONE buffer-lock
@@ -426,9 +389,10 @@ func (l *Log) Append(op Op, k layout.Key, v uint64) uint64 {
 // N mutations costs one lock round trip and one staging pass instead of
 // N — assigning strictly sequential LSNs. recs[i].LSN is overwritten
 // with first+i, and first is returned; callers ack record i once
-// WaitDurable(first+i) (or a Sync covering it) returns nil. Like
-// Append, the records are NOT durable on return. An empty recs returns
-// 0 without touching the log.
+// WaitDurable(first+i) returns nil. The records are NOT durable on
+// return. A batch staged into an empty buffer opens a commit window,
+// and crossing cfg.SyncBytes or a WaitDurable caller parking closes it
+// early. An empty recs returns 0 without touching the log.
 func (l *Log) AppendBatch(recs []Record) (first uint64) {
 	if len(recs) == 0 {
 		return 0
@@ -444,17 +408,6 @@ func (l *Log) AppendBatch(recs []Record) (first uint64) {
 	}
 	staged := len(l.buf)
 	l.mu.Unlock()
-	l.kickAfterStage(wasEmpty, staged)
-	return first
-}
-
-// kickAfterStage nudges the adaptive committer after records were
-// staged: wasEmpty opens a commit window, crossing cfg.SyncBytes closes
-// it early. No-op in legacy mode.
-func (l *Log) kickAfterStage(wasEmpty bool, staged int) {
-	if !l.adaptive() {
-		return
-	}
 	// flushLocked grabs the whole buffer under l.mu, so exactly one
 	// appender observes each empty→non-empty transition: every
 	// commit window is opened by exactly one kick. A stale byte-kick
@@ -472,14 +425,16 @@ func (l *Log) kickAfterStage(wasEmpty bool, staged int) {
 		default:
 		}
 	}
+	return first
 }
 
-// committer is the adaptive-mode fsync clock and the only fsync
-// issuer outside Sync/Rotate/Close: it sleeps until a kick opens a
-// commit window, then flushes when a waiter parks, the byte trigger
-// fires or cfg.SyncEvery elapses, whichever first. A waiter's kick
-// that lands during an in-flight commit stays buffered and closes the
-// next window as soon as it opens.
+// committer is the log's fsync clock and the only fsync issuer outside
+// Rotate/Close: it sleeps until a kick opens a commit window, then
+// flushes when a waiter parks, the byte trigger fires or cfg.SyncEvery
+// elapses, whichever first — at once when SyncEvery ≤ 0, because
+// Reset of a timer to a non-positive duration fires it immediately. A
+// waiter's kick that lands during an in-flight commit stays buffered
+// and closes the next window as soon as it opens.
 func (l *Log) committer() {
 	defer close(l.committerDone)
 	timer := time.NewTimer(time.Hour)
@@ -530,18 +485,15 @@ func (l *Log) commit() {
 }
 
 // WaitDurable blocks until every record with LSN ≤ upTo is durable, or
-// the log fails or closes. It is the adaptive-mode ack gate: a caller
-// that has to park first kicks the committer, which ends the open
-// commit window at once (or, with an fsync in flight, the next one as
-// soon as it opens), and every record staged by then — across all
-// connections — rides the same fsync. In legacy mode it degrades to
-// Sync, preserving the caller-driven group commit.
+// the log fails or closes. It is the log's ack gate: a caller that has
+// to park first kicks the committer, which ends the open commit window
+// at once (or, with an fsync in flight, the next one as soon as it
+// opens), and every record staged by then — across all connections —
+// rides the same fsync. After an I/O failure the error is sticky: the
+// durable prefix is unknown, so nothing may be acked on this log again.
 func (l *Log) WaitDurable(upTo uint64) error {
 	if l.durable.Load() >= upTo {
 		return nil
-	}
-	if !l.adaptive() {
-		return l.Sync(upTo)
 	}
 	if l.closed.Load() {
 		return ErrClosed
@@ -638,27 +590,6 @@ func parseRecord(b []byte) (Record, bool) {
 	return r, true
 }
 
-// Sync makes every record with LSN ≤ upTo durable, group-committing
-// whatever else has been appended meanwhile. Returns immediately when
-// a concurrent Sync already covered upTo. After an I/O failure the
-// error is sticky: the durable prefix is unknown, so nothing may be
-// acked on this log again.
-func (l *Log) Sync(upTo uint64) error {
-	if l.durable.Load() >= upTo {
-		return nil
-	}
-	if l.closed.Load() {
-		return ErrClosed
-	}
-	l.flushMu.Lock()
-	defer l.flushMu.Unlock()
-	if l.durable.Load() >= upTo { // a group leader covered us while we waited
-		return nil
-	}
-	_, err := l.flushLocked(true)
-	return err
-}
-
 // flushLocked writes the staged buffer to the active segment and, when
 // fsync is set, makes it durable. It returns the high-water LSN the
 // drain covered: every record with LSN ≤ hw is now in the active
@@ -744,7 +675,7 @@ func (l *Log) Rotate() error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
 	// The drained high-water mark, not a fresh lastLSN read, decides the
-	// new segment's start: an Append racing this rotation may assign
+	// new segment's start: an AppendBatch racing this rotation may assign
 	// hw+1 after the drain, and that record — still staged — will be
 	// flushed into the NEW segment, so the new header must claim hw+1
 	// or replay would treat the record as a torn tail and drop it.
@@ -838,11 +769,11 @@ func (l *Log) WrittenSize() int64 {
 }
 
 // Close flushes and fsyncs staged records and closes the active
-// segment. The log cannot be used afterwards. In adaptive mode the
-// committer is stopped first (outside flushMu, so an in-flight commit
-// finishes rather than deadlocks), then the final flush covers
-// whatever it had not yet committed, then parked waiters are released:
-// each finds its record durable or the log closed — never a hang.
+// segment. The log cannot be used afterwards. The committer is stopped
+// first (outside flushMu, so an in-flight commit finishes rather than
+// deadlocks), then the final flush covers whatever it had not yet
+// committed, then parked waiters are released: each finds its record
+// durable or the log closed — never a hang.
 func (l *Log) Close() error {
 	if l.closed.Swap(true) {
 		return nil
@@ -858,12 +789,9 @@ func (l *Log) Close() error {
 	return err
 }
 
-// stopCommitter shuts down the adaptive committer goroutine and waits
-// for it to exit. No-op in legacy mode.
+// stopCommitter shuts down the committer goroutine and waits for it
+// to exit.
 func (l *Log) stopCommitter() {
-	if !l.adaptive() {
-		return
-	}
 	close(l.stopc)
 	<-l.committerDone
 }
@@ -890,8 +818,8 @@ func (l *Log) Abort() {
 // acked — see the package comment) and continues with the next
 // segment. Scan never writes, so a crash during replay is recovered by
 // simply scanning again. It returns the LSN one past the highest
-// observed (the nextLSN a subsequent Open should use) and the number
-// of records passed to fn.
+// observed (the nextLSN a subsequent OpenConfig should use) and the
+// number of records passed to fn.
 func Scan(base string, after uint64, fn func(Record) error) (next uint64, replayed int, err error) {
 	segs, err := listSegments(base)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"grouphash/internal/layout"
 )
@@ -15,6 +16,11 @@ import (
 func base(t *testing.T) string {
 	t.Helper()
 	return filepath.Join(t.TempDir(), "oplog")
+}
+
+// appendOne stages a single record and returns its LSN.
+func appendOne(l *Log, op Op, k layout.Key, v uint64) uint64 {
+	return l.AppendBatch([]Record{{Op: op, Key: k, Value: v}})
 }
 
 // collect replays base after the given LSN into a slice.
@@ -32,7 +38,8 @@ func collect(t *testing.T, b string, after uint64) (recs []Record, next uint64) 
 
 func TestAppendSyncScanRoundtrip(t *testing.T) {
 	b := base(t)
-	l, err := Open(b, 1)
+	// An hour-long window: nothing commits until WaitDurable asks.
+	l, err := OpenConfig(b, 1, Config{SyncEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,19 +52,19 @@ func TestAppendSyncScanRoundtrip(t *testing.T) {
 		case 2:
 			op = OpDelete
 		}
-		last = l.Append(op, layout.Key{Lo: i, Hi: i * 7}, i*11)
+		last = appendOne(l, op, layout.Key{Lo: i, Hi: i * 7}, i*11)
 		if last != i {
-			t.Fatalf("Append %d assigned LSN %d", i, last)
+			t.Fatalf("append %d assigned LSN %d", i, last)
 		}
 	}
 	if l.DurableLSN() != 0 {
-		t.Fatalf("durable %d before any Sync", l.DurableLSN())
+		t.Fatalf("durable %d before any WaitDurable", l.DurableLSN())
 	}
-	if err := l.Sync(last); err != nil {
+	if err := l.WaitDurable(last); err != nil {
 		t.Fatal(err)
 	}
 	if l.DurableLSN() != last {
-		t.Fatalf("durable %d after Sync(%d)", l.DurableLSN(), last)
+		t.Fatalf("durable %d after WaitDurable(%d)", l.DurableLSN(), last)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -81,14 +88,14 @@ func TestAppendSyncScanRoundtrip(t *testing.T) {
 
 func TestScanIsIdempotentAndReadOnly(t *testing.T) {
 	b := base(t)
-	l, err := Open(b, 1)
+	l, err := OpenConfig(b, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 32; i++ {
-		l.Append(OpInsert, layout.Key{Lo: i}, i)
+		appendOne(l, OpInsert, layout.Key{Lo: i}, i)
 	}
-	if err := l.Sync(32); err != nil {
+	if err := l.WaitDurable(32); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -120,14 +127,14 @@ func TestScanIsIdempotentAndReadOnly(t *testing.T) {
 
 func TestTornTailStopsReplay(t *testing.T) {
 	b := base(t)
-	l, err := Open(b, 1)
+	l, err := OpenConfig(b, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 10; i++ {
-		l.Append(OpPut, layout.Key{Lo: i}, i)
+		appendOne(l, OpPut, layout.Key{Lo: i}, i)
 	}
-	if err := l.Sync(10); err != nil {
+	if err := l.WaitDurable(10); err != nil {
 		t.Fatal(err)
 	}
 	path := l.ActivePath()
@@ -163,20 +170,20 @@ func TestTornTailStopsReplay(t *testing.T) {
 
 func TestRotateAndTruncate(t *testing.T) {
 	b := base(t)
-	l, err := Open(b, 1)
+	l, err := OpenConfig(b, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 5; i++ {
-		l.Append(OpInsert, layout.Key{Lo: i}, i)
+		appendOne(l, OpInsert, layout.Key{Lo: i}, i)
 	}
 	if err := l.Rotate(); err != nil { // snapshot at LSN 5
 		t.Fatal(err)
 	}
 	for i := uint64(6); i <= 8; i++ {
-		l.Append(OpInsert, layout.Key{Lo: i}, i)
+		appendOne(l, OpInsert, layout.Key{Lo: i}, i)
 	}
-	if err := l.Sync(8); err != nil {
+	if err := l.WaitDurable(8); err != nil {
 		t.Fatal(err)
 	}
 	// Both segments present: full replay sees 8, replay past the
@@ -208,26 +215,28 @@ func TestRotateAndTruncate(t *testing.T) {
 
 func TestReopenAfterCrashStartsFreshSegment(t *testing.T) {
 	b := base(t)
-	l, err := Open(b, 1)
+	l, err := OpenConfig(b, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 4; i++ {
-		l.Append(OpPut, layout.Key{Lo: i}, i)
+		appendOne(l, OpPut, layout.Key{Lo: i}, i)
 	}
-	if err := l.Sync(4); err != nil {
+	if err := l.WaitDurable(4); err != nil {
 		t.Fatal(err)
 	}
-	// "Crash": no Close. Reopen at next = Scan's answer.
+	// "Crash": abandon the log without a Close. Reopen at next =
+	// Scan's answer.
+	l.Abort()
 	_, next := collect(t, b, 0)
-	l2, err := Open(b, next)
+	l2, err := OpenConfig(b, next, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := l2.Append(OpPut, layout.Key{Lo: 99}, 99); got != 5 {
+	if got := appendOne(l2, OpPut, layout.Key{Lo: 99}, 99); got != 5 {
 		t.Fatalf("post-crash LSN %d, want 5", got)
 	}
-	if err := l2.Sync(5); err != nil {
+	if err := l2.WaitDurable(5); err != nil {
 		t.Fatal(err)
 	}
 	l2.Close()
@@ -239,12 +248,12 @@ func TestReopenAfterCrashStartsFreshSegment(t *testing.T) {
 
 func TestDeadSegmentTolerated(t *testing.T) {
 	b := base(t)
-	l, err := Open(b, 1)
+	l, err := OpenConfig(b, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append(OpPut, layout.Key{Lo: 1}, 1)
-	if err := l.Sync(1); err != nil {
+	appendOne(l, OpPut, layout.Key{Lo: 1}, 1)
+	if err := l.WaitDurable(1); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -258,12 +267,12 @@ func TestDeadSegmentTolerated(t *testing.T) {
 	}
 	// Reopen must skip past the dead file's sequence number and a later
 	// truncation must clean it up.
-	l2, err := Open(b, next)
+	l2, err := OpenConfig(b, next, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2.Append(OpPut, layout.Key{Lo: 2}, 2)
-	if err := l2.Sync(2); err != nil {
+	appendOne(l2, OpPut, layout.Key{Lo: 2}, 2)
+	if err := l2.WaitDurable(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.TruncateThrough(2); err != nil {
@@ -282,31 +291,32 @@ func TestDeadSegmentTolerated(t *testing.T) {
 // TestRotateConcurrentWithAppend is the regression test for the
 // rotation race: Rotate used to read lastLSN for the new segment's
 // start in a critical section separate from the flush-drain, so an
-// Append landing in between got an LSN below the new header's start
+// append landing in between got an LSN below the new header's start
 // and was later written into that segment — where replay treated it
 // as a torn tail and silently dropped an fsynced record. Hammer
 // appends against rotations; every assigned LSN must replay exactly
 // once.
 func TestRotateConcurrentWithAppend(t *testing.T) {
 	b := base(t)
-	l, err := Open(b, 1)
+	l, err := OpenConfig(b, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The appender runs free — no per-record Sync, so appends flow
-	// continuously through every phase of a concurrent rotation (the
-	// racy window sat between Rotate's flush-drain and its start-LSN
-	// read); an occasional Sync still exercises group commit against
-	// the rotation.
+	// The appender runs free — no per-record WaitDurable, so appends
+	// flow continuously through every phase of a concurrent rotation
+	// (the racy window sat between Rotate's flush-drain and its
+	// start-LSN read), while the zero-length commit window keeps the
+	// committer flushing against the rotation; an occasional
+	// WaitDurable still exercises an ack against it.
 	const total = 100_000
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := uint64(1); i <= total; i++ {
-			l.Append(OpInsert, layout.Key{Lo: i}, i)
+			appendOne(l, OpInsert, layout.Key{Lo: i}, i)
 			if i%8192 == 0 {
-				if err := l.Sync(i); err != nil {
-					t.Errorf("Sync(%d): %v", i, err)
+				if err := l.WaitDurable(i); err != nil {
+					t.Errorf("WaitDurable(%d): %v", i, err)
 					return
 				}
 			}
@@ -341,7 +351,7 @@ func TestRotateConcurrentWithAppend(t *testing.T) {
 }
 
 // TestAppendInRotateWindow pins the rotation race deterministically:
-// an Append landing between Rotate's flush-drain and its start-LSN
+// an append landing between Rotate's flush-drain and its start-LSN
 // decision (injected via the test hook) must end up in the new
 // segment under a header start that covers it. Rotate used to re-read
 // lastLSN after the drain, stamping the new header one past the raced
@@ -349,16 +359,16 @@ func TestRotateConcurrentWithAppend(t *testing.T) {
 // dropping an fsynced record.
 func TestAppendInRotateWindow(t *testing.T) {
 	b := base(t)
-	l, err := Open(b, 1)
+	l, err := OpenConfig(b, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 3; i++ {
-		l.Append(OpPut, layout.Key{Lo: i}, i)
+		appendOne(l, OpPut, layout.Key{Lo: i}, i)
 	}
 	testHookRotateAfterDrain = func() {
-		if got := l.Append(OpPut, layout.Key{Lo: 4}, 4); got != 4 {
-			t.Errorf("raced Append assigned LSN %d, want 4", got)
+		if got := appendOne(l, OpPut, layout.Key{Lo: 4}, 4); got != 4 {
+			t.Errorf("raced append assigned LSN %d, want 4", got)
 		}
 	}
 	defer func() { testHookRotateAfterDrain = nil }()
@@ -366,8 +376,8 @@ func TestAppendInRotateWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	testHookRotateAfterDrain = nil
-	l.Append(OpPut, layout.Key{Lo: 5}, 5)
-	if err := l.Sync(5); err != nil {
+	appendOne(l, OpPut, layout.Key{Lo: 5}, 5)
+	if err := l.WaitDurable(5); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -394,14 +404,14 @@ func TestAppendInRotateWindow(t *testing.T) {
 // recovery.
 func TestWideSegmentSuffix(t *testing.T) {
 	b := base(t)
-	l, err := Open(b, 1)
+	l, err := OpenConfig(b, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 3; i++ {
-		l.Append(OpPut, layout.Key{Lo: i}, i)
+		appendOne(l, OpPut, layout.Key{Lo: i}, i)
 	}
-	if err := l.Sync(3); err != nil {
+	if err := l.WaitDurable(3); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -429,14 +439,14 @@ func TestWideSegmentSuffix(t *testing.T) {
 	}
 	// Reopen continues past the wide sequence number and replays the
 	// whole chain.
-	l2, err := Open(b, next)
+	l2, err := OpenConfig(b, next, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := l2.Append(OpPut, layout.Key{Lo: 4}, 4); got != 4 {
+	if got := appendOne(l2, OpPut, layout.Key{Lo: 4}, 4); got != 4 {
 		t.Fatalf("post-reopen LSN %d, want 4", got)
 	}
-	if err := l2.Sync(4); err != nil {
+	if err := l2.WaitDurable(4); err != nil {
 		t.Fatal(err)
 	}
 	l2.Close()
@@ -449,12 +459,13 @@ func TestWideSegmentSuffix(t *testing.T) {
 	}
 }
 
-// TestGroupCommitConcurrent hammers Append+Sync from many goroutines:
-// every Sync that returns nil must really cover the caller's LSN, and
+// TestGroupCommitConcurrent hammers AppendBatch+WaitDurable from many
+// goroutines: every WaitDurable that returns nil must really cover the
+// caller's LSN, and
 // the final file must replay every record exactly once in LSN order.
 func TestGroupCommitConcurrent(t *testing.T) {
 	b := base(t)
-	l, err := Open(b, 1)
+	l, err := OpenConfig(b, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,14 +477,14 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				lsn := l.Append(OpInsert, layout.Key{Lo: uint64(w)<<32 | uint64(i+1)}, uint64(i))
+				lsn := appendOne(l, OpInsert, layout.Key{Lo: uint64(w)<<32 | uint64(i+1)}, uint64(i))
 				if i%7 == 0 {
-					if err := l.Sync(lsn); err != nil {
-						t.Errorf("Sync: %v", err)
+					if err := l.WaitDurable(lsn); err != nil {
+						t.Errorf("WaitDurable: %v", err)
 						return
 					}
 					if l.DurableLSN() < lsn {
-						t.Errorf("Sync(%d) returned with durable=%d", lsn, l.DurableLSN())
+						t.Errorf("WaitDurable(%d) returned with durable=%d", lsn, l.DurableLSN())
 						return
 					}
 				}

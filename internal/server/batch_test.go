@@ -18,7 +18,7 @@ import (
 // per-sub-op statuses, StatusBadRequest for the sub-ops the packed
 // format cannot answer, and the all-or-nothing durable ack.
 func TestServeBatchFrame(t *testing.T) {
-	lg, err := oplog.Open(filepath.Join(t.TempDir(), "oplog"), 1)
+	lg, err := oplog.OpenConfig(filepath.Join(t.TempDir(), "oplog"), 1, oplog.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +115,11 @@ func TestServeBatchSplitAndClientHelpers(t *testing.T) {
 
 // TestServeCoalescedAmortisation proves the transparent half of the
 // tentpole at the wire: a pipelined burst of SINGLE-op puts reaches
-// the oplog in far fewer Append calls than operations, because the
+// the oplog in far fewer AppendBatch calls than operations, because the
 // reader coalesces consecutive mutations through the stripe-grouped
 // batch apply. Correctness of the burst is checked item by item.
 func TestServeCoalescedAmortisation(t *testing.T) {
-	lg, err := oplog.Open(filepath.Join(t.TempDir(), "oplog"), 1)
+	lg, err := oplog.OpenConfig(filepath.Join(t.TempDir(), "oplog"), 1, oplog.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

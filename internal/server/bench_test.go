@@ -15,8 +15,8 @@ import (
 )
 
 // benchAckedWrite measures the end-to-end cost of one acked write
-// through the server over loopback TCP — the durability tax the
-// adaptive group commit is built to cut. The client streams 64-op
+// through the server over loopback TCP — the durability tax group
+// commit is built to cut. The client streams 64-op
 // pipelined batches with 8 in flight, the shape the apply/ack
 // decoupling targets: the reader applies the next burst while the
 // acker waits on the fsync covering the previous one (its parking
@@ -205,8 +205,8 @@ func BenchmarkServeBatchPipeline(b *testing.B) {
 }
 
 // BenchmarkAckedWrite compares the acked-write path without a log,
-// with the legacy synchronous fsync-per-batch log, and with the
-// shipped adaptive group-commit window.
+// with a zero-length commit window (fsync as soon as a write is
+// staged), and with the shipped 100µs/64KiB group-commit window.
 func BenchmarkAckedWrite(b *testing.B) {
 	for _, mode := range []struct {
 		name    string
@@ -214,7 +214,7 @@ func BenchmarkAckedWrite(b *testing.B) {
 		cfg     oplog.Config
 	}{
 		{"nolog", false, oplog.Config{}},
-		{"legacy", true, oplog.Config{}},
+		{"zero-window", true, oplog.Config{}},
 		{"adaptive-100us-64KiB", true, oplog.Config{
 			SyncEvery: 100 * time.Microsecond, SyncBytes: 64 << 10, PreallocBytes: 4 << 20}},
 	} {

@@ -20,7 +20,7 @@ import (
 // per-opcode latency histograms, oplog sync/batch metrics, expansion
 // counters and (shared-registry) simulated-substrate counters.
 func TestMetricsExposition(t *testing.T) {
-	lg, err := oplog.Open(filepath.Join(t.TempDir(), "oplog"), 1)
+	lg, err := oplog.OpenConfig(filepath.Join(t.TempDir(), "oplog"), 1, oplog.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

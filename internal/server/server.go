@@ -28,15 +28,14 @@
 // mutating request is appended to the operation log (internal/oplog)
 // inside the store's own per-stripe critical section, and its response
 // is released only when the log's durable-LSN watermark passes the
-// record: one group-committed fsync per pipelined batch in legacy
-// mode, or, when the log runs adaptively, one per commit window,
-// batching across connections. A waiting acker closes the window at
-// once, so an ack waits for at most the fsync in flight plus its own;
-// the window's T and B bound only records nobody waits on. Periodic
-// snapshots bound the log: each image records the LSN it covers, the
-// log rotates at the capture point (under a full-store quiesce, so
-// mark and image always agree), and fully-covered segments are
-// deleted once the image is durable. Recovery is LoadSnapshotMark +
+// record: one group-committed fsync per commit window, batching across
+// connections. A waiting acker closes the window at once, so an ack
+// waits for at most the fsync in flight plus its own; the window's T
+// and B bound only records nobody waits on. Periodic snapshots bound
+// the log: each image records the LSN it covers, the log rotates at
+// the capture point (under a full-store quiesce, so mark and image
+// always agree), and fully-covered segments are deleted once the
+// image is durable. Recovery is LoadSnapshotMark +
 // Store.ReplayOplog: after any crash — power failure included — every
 // acked write is present exactly once. Without a Config.Oplog the
 // server degrades to the old cache-with-snapshots mode, where a power
@@ -554,10 +553,10 @@ type pendingResp struct {
 // while every response still answers its own request in order.
 //
 // The acker goroutine releases chunks: one WaitDurable on the chunk's
-// highest LSN (in adaptive mode the committer goroutine owns the
-// fsync clock; parking there closes the open commit window, or the
-// next one if an fsync is in flight, and one fsync releases every
-// connection waiting on it), then write and flush. Decoupling apply
+// highest LSN (the log's committer goroutine owns the fsync clock;
+// parking there closes the open commit window, or the next one if an
+// fsync is in flight, and one fsync releases every connection waiting
+// on it), then write and flush. Decoupling apply
 // from ack is what makes the fsync cheap: the reader keeps applying
 // and staging log records for the NEXT burst while the acker waits on
 // the fsync for the previous one, so a deep-pipelining client never

@@ -454,7 +454,7 @@ func TestPipelinedSpillNeverAcksUnsynced(t *testing.T) {
 		name string
 		cfg  oplog.Config
 	}{
-		{"legacy", oplog.Config{}},
+		{"zero-window", oplog.Config{}},
 		{"adaptive", oplog.Config{SyncEvery: 100 * time.Microsecond, SyncBytes: 8 << 10}},
 	} {
 		t.Run(mode.name, func(t *testing.T) { pipelinedSpill(t, mode.cfg) })
@@ -505,7 +505,7 @@ func pipelinedSpill(t *testing.T, lcfg oplog.Config) {
 // again — so the server must come down instead of lingering as a
 // zombie that applies mutations no client will see acked.
 func TestStickyOplogFailureShutsDown(t *testing.T) {
-	lg, err := oplog.Open(filepath.Join(t.TempDir(), "oplog"), 1)
+	lg, err := oplog.OpenConfig(filepath.Join(t.TempDir(), "oplog"), 1, oplog.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,8 +527,8 @@ func TestStickyOplogFailureShutsDown(t *testing.T) {
 	if err := c.Put(layout.Key{Lo: 1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	// Kill the log out from under the server — every future Sync now
-	// fails, standing in for a sticky I/O error.
+	// Kill the log out from under the server — every future
+	// WaitDurable now fails, standing in for a sticky I/O error.
 	lg.Abort()
 	if err := c.Put(layout.Key{Lo: 2}, 2); err == nil {
 		t.Fatal("write acked after the oplog died")
@@ -863,7 +863,7 @@ func drainUnderLoad(t *testing.T, cfg Config, st *grouphash.Store, batch int) []
 }
 
 // TestDrainStraddleDurability is the oplog-enabled drain/apply race
-// test: pipelined writers hammer an adaptively-committed server while
+// test: pipelined writers hammer a 200µs-window server while
 // Drain flips the draining flag under them. flushCoalesced checks the
 // flag BEFORE the stripe-locked (apply, append) pairs; this test pins
 // the ordering argument that makes that safe — Drain waits for every

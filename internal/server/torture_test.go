@@ -44,19 +44,19 @@ import (
 // key is accounted for individually, so a double-applied insert would
 // make Len exceed the count.
 //
-// The whole gauntlet runs once per oplog commit configuration: the
-// legacy caller-driven Sync mode and two adaptive (SyncEvery,
-// SyncBytes) windows — the durability contract must be identical no
-// matter who owns the fsync clock. The adaptive legs preallocate
-// segments, so the torn-tail logic also runs against zero-filled
-// files.
+// The whole gauntlet runs once per oplog commit window: a zero-length
+// window (the zero Config, which fsyncs as soon as a record is
+// staged) and two (SyncEvery, SyncBytes) windows — the durability
+// contract must be identical however long the committer waits. The
+// windowed legs preallocate segments, so the torn-tail logic also runs
+// against zero-filled files.
 func TestCrashTorture(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		cycles int
 		cfg    oplog.Config
 	}{
-		{"legacy", 24, oplog.Config{}},
+		{"zero-window", 24, oplog.Config{}},
 		{"adaptive-100us-64KiB", 16, oplog.Config{SyncEvery: 100 * time.Microsecond, SyncBytes: 64 << 10, PreallocBytes: 1 << 20}},
 		{"adaptive-1ms-256KiB", 16, oplog.Config{SyncEvery: time.Millisecond, SyncBytes: 256 << 10, PreallocBytes: 1 << 20}},
 	} {
