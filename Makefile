@@ -18,10 +18,15 @@ vet:
 # expansion only a -race run can meaningfully exercise) plus the paged
 # native backend, the network layer built on top of it, and the
 # operation log, whose committer goroutine runs behind every log.
+# perfbench is its own module, so ./... never builds it, yet it embeds
+# engine.Engine and calls the façade: vet and test it here so a seam
+# change cannot break the benchmark unseen.
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/core ./internal/engine ./internal/server ./internal/client ./internal/native ./internal/oplog
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 race: torture fuzz-smoke chaos-smoke
 	$(GO) test -race ./internal/core ./internal/engine ./internal/server ./internal/client ./internal/native ./internal/oplog ./internal/harness .

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"grouphash/internal/core"
 	"grouphash/internal/engine"
 	"grouphash/internal/harness"
 	"grouphash/internal/layout"
@@ -70,12 +71,18 @@ func engineCell(name, workload string, conns, frame, warmOps, ops int) engineRow
 	if err != nil {
 		panic(err)
 	}
+	preload := make([]core.BatchOp, batchKeyspan)
+	out := make([]core.BatchResult, batchKeyspan)
 	for c := 0; c < conns; c++ {
 		base := uint64(c+1) << 40
-		for n := uint64(1); n <= batchKeyspan; n++ {
-			k := base + n
-			if err := eng.Put(layout.Key{Lo: k, Hi: k * 0x9e3779b97f4a7c15}, k); err != nil {
-				panic(err)
+		for n := range preload {
+			k := base + uint64(n) + 1
+			preload[n] = core.BatchOp{Kind: core.BatchPut, Key: layout.Key{Lo: k, Hi: k * 0x9e3779b97f4a7c15}, Value: k}
+		}
+		eng.ApplyBatch(preload, out, nil, nil)
+		for _, r := range out {
+			if r.Err != nil {
+				panic(r.Err)
 			}
 		}
 	}

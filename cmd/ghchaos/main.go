@@ -99,27 +99,12 @@ func child(dir, addrFile string, spec engine.Spec, lcfg oplog.Config) {
 	log.SetPrefix(fmt.Sprintf("child[%d]: ", os.Getpid()))
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
 	img := filepath.Join(dir, "store.pmfs")
-	base := filepath.Join(dir, "oplog")
 
-	var eng engine.Engine
-	var mark uint64
-	var err error
-	if _, statErr := os.Stat(img); statErr == nil {
-		if eng, mark, err = engine.Load(spec, img); err != nil {
-			log.Fatalf("loading image: %v", err)
-		}
-	} else if eng, err = engine.New(spec); err != nil {
+	eng, lg, rec, err := engine.Restart(spec, img, filepath.Join(dir, "oplog"), lcfg)
+	if err != nil {
 		log.Fatal(err)
 	}
-	applied, next, err := eng.ReplayOplog(base, mark)
-	if err != nil {
-		log.Fatalf("replay: %v", err)
-	}
-	lg, err := oplog.OpenConfig(base, next, lcfg)
-	if err != nil {
-		log.Fatalf("opening oplog: %v", err)
-	}
-	log.Printf("recovered %s: mark=%d replayed=%d items=%d", spec.Name, mark, applied, eng.Len())
+	log.Printf("recovered %s: mark=%d replayed=%d items=%d", spec.Name, rec.Mark, rec.Replayed, eng.Len())
 
 	srv, err := server.New(server.Config{
 		Engine:        eng,

@@ -71,44 +71,26 @@ func main() {
 		GroupSize: *group,
 		Seed:      *seed,
 	}
-	var eng engine.Engine
-	var mark uint64
-	var err error
-	if *image != "" {
-		if _, statErr := os.Stat(*image); statErr == nil {
-			if eng, mark, err = engine.Load(spec, *image); err != nil {
-				log.Fatalf("loading image %s: %v", *image, err)
-			}
-			log.Printf("loaded %d items from %s (engine %s, oplog mark %d)", eng.Len(), *image, eng.Name(), mark)
-		}
+	eng, lg, rec, err := engine.Restart(spec, *image, *logBase, oplog.Config{
+		SyncEvery:     *syncT,
+		SyncBytes:     *syncB,
+		PreallocBytes: *prealloc,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	if eng == nil {
-		if eng, err = engine.New(spec); err != nil {
-			log.Fatalf("creating engine: %v", err)
-		}
+	if rec.Loaded {
+		log.Printf("loaded %d items from %s (engine %s, oplog mark %d)", rec.Items, *image, eng.Name(), rec.Mark)
+	} else {
 		log.Printf("engine %s (capacity %d)", eng.Name(), *capacity)
 	}
-
-	var lg *oplog.Log
-	if *logBase != "" {
-		applied, next, err := eng.ReplayOplog(*logBase, mark)
-		if err != nil {
-			log.Fatalf("oplog replay from %s: %v", *logBase, err)
-		}
-		if applied > 0 {
-			log.Printf("replayed %d acked writes from %s (through LSN %d); %d items now", applied, *logBase, next-1, eng.Len())
-		} else {
-			log.Printf("oplog %s: nothing to replay past mark %d", *logBase, mark)
-		}
-		if lg, err = oplog.OpenConfig(*logBase, next, oplog.Config{
-			SyncEvery:     *syncT,
-			SyncBytes:     *syncB,
-			PreallocBytes: *prealloc,
-		}); err != nil {
-			log.Fatalf("opening oplog %s: %v", *logBase, err)
-		}
-	} else if mark != 0 {
-		log.Printf("WARNING: image was written with an oplog (mark %d) but -oplog is unset; acked writes past the image are being ignored", mark)
+	switch {
+	case lg != nil && rec.Replayed > 0:
+		log.Printf("replayed %d acked writes from %s (through LSN %d); %d items now", rec.Replayed, *logBase, lg.LastLSN(), eng.Len())
+	case lg != nil:
+		log.Printf("oplog %s: nothing to replay past mark %d", *logBase, rec.Mark)
+	case rec.Mark != 0:
+		log.Printf("WARNING: image was written with an oplog (mark %d) but -oplog is unset; acked writes past the image are being ignored", rec.Mark)
 	}
 
 	srv, err := server.New(server.Config{

@@ -107,11 +107,10 @@ type Options struct {
 // Store is a group-hash key-value store. Unless Options.Concurrent was
 // set it must be confined to one goroutine at a time.
 type Store struct {
-	tab     *core.Table
-	conc    *core.Concurrent
-	mem     hashtab.Mem
-	expand  bool
-	keySize int
+	tab    *core.Table
+	conc   *core.Concurrent
+	mem    hashtab.Mem
+	expand bool
 }
 
 // New creates a store per opts.
@@ -157,7 +156,7 @@ func New(opts Options) (*Store, error) {
 	if opts.GroupIndex {
 		tab.EnableGroupIndex()
 	}
-	s := &Store{tab: tab, mem: mem, expand: !opts.DisableExpand, keySize: opts.KeyBytes}
+	s := &Store{tab: tab, mem: mem, expand: !opts.DisableExpand}
 	if opts.Concurrent {
 		s.conc = core.NewConcurrent(tab, 0)
 		s.armOnlineExpand()
@@ -189,7 +188,7 @@ func Open(mem hashtab.Mem, header uint64, concurrent bool) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{tab: tab, mem: mem, expand: true, keySize: 8}
+	s := &Store{tab: tab, mem: mem, expand: true}
 	if concurrent {
 		s.conc = core.NewConcurrent(tab, 0)
 		s.armOnlineExpand()
@@ -511,29 +510,20 @@ type imager interface {
 }
 
 // Snapshot atomically persists the store's entire memory image to a
-// pmfs image file at path: writers are quiesced, the allocated region
-// is copied, and the copy is written crash-safely (temp file + fsync +
-// rename + directory fsync). The resulting file reopens with
-// LoadSnapshot. Supported for native-backed stores (the default) and
+// pmfs image file at path, with oplog mark 0: writers are quiesced,
+// the allocated region is copied, and the copy is written crash-safely
+// (temp file + fsync + rename + directory fsync). The resulting file
+// reopens with LoadSnapshot. Supported for native-backed stores (the default) and
 // simulated stores; other Memory implementations return an error.
 //
 // The pause is O(allocated bytes) for the in-memory copy only — file
 // I/O happens after the writers resume.
 func (s *Store) Snapshot(path string) error {
-	write, err := s.SnapshotWriter(0)
+	write, err := s.SnapshotWriterAt(func() (uint64, error) { return 0, nil })
 	if err != nil {
 		return err
 	}
 	return write(path)
-}
-
-// SnapshotWriter captures a consistent image of the store NOW (under
-// an internal quiesce) and returns a function that later writes it to
-// an image file, crash-safely, recording oplogMark as the image's
-// oplog mark. Callers that need the mark decided INSIDE the quiesce
-// (the network server) use SnapshotWriterAt instead.
-func (s *Store) SnapshotWriter(oplogMark uint64) (func(path string) error, error) {
-	return s.SnapshotWriterAt(func() (uint64, error) { return oplogMark, nil })
 }
 
 // SnapshotWriterAt captures a consistent image of the store under an
@@ -598,6 +588,12 @@ func LoadSnapshotMark(path string, concurrent bool) (*Store, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	// The root is a table header address only in images this package
+	// wrote; a comparison engine's image keeps a spec fingerprint there,
+	// which Open must not dereference.
+	if root%layout.WordSize != 0 || root > allocated || allocated-root < core.HeaderBytes {
+		return nil, 0, fmt.Errorf("grouphash: image %s has no table header at its root %#x", path, root)
+	}
 	mem := native.New(uint64(len(img)))
 	mem.SetImage(img)
 	mem.SetAllocated(allocated)
@@ -608,36 +604,13 @@ func LoadSnapshotMark(path string, concurrent bool) (*Store, uint64, error) {
 	return s, mark, nil
 }
 
-// ReplayOplog replays the operation log based at base onto the store:
-// every record with an LSN past `after` (typically the oplog mark of
-// the image the store was loaded from) is re-applied in log order.
-// Replay only reads the log files, so a crash during replay is
-// recovered by replaying again from the same image — the store's
-// in-memory state is rebuilt from scratch either way, which is what
-// makes replay idempotent. It returns the number of operations applied
-// and the LSN the log should continue from (pass it to
-// oplog.OpenConfig).
+// ReplayOplog replays the operation log based at base onto the store
+// through oplog.Replay: every record with an LSN past after (typically
+// the mark LoadSnapshotMark returned) is re-applied through ApplyBatch
+// in log order. It returns the number of records applied and the LSN
+// the log continues from (pass it to oplog.OpenConfig).
 func (s *Store) ReplayOplog(base string, after uint64) (applied int, next uint64, err error) {
-	next, applied, err = oplog.Scan(base, after, func(r oplog.Record) error {
-		switch r.Op {
-		case oplog.OpPut:
-			return s.Put(r.Key, r.Value)
-		case oplog.OpInsert:
-			return s.Insert(r.Key, r.Value)
-		case oplog.OpDelete:
-			s.Delete(r.Key)
-			return nil
-		default:
-			return fmt.Errorf("grouphash: oplog record %d has unknown op %d", r.LSN, r.Op)
-		}
-	})
-	if err != nil {
-		return applied, next, fmt.Errorf("grouphash: oplog replay: %w", err)
-	}
-	if next <= after {
-		next = after + 1
-	}
-	return applied, next, nil
+	return oplog.Replay(s, base, after)
 }
 
 // String describes the store.

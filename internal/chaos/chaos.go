@@ -87,7 +87,7 @@ func Run(cfg Config) error {
 	model := append(append([]*worker{}, workers...), filler)
 
 	for gen, ev := range cfg.Events {
-		eng, lg, replayed, err := recoverEngine(spec, img, base, lcfg)
+		eng, lg, rec, err := engine.Restart(spec, img, base, lcfg)
 		if err != nil {
 			return fmt.Errorf("gen %d: recovery: %w", gen, err)
 		}
@@ -105,14 +105,14 @@ func Run(cfg Config) error {
 		if err := verify(eng, model, gen, prev); err != nil {
 			return err
 		}
-		logf("chaos: gen %d verified (items=%d, replayed=%d) → %s", gen, eng.Len(), replayed, ev)
+		logf("chaos: gen %d verified (items=%d, replayed=%d) → %s", gen, eng.Len(), rec.Replayed, ev)
 
 		if err := serveGeneration(cfg, eng, lg, img, ev, workers, filler, rng, &fsyncFault, logf); err != nil {
 			return fmt.Errorf("gen %d (%s): %w", gen, ev, err)
 		}
 	}
 
-	eng, lg, _, err := recoverEngine(spec, img, base, lcfg)
+	eng, lg, _, err := engine.Restart(spec, img, base, lcfg)
 	if err != nil {
 		return fmt.Errorf("final recovery: %w", err)
 	}
@@ -238,35 +238,6 @@ func serveGeneration(cfg Config, eng engine.Engine, lg *oplog.Log, img string, e
 	werrMu.Lock()
 	defer werrMu.Unlock()
 	return werr
-}
-
-// recoverEngine is process-restart recovery through the engine seam:
-// load the newest image if one exists (else a fresh engine), replay
-// the oplog suffix past the image's mark, and continue the log at the
-// next LSN.
-func recoverEngine(spec engine.Spec, img, base string, lcfg oplog.Config) (engine.Engine, *oplog.Log, int, error) {
-	var eng engine.Engine
-	var mark uint64
-	if _, err := os.Stat(img); err == nil {
-		eng, mark, err = engine.Load(spec, img)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("loading image: %w", err)
-		}
-	} else {
-		eng, err = engine.New(spec)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-	}
-	applied, next, err := eng.ReplayOplog(base, mark)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("replay: %w", err)
-	}
-	lg, err := oplog.OpenConfig(base, next, lcfg)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("reopening oplog: %w", err)
-	}
-	return eng, lg, applied, nil
 }
 
 // tearTail abandons the log the way a power failure would: the active

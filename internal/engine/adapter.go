@@ -10,7 +10,6 @@ import (
 	"grouphash/internal/layout"
 	"grouphash/internal/linearprobe"
 	"grouphash/internal/native"
-	"grouphash/internal/oplog"
 	"grouphash/internal/pathhash"
 	"grouphash/internal/pfht"
 	"grouphash/internal/pmfs"
@@ -174,56 +173,6 @@ func (e *tableEngine) Get(k layout.Key) (uint64, bool) {
 	return e.tab.Lookup(k)
 }
 
-// MGet looks every key up under one read-lock acquisition.
-func (e *tableEngine) MGet(keys []layout.Key, vals []uint64, found []bool) {
-	if len(keys) != len(vals) || len(keys) != len(found) {
-		panic("engine: MGet len(keys) != len(vals) or len(found)")
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for i := range keys {
-		vals[i], found[i] = e.tab.Lookup(keys[i])
-	}
-}
-
-// putLocked is the upsert shared by Put and ApplyBatch:
-// update in place when the key exists, insert otherwise — the façade's
-// Put semantics. The explicit ValidKey check keeps the invalid-key
-// answer O(1) (and identical across schemes) instead of depending on
-// each scheme's probe loop to fail to match.
-func (e *tableEngine) putLocked(k layout.Key, v uint64) (existed bool, err error) {
-	if !e.l.ValidKey(k) {
-		return false, hashtab.ErrInvalidKey
-	}
-	if e.tab.Update(k, v) {
-		return true, nil
-	}
-	return false, e.tab.Insert(k, v)
-}
-
-// Put upserts under the writer lock (see putLocked).
-func (e *tableEngine) Put(k layout.Key, v uint64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, err := e.putLocked(k, v)
-	return err
-}
-
-// Insert is the scheme's own insert under the writer lock: no
-// existing-key check, duplicates allowed.
-func (e *tableEngine) Insert(k layout.Key, v uint64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.tab.Insert(k, v)
-}
-
-// Delete removes one item stored under k under the writer lock.
-func (e *tableEngine) Delete(k layout.Key) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.tab.Delete(k)
-}
-
 // ApplyBatch is the sequential fallback for schemes without a striped
 // batch path: one writer-lock acquisition for the whole burst, ops in
 // submission order, one committed call at the end — the same outcome
@@ -244,12 +193,21 @@ func (e *tableEngine) ApplyBatch(ops []core.BatchOp, out []core.BatchResult, _ *
 		op := &ops[i]
 		switch op.Kind {
 		case core.BatchPut:
-			existed, err := e.putLocked(op.Key, op.Value)
-			if err != nil {
+			// Upsert: update in place when the key exists, insert
+			// otherwise. The explicit ValidKey check keeps the
+			// invalid-key answer O(1) (and identical across schemes)
+			// instead of depending on each scheme's probe loop to fail
+			// to match.
+			if !e.l.ValidKey(op.Key) {
+				out[i].Err = hashtab.ErrInvalidKey
+				continue
+			}
+			if e.tab.Update(op.Key, op.Value) {
+				out[i].Found = true
+			} else if err := e.tab.Insert(op.Key, op.Value); err != nil {
 				out[i].Err = err
 				continue
 			}
-			out[i].Found = existed
 			applied = append(applied, i)
 		case core.BatchInsert:
 			if err := e.tab.Insert(op.Key, op.Value); err != nil {
@@ -331,15 +289,6 @@ func (e *tableEngine) RegisterMetrics(r *stats.Registry, prefix string) {
 	r.RegisterGauge(p+"load_factor", "", "Items / cells.", e.LoadFactor)
 }
 
-// Snapshot writes a pmfs image with oplog mark 0 to path.
-func (e *tableEngine) Snapshot(path string) error {
-	write, err := e.SnapshotWriterAt(func() (uint64, error) { return 0, nil })
-	if err != nil {
-		return err
-	}
-	return write(path)
-}
-
 // SnapshotWriterAt copies the image and calls cut under the writer
 // lock, then returns a writer that saves the copy outside it.
 func (e *tableEngine) SnapshotWriterAt(cut func() (uint64, error)) (func(path string) error, error) {
@@ -355,29 +304,4 @@ func (e *tableEngine) SnapshotWriterAt(cut func() (uint64, error)) (func(path st
 	return func(path string) error {
 		return pmfs.SaveImage(path, img, allocated, root, mark)
 	}, nil
-}
-
-// ReplayOplog re-applies every record past after through Put, Insert
-// and Delete, one writer-lock acquisition per record.
-func (e *tableEngine) ReplayOplog(base string, after uint64) (applied int, next uint64, err error) {
-	next, applied, err = oplog.Scan(base, after, func(r oplog.Record) error {
-		switch r.Op {
-		case oplog.OpPut:
-			return e.Put(r.Key, r.Value)
-		case oplog.OpInsert:
-			return e.Insert(r.Key, r.Value)
-		case oplog.OpDelete:
-			e.Delete(r.Key)
-			return nil
-		default:
-			return fmt.Errorf("engine: oplog record %d has unknown op %d", r.LSN, r.Op)
-		}
-	})
-	if err != nil {
-		return applied, next, fmt.Errorf("engine: oplog replay: %w", err)
-	}
-	if next <= after {
-		next = after + 1
-	}
-	return applied, next, nil
 }

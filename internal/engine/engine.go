@@ -15,23 +15,31 @@
 // Fig. 2/6 comparisons end-to-end over the wire.
 //
 // The interface is also a CONTRACT, pinned by the conformance suite
-// (conformance_test.go) running identically against all five engines:
-// the zero key is rejected under the 8-byte layout, Put upserts while
-// Insert allows duplicates (Algorithm-1 semantics), delete-absent
-// returns false without touching the persisted count, LoadFactor never
-// divides by zero, snapshots round-trip, and recovery is idempotent.
-// Where a scheme historically disagreed with the façade, the scheme
-// was fixed — not the suite.
+// (conformance_test.go) running identically against all five engines.
+// Every mutation goes through ApplyBatch, whose op kinds carry the
+// façade's semantics: the zero key is rejected under the 8-byte
+// layout, BatchPut upserts while BatchInsert allows duplicates
+// (Algorithm-1 semantics), a BatchDelete of an absent key reports
+// Found=false without touching the persisted count, LoadFactor never
+// divides by zero, snapshots round-trip, an oplog replays to the state
+// its ops produced live, and recovery is idempotent. Where a scheme
+// historically disagreed with the façade, the scheme was fixed — not
+// the suite.
+//
+// Restart is the one process-restart sequence on top of the seam:
+// image, replay through ApplyBatch, reopened log.
 package engine
 
 import (
 	"fmt"
+	"os"
 	"strings"
 
 	"grouphash"
 	"grouphash/internal/core"
 	"grouphash/internal/hashtab"
 	"grouphash/internal/layout"
+	"grouphash/internal/oplog"
 	"grouphash/internal/stats"
 )
 
@@ -40,24 +48,14 @@ import (
 // carries the commit-hook contract the oplog depends on (committed
 // runs inside the engine's own critical section, so an applied
 // mutation and its log append are atomic against Quiesce and the
-// snapshot cut); it is the only way the server mutates an engine.
+// snapshot cut); it is the only way to mutate an engine, for the
+// server's writes and start-up replay (oplog.Replay) alike.
 type Engine interface {
 	// Name identifies the engine (the -engine flag value).
 	Name() string
 
 	// Get returns the value stored under k.
 	Get(k layout.Key) (uint64, bool)
-	// MGet looks up many keys, filling the parallel slices (all three
-	// must have equal length).
-	MGet(keys []layout.Key, vals []uint64, found []bool)
-	// Put upserts: overwrite in place when k exists, insert otherwise.
-	Put(k layout.Key, v uint64) error
-	// Insert stores a new item with Algorithm-1 semantics: no
-	// existing-key check, duplicates allowed.
-	Insert(k layout.Key, v uint64) error
-	// Delete removes one item stored under k, reporting whether one
-	// was present. Deleting an absent key must not touch the count.
-	Delete(k layout.Key) bool
 
 	// ApplyBatch applies a burst of mutations, writing per-op outcomes
 	// into out (len(out) must equal len(ops)). Same-key ops apply in
@@ -91,16 +89,11 @@ type Engine interface {
 	// tracks) into r under prefix (e.g. "gh" → gh_store_items).
 	RegisterMetrics(r *stats.Registry, prefix string)
 
-	// Snapshot persists a consistent pmfs image to path;
-	// SnapshotWriterAt captures the image under writer exclusion —
-	// calling cut() inside the window to fix the oplog mark — and
-	// returns a deferred writer, so file I/O happens after writers
-	// resume. Reopen with Load.
-	Snapshot(path string) error
+	// SnapshotWriterAt captures a consistent pmfs image under writer
+	// exclusion — calling cut() inside the window to fix the oplog
+	// mark — and returns a deferred writer, so file I/O happens after
+	// writers resume. Reopen with Load.
 	SnapshotWriterAt(cut func() (uint64, error)) (func(path string) error, error)
-	// ReplayOplog re-applies every oplog record past `after` and
-	// returns (ops applied, next LSN to continue the log from).
-	ReplayOplog(base string, after uint64) (applied int, next uint64, err error)
 }
 
 // The flagship implements the interface directly — any signature
@@ -197,6 +190,50 @@ func Load(spec Spec, path string) (Engine, uint64, error) {
 		return grouphash.LoadSnapshotMark(path, true)
 	}
 	return loadAdapter(spec, path)
+}
+
+// Recovery reports what Restart found on disk.
+type Recovery struct {
+	// Loaded reports that an image was loaded; Items is its item count
+	// and Mark its oplog mark (both 0 without an image).
+	Loaded bool
+	Items  uint64
+	Mark   uint64
+	// Replayed is the number of log records applied past Mark.
+	Replayed int
+}
+
+// Restart is process-restart recovery: load image if the file exists
+// (else build a fresh engine with New), replay the log based at
+// logBase past the image's mark through oplog.Replay, and open the log
+// to continue at the LSN after the last record. An empty image or
+// logBase means none; without a log Restart returns a nil *oplog.Log.
+// Replay can leave an online expansion migrating, so settle the engine
+// with an empty Quiesce before auditing it offline.
+func Restart(spec Spec, image, logBase string, cfg oplog.Config) (Engine, *oplog.Log, Recovery, error) {
+	var rec Recovery
+	var e Engine
+	var err error
+	if _, statErr := os.Stat(image); statErr == nil {
+		if e, rec.Mark, err = Load(spec, image); err != nil {
+			return nil, nil, rec, fmt.Errorf("engine: loading image %s: %w", image, err)
+		}
+		rec.Loaded, rec.Items = true, e.Len()
+	} else if e, err = New(spec); err != nil {
+		return nil, nil, rec, err
+	}
+	if logBase == "" {
+		return e, nil, rec, nil
+	}
+	var next uint64
+	if rec.Replayed, next, err = oplog.Replay(e, logBase, rec.Mark); err != nil {
+		return nil, nil, rec, fmt.Errorf("engine: replaying oplog %s: %w", logBase, err)
+	}
+	lg, err := oplog.OpenConfig(logBase, next, cfg)
+	if err != nil {
+		return nil, nil, rec, fmt.Errorf("engine: opening oplog %s: %w", logBase, err)
+	}
+	return e, lg, rec, nil
 }
 
 // safeLoadFactor is Len/Capacity with the divide-by-zero guarded: an

@@ -13,7 +13,7 @@ import (
 // TestEngineConcurrentOracle is the flagship property test ported to
 // the engine seam and pointed at the adapter-wrapped comparison
 // schemes: several workers drive randomised single-op and batch
-// streams on disjoint key ranges, each against its own map oracle,
+// streams (a single op is a one-op ApplyBatch) on disjoint key ranges, each against its own map oracle,
 // while a chaos goroutine hammers the read-only surface (Len,
 // LoadFactor, Quiesce, CheckConsistency). The adapter serialises the
 // schemes behind a mutex, so what this proves under -race is that the
@@ -132,26 +132,20 @@ func TestEngineConcurrentOracle(t *testing.T) {
 										oracle[bop.Key.Lo] = bop.Value
 									}
 								}
-							case 1: // MGet sweep
-								keys := make([]layout.Key, 8)
-								for i := range keys {
-									keys[i] = key(w, rng.Uint64()%span)
-								}
-								vals := make([]uint64, len(keys))
-								oks := make([]bool, len(keys))
-								eng.MGet(keys, vals, oks)
-								for i, k := range keys {
+							case 1: // Get sweep
+								for i := 0; i < 8; i++ {
+									k := key(w, rng.Uint64()%span)
 									want, present := oracle[k.Lo]
-									if oks[i] != present || (present && vals[i] != want) {
-										t.Errorf("MGet(%x) = (%d, %v), oracle (%d, %v)",
-											k.Lo, vals[i], oks[i], want, present)
+									if got, ok := eng.Get(k); ok != present || (present && got != want) {
+										t.Errorf("Get(%x) = (%d, %v), oracle (%d, %v)",
+											k.Lo, got, ok, want, present)
 										return
 									}
 								}
 							case 2, 3: // Delete
 								k := key(w, rng.Uint64()%span)
 								_, present := oracle[k.Lo]
-								if ok := eng.Delete(k); ok != present {
+								if ok := del(eng, k); ok != present {
 									t.Errorf("Delete(%x) = %v, oracle present=%v", k.Lo, ok, present)
 									return
 								}
@@ -159,7 +153,7 @@ func TestEngineConcurrentOracle(t *testing.T) {
 							default: // Put (upsert)
 								k := key(w, rng.Uint64()%span)
 								v := rng.Uint64()
-								if err := eng.Put(k, v); err != nil {
+								if err := put(eng, k, v); err != nil {
 									t.Errorf("Put(%x): %v", k.Lo, err)
 									return
 								}
@@ -179,7 +173,7 @@ func TestEngineConcurrentOracle(t *testing.T) {
 				// Persistence leg: snapshot, reload, re-verify, continue the
 				// next phase on the reloaded engine.
 				img := filepath.Join(dir, "phase.pmfs")
-				if err := eng.Snapshot(img); err != nil {
+				if err := snapshot(eng, img); err != nil {
 					t.Fatalf("phase %d: snapshot: %v", phase, err)
 				}
 				re, _, err := Load(spec, img)

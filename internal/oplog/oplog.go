@@ -10,9 +10,10 @@
 // oplog covers the tail. Each image records the log sequence number
 // (LSN) of the last operation it contains (its "oplog mark"), and
 // recovery is: load the newest image, then replay every log record
-// with a higher LSN, in LSN order. Snapshot + log tail = complete
-// state; the log is rotated at every snapshot and the fully-covered
-// segments are deleted once the image is durable.
+// with a higher LSN, in LSN order (Replay, through the store's batch
+// path). Snapshot + log tail = complete state; the log is rotated at
+// every snapshot and the fully-covered segments are deleted once the
+// image is durable.
 //
 // # Group commit
 //

@@ -126,7 +126,7 @@ func newBatchState(s *Server) *batchState {
 			recs := ba.recs[:0]
 			for _, i := range applied {
 				op := &ba.ops[i]
-				recs = append(recs, oplog.Record{Op: oplogOpFor(op.Kind), Key: op.Key, Value: op.Value})
+				recs = append(recs, oplog.Record{Op: oplog.OpFor(op.Kind), Key: op.Key, Value: op.Value})
 			}
 			first := s.cfg.Oplog.AppendBatch(recs)
 			for j, i := range applied {
@@ -136,17 +136,6 @@ func newBatchState(s *Server) *batchState {
 		}
 	}
 	return ba
-}
-
-func oplogOpFor(k grouphash.BatchKind) oplog.Op {
-	switch k {
-	case grouphash.BatchPut:
-		return oplog.OpPut
-	case grouphash.BatchInsert:
-		return oplog.OpInsert
-	default:
-		return oplog.OpDelete
-	}
 }
 
 // stage queues one mutation for the next apply, remembering where its

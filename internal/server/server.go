@@ -8,7 +8,7 @@
 // (internal/wire), buffered framing with a flush-before-blocking-read
 // rule so pipelined batches are answered in one writev, the concurrent
 // native-backend store underneath (per-group striped locks, seqlock
-// reads), and the façade's Quiesce/Snapshot hooks for consistent
+// reads), and the engine's SnapshotWriterAt capture for consistent
 // images while serving.
 //
 // Batching: mutations reach the store only through its stripe-grouped
@@ -35,12 +35,13 @@
 // the log: each image records the LSN it covers, the log rotates at
 // the capture point (under a full-store quiesce, so mark and image
 // always agree), and fully-covered segments are deleted once the
-// image is durable. Recovery is LoadSnapshotMark +
-// Store.ReplayOplog: after any crash — power failure included — every
-// acked write is present exactly once. Without a Config.Oplog the
-// server degrades to the old cache-with-snapshots mode, where a power
-// failure loses acked writes since the last completed image. See
-// DESIGN.md §6.
+// image is durable. Recovery is engine.Restart — load the image,
+// oplog.Replay the records past its mark through ApplyBatch, reopen
+// the log: after any crash — power failure included — every acked
+// write is present exactly once. Without a Config.Oplog the server
+// degrades to the old cache-with-snapshots mode: the same capture with
+// mark 0, and a power failure loses acked writes since the last
+// completed image. See DESIGN.md §6.
 //
 // Drain contract: once Drain begins, already-buffered write requests
 // are answered with StatusDraining instead of being applied — the
@@ -457,52 +458,50 @@ func (s *Server) snapshotLoop() {
 // crash landed between the snapshot's durable steps.
 var errAborted = errors.New("server: aborted mid-snapshot")
 
-// snapshot saves one image. With an oplog the capture runs under the
-// store's own writer-exclusion window (SnapshotWriterAt quiesces every
-// stripe): read the log's high-water mark M, rotate the log, capture
-// the image — all with writers parked on their stripe locks — then
-// write the image outside the window and finally delete the log
-// segments the image covers. A crash between any two of those durable
-// steps is safe: the rotation alone changes nothing replay-visible,
-// an image that never lands leaves the old image + full log, and a
-// missing truncation leaves covered segments that replay skips by LSN.
+// snapshot saves one image. The capture runs under the store's own
+// writer-exclusion window (SnapshotWriterAt quiesces every stripe).
+// With an oplog the cut reads the log's high-water mark M and rotates
+// the log there, with writers parked on their stripe locks; the image
+// is written outside the window and finally the log segments it covers
+// are deleted. A crash between any two of those durable steps is safe:
+// the rotation alone changes nothing replay-visible, an image that
+// never lands leaves the old image + full log, and a missing truncation
+// leaves covered segments that replay skips by LSN. Without an oplog
+// the mark is 0.
 func (s *Server) snapshot(kind string) error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	start := time.Now()
-	if s.cfg.Oplog == nil {
-		if err := s.cfg.Engine.Snapshot(s.cfg.SnapshotPath); err != nil {
-			return err
-		}
-		s.snapshots.Inc()
-		s.snapDur.Observe(uint64(time.Since(start)))
-		s.logf("server: %s snapshot (%d items) in %s", kind, s.cfg.Engine.Len(), time.Since(start).Round(time.Millisecond))
-		return nil
-	}
+	lg := s.cfg.Oplog
 	var mark uint64
 	write, err := s.cfg.Engine.SnapshotWriterAt(func() (uint64, error) {
+		if lg == nil {
+			return 0, nil
+		}
 		// All stripes are held here: no (apply, append) pair is in
 		// flight, so the log's last LSN is exactly the image's content.
-		mark = s.cfg.Oplog.LastLSN()
-		return mark, s.cfg.Oplog.Rotate()
+		mark = lg.LastLSN()
+		return mark, lg.Rotate()
 	})
 	if err != nil {
 		return err
 	}
 	if s.aborted.Load() {
-		return errAborted // crash point: rotated, image never written
+		return errAborted // crash point: captured (and rotated), image never written
 	}
 	if err := write(s.cfg.SnapshotPath); err != nil {
 		return err
 	}
 	s.snapshots.Inc()
 	s.snapDur.Observe(uint64(time.Since(start)))
-	if s.aborted.Load() {
-		return errAborted // crash point: image durable, log not yet truncated
-	}
-	if err := s.cfg.Oplog.TruncateThrough(mark); err != nil {
-		// Non-fatal: covered segments merely linger; replay skips them.
-		s.logf("server: oplog truncation after %s snapshot: %v", kind, err)
+	if lg != nil {
+		if s.aborted.Load() {
+			return errAborted // crash point: image durable, log not yet truncated
+		}
+		if err := lg.TruncateThrough(mark); err != nil {
+			// Non-fatal: covered segments merely linger; replay skips them.
+			s.logf("server: oplog truncation after %s snapshot: %v", kind, err)
+		}
 	}
 	s.logf("server: %s snapshot (%d items, oplog mark %d) in %s",
 		kind, s.cfg.Engine.Len(), mark, time.Since(start).Round(time.Millisecond))
