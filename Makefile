@@ -177,21 +177,24 @@ fuzz:
 	$(GO) test -fuzz=FuzzTableOps -fuzztime=30s ./internal/core
 	$(GO) test -fuzz=FuzzCrashRecovery -fuzztime=30s ./internal/core
 
-# fuzz-smoke is the hostile-input gate over the two surfaces that parse
-# bytes an attacker (or a crash) controls — the wire protocol and the
-# on-disk oplog — plus the façade's randomised oracle property test
-# under the race detector. ~30s per fuzz target; part of `make race`.
+# fuzz-smoke is the hostile-input gate over the three surfaces that
+# parse bytes an attacker (or a crash) controls — the wire protocol,
+# the on-disk oplog and the pmfs snapshot image — plus the façade's
+# randomised oracle property test under the race detector. ~30s per
+# fuzz target; part of `make race`.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzOplogScan -fuzztime=30s ./internal/oplog
+	$(GO) test -fuzz=FuzzLoadImage -fuzztime=30s ./internal/pmfs
 	$(GO) test -race -run TestConcurrentPropertyOracle -count=1 .
 
 # cover enforces statement-coverage floors on the packages whose whole
 # job is being provably correct: the metrics/exposition layer, the wire
-# codec and the operation log. Floors sit a few points under current
-# coverage so honest refactors pass but untested new code fails.
+# codec, the operation log and the snapshot image format. Floors sit a
+# few points under current coverage so honest refactors pass but
+# untested new code fails.
 cover:
-	@for spec in internal/stats:90 internal/wire:92 internal/oplog:78; do \
+	@for spec in internal/stats:90 internal/wire:92 internal/oplog:78 internal/pmfs:83; do \
 		pkg=$${spec%:*}; floor=$${spec#*:}; \
 		pct=$$($(GO) test -cover ./$$pkg | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
 		echo "$$pkg: $$pct% (floor $$floor%)"; \

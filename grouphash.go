@@ -100,7 +100,8 @@ type Options struct {
 	// until its own stripe has moved. Unless DisableExpand is set.
 	Concurrent bool
 	// Memory overrides the backing memory. Nil means a fresh native
-	// (process-memory) backend sized ~3× the cell footprint.
+	// (process-memory) backend sized to the header and the initial
+	// cell arrays; it grows page by page as the table expands.
 	Memory hashtab.Mem
 }
 
@@ -138,7 +139,7 @@ func New(opts Options) (*Store, error) {
 	mem := opts.Memory
 	if mem == nil {
 		cell := layout.ForKeySize(opts.KeyBytes).CellSize()
-		mem = native.New(l1*2*cell*3 + (1 << 16))
+		mem = native.New(core.HeaderBytes + l1*2*cell)
 	}
 	if opts.Concurrent && opts.TwoChoice {
 		return nil, fmt.Errorf("grouphash: Concurrent and TwoChoice are mutually exclusive")
@@ -501,23 +502,17 @@ func (s *Store) Quiesce(fn func()) {
 	fn()
 }
 
-// imager is the optional memory-backend surface Snapshot needs: a
-// consistent byte image of the allocated region plus the allocator
-// watermark. The native backend implements it.
-type imager interface {
-	Image() []byte
-	Allocated() uint64
-}
-
 // Snapshot atomically persists the store's entire memory image to a
 // pmfs image file at path, with oplog mark 0: writers are quiesced,
-// the allocated region is copied, and the copy is written crash-safely
+// the live pages are copied, and the copy is written crash-safely
 // (temp file + fsync + rename + directory fsync). The resulting file
-// reopens with LoadSnapshot. Supported for native-backed stores (the default) and
-// simulated stores; other Memory implementations return an error.
+// reopens with LoadSnapshot. Supported for native-backed stores (the
+// default) and simulated stores; other Memory implementations return
+// an error.
 //
-// The pause is O(allocated bytes) for the in-memory copy only — file
-// I/O happens after the writers resume.
+// The pause is O(live bytes) for the in-memory copy only — pages that
+// expansion freed are skipped, and the checksum and file I/O happen
+// after the writers resume.
 func (s *Store) Snapshot(path string) error {
 	write, err := s.SnapshotWriterAt(func() (uint64, error) { return 0, nil })
 	if err != nil {
@@ -538,42 +533,35 @@ func (s *Store) Snapshot(path string) error {
 // the segment there, so sealed segments and image agree too. cut must
 // not call back into the store; a cut error aborts the capture.
 func (s *Store) SnapshotWriterAt(cut func() (uint64, error)) (func(path string) error, error) {
-	var img []byte
-	var allocated uint64
-	var mark uint64
-	var cutErr error
+	var capture func() *pmfs.Image
 	switch m := s.mem.(type) {
 	case *memsim.Memory:
-		s.Quiesce(func() {
-			if mark, cutErr = cut(); cutErr != nil {
-				return
-			}
-			m.CleanShutdown()
-			img, allocated = m.Region().Image(), m.Allocated()
-		})
-	case imager:
-		s.Quiesce(func() {
-			if mark, cutErr = cut(); cutErr != nil {
-				return
-			}
-			img, allocated = m.Image(), m.Allocated()
-		})
+		capture = func() *pmfs.Image { return pmfs.Capture(m) }
+	case *native.Memory:
+		capture = m.Capture
 	default:
 		return nil, fmt.Errorf("grouphash: memory backend %T cannot be snapshotted", s.mem)
 	}
+	var img *pmfs.Image
+	var mark uint64
+	var cutErr error
+	s.Quiesce(func() {
+		if mark, cutErr = cut(); cutErr == nil {
+			img = capture()
+		}
+	})
 	if cutErr != nil {
 		return nil, cutErr
 	}
-	root := s.Header()
-	return func(path string) error {
-		return pmfs.SaveImage(path, img, allocated, root, mark)
-	}, nil
+	img.Root, img.Mark = s.Header(), mark
+	return func(path string) error { return pmfs.SaveImage(path, img) }, nil
 }
 
 // LoadSnapshot rebuilds a store from an image file written by
-// Snapshot, over a fresh native memory. Images are only ever written
-// from a quiesced table, so no recovery pass is needed; the store is
-// immediately serviceable.
+// Snapshot, over a fresh native memory that frees the image's freed
+// ranges again, so it holds the same pages as the store that wrote
+// it. Images are only ever written from a quiesced table, so no
+// recovery pass is needed; the store is immediately serviceable.
 func LoadSnapshot(path string, concurrent bool) (*Store, error) {
 	s, _, err := LoadSnapshotMark(path, concurrent)
 	return s, err
@@ -584,24 +572,23 @@ func LoadSnapshot(path string, concurrent bool) (*Store, error) {
 // replays the oplog from just past the mark (Store.ReplayOplog) to
 // reconstruct every acked write the image itself missed.
 func LoadSnapshotMark(path string, concurrent bool) (*Store, uint64, error) {
-	img, allocated, root, mark, err := pmfs.LoadImage(path)
+	img, err := pmfs.LoadImage(path)
 	if err != nil {
 		return nil, 0, err
 	}
 	// The root is a table header address only in images this package
 	// wrote; a comparison engine's image keeps a spec fingerprint there,
 	// which Open must not dereference.
-	if root%layout.WordSize != 0 || root > allocated || allocated-root < core.HeaderBytes {
+	if root := img.Root; root%layout.WordSize != 0 || root > img.Allocated || img.Allocated-root < core.HeaderBytes {
 		return nil, 0, fmt.Errorf("grouphash: image %s has no table header at its root %#x", path, root)
 	}
-	mem := native.New(uint64(len(img)))
-	mem.SetImage(img)
-	mem.SetAllocated(allocated)
-	s, err := Open(mem, root, concurrent)
+	mem := native.New(0)
+	mem.Restore(img)
+	s, err := Open(mem, img.Root, concurrent)
 	if err != nil {
 		return nil, 0, err
 	}
-	return s, mark, nil
+	return s, img.Mark, nil
 }
 
 // ReplayOplog replays the operation log based at base onto the store

@@ -3,10 +3,16 @@ package grouphash
 import (
 	"errors"
 	"math/rand"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"grouphash/internal/layout"
+	"grouphash/internal/pmfs"
+	"grouphash/internal/stats"
 )
 
 func TestStoreBasics(t *testing.T) {
@@ -406,6 +412,11 @@ func TestStoreGroupIndexOption(t *testing.T) {
 // a concurrent native store is snapshotted while writer goroutines are
 // live, and the image reopens with every pre-snapshot write present.
 func TestSnapshotRoundtrip(t *testing.T) {
+	t.Run("churn", testSnapshotUnderChurn)
+	t.Run("grown", testSnapshotGrown)
+}
+
+func testSnapshotUnderChurn(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/store.pmfs"
 	st, err := New(Options{Capacity: 1 << 12, Concurrent: true})
@@ -457,4 +468,116 @@ func TestSnapshotRoundtrip(t *testing.T) {
 	if err := re.Put(Key{Lo: 2_000_000}, 1); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// testSnapshotGrown snapshots a store grown from 2^10 to 2^18 items by
+// online expansion, whose retired generations were freed: the image
+// leaves their pages out, and the reload frees them again, so it holds
+// the same contents and the same memory.
+func testSnapshotGrown(t *testing.T) {
+	path := t.TempDir() + "/grown.pmfs"
+	st, err := New(Options{Capacity: 1 << 10, Concurrent: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1 << 18
+	fill(t, st, n)
+	if st.Expansions() < 6 {
+		t.Fatalf("%d expansions, want the store grown several times", st.Expansions())
+	}
+	if err := st.Snapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	re, err := LoadSnapshot(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Len() != n {
+		t.Fatalf("reloaded Len = %d, want %d", re.Len(), n)
+	}
+	for i := uint64(1); i <= n; i++ {
+		if v, ok := re.Get(Key{Lo: i}); !ok || v != i {
+			t.Fatalf("key %d = (%d, %v) after reload", i, v, ok)
+		}
+	}
+	if bad := re.CheckConsistency(); len(bad) != 0 {
+		t.Fatalf("reloaded store inconsistent: %v", bad)
+	}
+	held, reheld := allocatedGauge(t, st), allocatedGauge(t, re)
+	if held != reheld {
+		t.Fatalf("gauge %d after reload, %d before", reheld, held)
+	}
+	img, err := pmfs.LoadImage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overhead := pmfs.HeaderBytes + pmfs.ExtentBytes*uint64(len(img.Freed)) + pmfs.CRCBytes
+	if size := uint64(fi.Size()); size > held+overhead {
+		t.Fatalf("image is %d bytes, more than the %d held plus %d of header, extents and checksum", size, held, overhead)
+	}
+}
+
+// fill inserts keys 1..n (value = key) in 4096-item batches.
+func fill(t *testing.T, st *Store, n uint64) {
+	t.Helper()
+	items := make([]Item, 0, 4096)
+	for i := uint64(1); i <= n; i++ {
+		items = append(items, Item{Key: Key{Lo: i}, Value: i})
+		if len(items) == cap(items) || i == n {
+			if _, err := st.InsertBatch(items); err != nil {
+				t.Fatal(err)
+			}
+			items = items[:0]
+		}
+	}
+	st.Quiesce(func() {}) // settle any expansion still migrating
+}
+
+// allocatedGauge scrapes the store's gh_mem_allocated_bytes gauge.
+func allocatedGauge(t *testing.T, st *Store) uint64 {
+	t.Helper()
+	r := stats.NewRegistry()
+	st.RegisterSubstrateMetrics(r, "gh")
+	var text strings.Builder
+	if err := r.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := stats.ValidateExposition(strings.NewReader(text.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := fams["gh_mem_allocated_bytes"].Sample("")
+	if !ok {
+		t.Fatal("gh_mem_allocated_bytes missing")
+	}
+	return uint64(v)
+}
+
+// TestGrownStoreHoldsLiveArrays pins where a grown store's memory
+// goes: after online expansion from 2^10 to 2^20 items, the retired
+// generations are freed, so both the allocated-bytes gauge and the Go
+// heap stay within 1.25x of the live cell arrays. Keeping every
+// generation would hold about twice that.
+func TestGrownStoreHoldsLiveArrays(t *testing.T) {
+	st, err := New(Options{Capacity: 1 << 10, Concurrent: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, st, 1<<20)
+	live := st.Capacity() * layout.ForKeySize(8).CellSize()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	gauge := allocatedGauge(t, st)
+	t.Logf("live arrays %d MiB, gauge %d MiB, heap %d MiB", live>>20, gauge>>20, ms.HeapAlloc>>20)
+	for name, got := range map[string]uint64{"gauge": gauge, "HeapAlloc": ms.HeapAlloc} {
+		if float64(got) > 1.25*float64(live) {
+			t.Errorf("%s = %d bytes, more than 1.25x the %d bytes of live arrays", name, got, live)
+		}
+	}
+	runtime.KeepAlive(st)
 }

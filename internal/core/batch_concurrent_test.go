@@ -7,6 +7,7 @@ import (
 	"grouphash/internal/hashtab"
 	"grouphash/internal/layout"
 	"grouphash/internal/native"
+	"grouphash/internal/pmfs"
 )
 
 func newBatchFixture(t *testing.T, cells, gsz uint64, stripes int) (*native.Memory, *Table, *Concurrent) {
@@ -166,16 +167,15 @@ func TestApplyBatchCrashAtRunBoundaries(t *testing.T) {
 	}
 
 	type capture struct {
-		img       []byte
-		allocated uint64
-		byRun     [][]int // applied op indices of runs committed so far
+		img   *pmfs.Image
+		byRun [][]int // applied op indices of runs committed so far
 	}
 	var captures []capture
 	var runs [][]int
 	c.hookBatchRunCommitted = func(si int) {
 		byRun := make([][]int, len(runs))
 		copy(byRun, runs)
-		captures = append(captures, capture{mem.Image(), mem.Allocated(), byRun})
+		captures = append(captures, capture{mem.Capture(), byRun})
 	}
 	c.ApplyBatch(ops, out, nil, func(applied []int) {
 		runs = append(runs, append([]int(nil), applied...))
@@ -190,7 +190,7 @@ func TestApplyBatchCrashAtRunBoundaries(t *testing.T) {
 	}
 
 	for ci, cap := range captures {
-		re := reopenImage(t, cap.img, cap.allocated, hdr)
+		re := reopenImage(t, cap.img, hdr)
 		committed := make(map[uint64]bool)
 		for _, run := range cap.byRun {
 			for _, idx := range run {

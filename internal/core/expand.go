@@ -32,10 +32,10 @@ import (
 // On backends exposing hashtab.Reclaimer the arrays of a failed rehash
 // attempt are returned to the allocator before the next doubling is
 // tried, so a retried expansion's footprint is bounded by its final
-// (successful) attempt rather than the sum of all attempts. Backends
-// without reclaim (memsim's fixed region) keep the abandoned arrays,
-// which mirrors how a PMFS file would be grown in practice
-// (allocate-new, switch, free-old).
+// (successful) attempt rather than the sum of all attempts, and the
+// commit frees the arrays it replaced (allocate-new, switch, free-old),
+// so a grown table holds one generation of cells. Backends without
+// reclaim (memsim's fixed region) keep both.
 //
 // The rehash itself is parallelised on concurrent-read-safe backends;
 // see rehashInto.
@@ -259,9 +259,14 @@ func (t *Table) placeRehash(nvw *view, k layout.Key, v uint64, winBase uint64, c
 
 // commitRoots publishes the new view: its roots go to the inactive
 // header slot (persisted), then the 8-byte slot word flips atomically —
-// the durable commit point — and finally the in-DRAM view pointer is
-// swapped so subsequent operations address the new arrays.
+// the durable commit point — and the in-DRAM view pointer is swapped so
+// subsequent operations address the new arrays. Finally the replaced
+// view is retired. Nothing writes it again: sequential callers own the
+// table, and the online flip holds every stripe. A seqlock reader still
+// probing it reads zeros and retries, because the stripe locks the flip
+// took moved its version.
 func (t *Table) commitRoots(nvw *view) {
+	old := t.cur()
 	slotAddr := t.hdr + hdrSlot*layout.WordSize
 	cur := t.mem.Read8(slotAddr)
 	next := 1 - cur
@@ -276,10 +281,20 @@ func (t *Table) commitRoots(nvw *view) {
 	t.mem.Persist(t.hdr+base*layout.WordSize, 3*layout.WordSize)
 	t.mem.AtomicWrite8(slotAddr, next)
 	t.mem.Persist(slotAddr, layout.WordSize)
-	if t.cur().occ != nil {
+	if old.occ != nil {
 		nvw.buildOcc(t.gsz) // rebuild the volatile index for the new arrays
 	}
 	t.vp.Store(nvw)
+	t.retire(old)
+}
+
+// retire frees a view's cell arrays on reclaiming backends.
+func (t *Table) retire(vw *view) {
+	if rec, ok := t.mem.(hashtab.Reclaimer); ok {
+		for _, cells := range [2]hashtab.Cells{vw.tab1, vw.tab2} {
+			rec.Free(cells.Base, cells.N*t.l.CellSize())
+		}
+	}
 }
 
 // InsertAutoExpand inserts (k, v), expanding the table as needed. It is

@@ -53,14 +53,20 @@ import (
 // exactly once. The count word is maintained by writers only —
 // migration copies don't touch it — so it is correct under either root.
 //
+// Reclaim. The flip frees the old arrays (commitRoots), so a grown
+// table holds one generation. A reader that loaded the old view before
+// the flip may still be probing it: freed memory reads as zeros, and
+// the stripe locks finishExpansion took moved every stripe's version,
+// so the probe fails validation and retries against the new view.
+//
 // Pathological skew. If some item cannot be placed even in the doubled
 // arrays, the affected stripe stays unmigrated and finishExpansion
 // falls back to a stop-the-world rebuild under all stripe locks:
 // collect the authoritative items of every stripe (new arrays if
-// migrated, old otherwise), reclaim what the allocator allows, and
+// migrated, old otherwise), free the abandoned doubled arrays, and
 // re-place into successively doubled arrays, committing with the same
-// slot flip. Only if that tripling also fails do blocked writers see
-// ErrTableFull.
+// slot flip (which frees the old arrays too). Only if that tripling
+// also fails do blocked writers see ErrTableFull.
 
 // expState is one in-flight online expansion.
 type expState struct {
@@ -296,9 +302,9 @@ func (c *Concurrent) finishExpansion(e *expState) {
 // item set is frozen — new arrays for migrated stripes (they may hold
 // post-drain writes), old arrays for the rest (including partially
 // drained overflow stripes, whose new-array copies are simply
-// abandoned). Re-place everything into successively doubled arrays,
-// reclaiming failed attempts where the allocator allows, and commit
-// with the usual slot flip.
+// abandoned). Free the abandoned doubled arrays, re-place everything
+// into successively doubled arrays, reclaiming failed attempts where
+// the allocator allows, and commit with the usual slot flip.
 func (c *Concurrent) fallbackRebuild(e *expState) {
 	c.fallbacks.Add(1)
 	t := c.t
@@ -319,6 +325,7 @@ func (c *Concurrent) fallbackRebuild(e *expState) {
 			}
 		}
 	}
+	t.retire(e.nvw)
 	seed := t.mem.Read8(t.hdr + hdrSeed*layout.WordSize)
 	rec, canReclaim := t.mem.(hashtab.Reclaimer)
 	newCells := e.nvw.tab1.N * 2

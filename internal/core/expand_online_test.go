@@ -11,6 +11,7 @@ import (
 	"grouphash/internal/layout"
 	"grouphash/internal/memsim"
 	"grouphash/internal/native"
+	"grouphash/internal/pmfs"
 )
 
 // ---------------------------------------------------------------------
@@ -274,11 +275,10 @@ func TestOnlineExpansionQuiesceInteraction(t *testing.T) {
 
 // reopenImage rebuilds a table from a captured native memory image, as
 // a restart would: fresh memory, Open from the header, Recover.
-func reopenImage(t *testing.T, img []byte, allocated, hdr uint64) *Table {
+func reopenImage(t *testing.T, img *pmfs.Image, hdr uint64) *Table {
 	t.Helper()
-	mem := native.New(uint64(len(img)))
-	mem.SetImage(img)
-	mem.SetAllocated(allocated)
+	mem := native.New(0)
+	mem.Restore(img)
 	re, err := Open(mem, hdr)
 	if err != nil {
 		t.Fatal(err)
@@ -339,28 +339,24 @@ func TestOnlineExpansionCrashPoints(t *testing.T) {
 		t.Fatal("expansion ran before the test armed its hooks")
 	}
 
-	type capture struct {
-		img       []byte
-		allocated uint64
-	}
-	var mid, preFlip capture
+	var mid, preFlip *pmfs.Image
 	var once sync.Once
 	c.hookStripeDone = func(si int) {
 		// Snapshot after the first stripe drains: a mid-migration
 		// crash image (some stripes moved, most not, header unflipped).
-		once.Do(func() { mid = capture{mem.Image(), mem.Allocated()} })
+		once.Do(func() { mid = mem.Capture() })
 	}
 	c.hookPreFlip = func() {
 		// All stripes drained, new roots written to the inactive slot,
 		// the 8-byte flip NOT yet performed.
-		preFlip = capture{mem.Image(), mem.Allocated()}
+		preFlip = mem.Capture()
 	}
 
 	c.ensureExpansion()
 	c.WaitExpansion()
-	post := capture{mem.Image(), mem.Allocated()}
+	post := mem.Capture()
 
-	if mid.img == nil || preFlip.img == nil {
+	if mid == nil || preFlip == nil {
 		t.Fatal("expansion hooks did not fire")
 	}
 
@@ -369,9 +365,9 @@ func TestOnlineExpansionCrashPoints(t *testing.T) {
 	// so the old table recovers complete.
 	for _, tc := range []struct {
 		name string
-		c    capture
+		img  *pmfs.Image
 	}{{"mid-migration", mid}, {"pre-flip", preFlip}} {
-		re := reopenImage(t, tc.c.img, tc.c.allocated, tab.Header())
+		re := reopenImage(t, tc.img, tab.Header())
 		if re.Cells() != 256 {
 			t.Fatalf("%s: recovered cells = %d, want old 256", tc.name, re.Cells())
 		}
@@ -379,7 +375,7 @@ func TestOnlineExpansionCrashPoints(t *testing.T) {
 	}
 
 	// Post-flip: the new, doubled table is current and complete.
-	re := reopenImage(t, post.img, post.allocated, tab.Header())
+	re := reopenImage(t, post, tab.Header())
 	if re.Cells() != 512 {
 		t.Fatalf("post-flip: recovered cells = %d, want new 512", re.Cells())
 	}
@@ -392,8 +388,10 @@ func TestOnlineExpansionCrashPoints(t *testing.T) {
 // re-place them into doubled-again arrays. Writers blocked on the
 // expansion must then succeed against the rebuilt table.
 func TestOnlineExpansionFallbackRebuild(t *testing.T) {
-	mem := native.New(1 << 20)
-	tab, err := Create(mem, Options{Cells: 64, GroupSize: 8, Seed: 8})
+	// Generations of 2 MiB and up span whole pages, so freeing them
+	// drops pages, not just bytes.
+	mem := native.New(0)
+	tab, err := Create(mem, Options{Cells: 1 << 16, GroupSize: 8, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +410,7 @@ func TestOnlineExpansionFallbackRebuild(t *testing.T) {
 	var forceFail atomic.Bool
 	forceFail.Store(true)
 	c.hookMigrateFail = func(si int) bool { return forceFail.Load() }
-	c.ensureExpansion()
+	e := c.ensureExpansion()
 	c.WaitExpansion()
 	forceFail.Store(false)
 
@@ -424,6 +422,24 @@ func TestOnlineExpansionFallbackRebuild(t *testing.T) {
 	if tab.Cells() != cellsBefore*4 {
 		t.Fatalf("cells = %d, want %d after fallback", tab.Cells(), cellsBefore*4)
 	}
+	// Both the replaced arrays and the abandoned doubled ones were
+	// freed: every word reads zero, and all but the pages they share
+	// with live neighbours were dropped.
+	var retired uint64
+	for _, vw := range []*view{e.old, e.nvw} {
+		for _, cells := range [2]hashtab.Cells{vw.tab1, vw.tab2} {
+			size := cells.N * tab.l.CellSize()
+			for a := cells.Base; a < cells.Base+size; a += 512 {
+				if mem.Read8(a) != 0 {
+					t.Fatalf("retired word at %d reads %d", a, mem.Read8(a))
+				}
+			}
+			retired += size
+		}
+	}
+	if dropped := mem.Allocated() - mem.Live(); dropped < retired-2*pmfs.PageBytes {
+		t.Fatalf("%d bytes of pages dropped, want all but two pages of the %d retired", dropped, retired)
+	}
 	if bad := tab.CheckConsistency(); len(bad) != 0 {
 		t.Fatalf("inconsistencies after fallback: %v", bad)
 	}
@@ -434,6 +450,68 @@ func TestOnlineExpansionFallbackRebuild(t *testing.T) {
 	}
 	if err := c.Insert(layout.Key{Lo: n + 1}, n+1); err != nil {
 		t.Fatalf("insert after fallback: %v", err)
+	}
+}
+
+// TestOnlineExpansionStaleViewReadsZeros pins what a seqlock reader
+// that loaded the view before a flip finds afterwards: the flip freed
+// that view — its 1 MiB levels span whole pages, so some of it is
+// dropped and some zeroed in place — so probing it reads zeros and
+// finds nothing: it never panics and never returns a stale value,
+// while Lookup, which
+// revalidates, finds every key. Readers race the expansion throughout,
+// so -race checks the frees against them.
+func TestOnlineExpansionStaleViewReadsZeros(t *testing.T) {
+	mem := native.New(0)
+	tab, err := Create(mem, Options{Cells: 1 << 16, GroupSize: 16, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewConcurrent(tab, 16)
+	c.EnableOnlineExpand()
+	const n = 4000
+	for i := uint64(1); i <= n; i++ {
+		if err := c.Insert(layout.Key{Lo: i}, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.WaitExpansion()
+	stale := tab.cur()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint64(1); ; i = i%n + 1 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if v, ok := c.Lookup(layout.Key{Lo: i}); !ok || v != i {
+					t.Errorf("Lookup(%d) = (%d, %v) mid-expansion", i, v, ok)
+					return
+				}
+			}
+		}()
+	}
+	c.ensureExpansion()
+	c.WaitExpansion()
+	close(stop)
+	wg.Wait()
+
+	if tab.cur() == stale {
+		t.Fatal("expansion did not replace the view")
+	}
+	for i := uint64(1); i <= n; i++ {
+		if v, ok := tab.lookupIn(stale, layout.Key{Lo: i}); ok {
+			t.Fatalf("stale view still finds key %d (value %d) after the flip freed it", i, v)
+		}
+		if v, ok := c.Lookup(layout.Key{Lo: i}); !ok || v != i {
+			t.Fatalf("Lookup(%d) = (%d, %v) after the expansion", i, v, ok)
+		}
 	}
 }
 

@@ -138,28 +138,27 @@ func specFingerprint(spec Spec) uint64 {
 // chained allocator's bitmap counters, stash counts, WAL rollback —
 // a no-op on these quiesced images, but it makes Load self-checking).
 func loadAdapter(spec Spec, path string) (*tableEngine, uint64, error) {
-	img, allocated, root, mark, err := pmfs.LoadImage(path)
+	img, err := pmfs.LoadImage(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	if want := specFingerprint(spec); root != want {
+	if want := specFingerprint(spec); img.Root != want {
 		return nil, 0, fmt.Errorf("engine: image %s was not written by engine %s with these parameters (spec fingerprint %#x, image has %#x)",
-			path, spec.Name, want, root)
+			path, spec.Name, want, img.Root)
 	}
 	e, err := newAdapter(spec)
 	if err != nil {
 		return nil, 0, err
 	}
-	if got := e.mem.Allocated(); got != allocated {
+	if got := e.mem.Allocated(); got != img.Allocated {
 		return nil, 0, fmt.Errorf("engine: image %s allocation watermark %d does not match a fresh %s build (%d)",
-			path, allocated, spec.Name, got)
+			path, img.Allocated, spec.Name, got)
 	}
-	e.mem.SetImage(img)
-	e.mem.SetAllocated(allocated)
+	e.mem.Restore(img)
 	if _, err := e.tab.Recover(); err != nil {
 		return nil, 0, fmt.Errorf("engine: recovering %s image %s: %w", spec.Name, path, err)
 	}
-	return e, mark, nil
+	return e, img.Mark, nil
 }
 
 // Name returns the normalized spec name: lower case, with any "-l"
@@ -298,10 +297,8 @@ func (e *tableEngine) SnapshotWriterAt(cut func() (uint64, error)) (func(path st
 		e.mu.Unlock()
 		return nil, err
 	}
-	img, allocated := e.mem.Image(), e.mem.Allocated()
+	img := e.mem.Capture()
 	e.mu.Unlock()
-	root := specFingerprint(e.spec)
-	return func(path string) error {
-		return pmfs.SaveImage(path, img, allocated, root, mark)
-	}, nil
+	img.Root, img.Mark = specFingerprint(e.spec), mark
+	return func(path string) error { return pmfs.SaveImage(path, img) }, nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"grouphash/internal/core"
 	"grouphash/internal/layout"
 	"grouphash/internal/oplog"
+	"grouphash/internal/pmfs"
 )
 
 // writeLog logs ops at base as LSNs 1..len(ops), durably.
@@ -190,5 +192,61 @@ func TestRestart(t *testing.T) {
 				t.Fatalf("Get(5) = (%d, %t) after Restart, want (50, true)", v, ok)
 			}
 		})
+	}
+}
+
+// TestRestartRefusesCorruptImage flips one bit in each part of a
+// written image — header, freed-extent list, a body page — and
+// requires pmfs.LoadImage, and through it Restart, to refuse it loudly
+// rather than serve a silently damaged store. The flagship grows
+// through online expansions first, so its image carries extents.
+func TestRestartRefusesCorruptImage(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "store.pmfs")
+	spec := Spec{Name: "grouphash", Capacity: 64}
+	e, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]core.BatchOp, 4096)
+	for i := range ops {
+		ops[i] = core.BatchOp{Kind: core.BatchInsert, Key: key(uint64(i + 1)), Value: uint64(i)}
+	}
+	e.ApplyBatch(ops, make([]core.BatchResult, len(ops)), nil, nil)
+	write, err := e.SnapshotWriterAt(func() (uint64, error) { return 7, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := write(path); err != nil {
+		t.Fatal(err)
+	}
+	img, err := pmfs.LoadImage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img.Freed) == 0 {
+		t.Fatal("grown store's image has no freed extents")
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := pmfs.HeaderBytes + pmfs.ExtentBytes*len(img.Freed)
+	for name, off := range map[string]int{
+		"header":      2*8 + 1, // the watermark word
+		"extent list": pmfs.HeaderBytes + 8 + 2,
+		"body page":   body + (len(good)-body)/2,
+	} {
+		bad := append([]byte(nil), good...)
+		bad[off] ^= 0x04
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pmfs.LoadImage(path); err == nil {
+			t.Errorf("%s: LoadImage accepted a flipped bit at byte %d", name, off)
+		}
+		if _, _, _, err := Restart(spec, path, "", oplog.Config{}); err == nil {
+			t.Errorf("%s: Restart served an image with a flipped bit at byte %d", name, off)
+		}
 	}
 }

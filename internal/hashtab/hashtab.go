@@ -61,21 +61,27 @@ type ConcurrentReader interface {
 	ConcurrentReadSafe()
 }
 
-// Reclaimer is the optional allocator surface for backends whose bump
-// allocator can rewind: Mark captures the watermark, Release returns to
-// it, zeroing and reclaiming everything allocated since. Table
-// expansion uses it to take back the freshly allocated cell arrays of a
-// failed rehash attempt instead of abandoning them (a native backend
-// grows without bound otherwise). Backends with a fixed region and
-// simulated persistence (memsim) deliberately do not implement it —
-// zeroing megabytes through the simulated cache would distort every
-// counter the experiments measure.
+// Reclaimer is the optional allocator surface for backends that can
+// take memory back. Mark captures the bump allocator's watermark and
+// Release rewinds to it, zeroing and reclaiming everything allocated
+// since: table expansion uses the pair to take back the freshly
+// allocated cell arrays of a failed rehash attempt. Free hands back
+// one retired range below the watermark, which is never allocated
+// again: expansion frees the arrays a committed flip replaced, so a
+// grown table holds one generation of cells instead of every
+// generation it ever had. Backends with a fixed region and simulated
+// persistence (memsim) deliberately do not implement it — zeroing
+// megabytes through the simulated cache would distort every counter
+// the experiments measure.
 type Reclaimer interface {
 	// Mark returns the current allocation watermark.
 	Mark() uint64
 	// Release rewinds the allocator to a previous Mark, zeroing the
 	// released range so future allocations see fresh memory.
 	Release(mark uint64)
+	// Free hands back [addr, addr+n), which nothing may write again;
+	// lock-free readers still probing it read zeros.
+	Free(addr, n uint64)
 }
 
 // Table is the common key-value interface. Keys are fixed-size

@@ -18,9 +18,11 @@ import (
 // (OpStats in Prometheus format) and over HTTP from the registry
 // handler — must parse as conformant text exposition and include the
 // per-opcode latency histograms, oplog sync/batch metrics, expansion
-// counters and (shared-registry) simulated-substrate counters.
+// counters, one snapshot-pause sample per snapshot, and
+// (shared-registry) simulated-substrate counters.
 func TestMetricsExposition(t *testing.T) {
-	lg, err := oplog.OpenConfig(filepath.Join(t.TempDir(), "oplog"), 1, oplog.Config{})
+	dir := t.TempDir()
+	lg, err := oplog.OpenConfig(filepath.Join(dir, "oplog"), 1, oplog.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,8 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	sim.RegisterSubstrateMetrics(reg, "sim")
 
-	s, addr := startServer(t, grouphash.Options{Capacity: 1 << 12}, Config{Oplog: lg, Registry: reg})
+	s, addr := startServer(t, grouphash.Options{Capacity: 1 << 12},
+		Config{Oplog: lg, Registry: reg, SnapshotPath: filepath.Join(dir, "store.pmfs")})
 	c := dial(t, addr)
 
 	// Load every opcode so each per-op histogram holds samples.
@@ -70,6 +73,12 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if _, err := c.Len(); err != nil {
 		t.Fatal(err)
+	}
+	const snapshots = 2
+	for range snapshots {
+		if err := s.SnapshotNow(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	check := func(src, text string) map[string]*stats.ExpoFamily {
@@ -138,6 +147,17 @@ func TestMetricsExposition(t *testing.T) {
 		}
 		if v, ok := hits.Sample(`level="L1"`); !ok || v == 0 {
 			t.Errorf(`%s: sim_cache_hits_total{level="L1"} = %v (%v), want > 0`, src, v, ok)
+		}
+		// Every snapshot observes its writers-excluded pause once, next
+		// to its end-to-end duration.
+		for _, name := range []string{"gh_server_snapshot_pause_seconds", "gh_server_snapshot_duration_seconds"} {
+			f := fams[name]
+			if f == nil || f.Type != "histogram" {
+				t.Fatalf("%s: %s missing or mistyped", src, name)
+			}
+			if v := f.Samples["_count|"]; v != snapshots {
+				t.Errorf("%s: %s count = %v, want %d (one per snapshot)", src, name, v, snapshots)
+			}
 		}
 		// Server byte accounting moved at least the request traffic.
 		if v, ok := fams["gh_server_bytes_read_total"].Sample(""); !ok || v == 0 {

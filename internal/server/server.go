@@ -172,6 +172,7 @@ type Server struct {
 	// pays two atomic adds per request and registration needs no init.
 	opLat          [wire.OpBatch + 1]stats.Histogram
 	snapDur        stats.Histogram // snapshot capture+write duration, ns
+	snapPause      stats.Histogram // snapshot's writers-excluded span (cut + capture), ns
 	ackLat         stats.Histogram // write dispatch → durable-watermark release, ns
 	batchFrameSize stats.Histogram // sub-ops per explicit OpBatch frame
 	coalesceSize   stats.Histogram // mutations per coalesced pipelined run
@@ -250,6 +251,8 @@ func (s *Server) registerMetrics(reg *stats.Registry) {
 	reg.RegisterHistogram(p+"batch_size", stats.Label("source", "coalesced"), "", 1, &s.coalesceSize)
 	reg.RegisterHistogram(p+"snapshot_duration_seconds", "",
 		"Snapshot duration, capture through durable image write.", 1e-9, &s.snapDur)
+	reg.RegisterHistogram(p+"snapshot_pause_seconds", "",
+		"Part of a snapshot that stalls writers: from the oplog cut, taken with every writer excluded, to the end of the page capture.", 1e-9, &s.snapPause)
 	reg.RegisterHistogram(p+"ack_latency_seconds", "",
 		"Acked-write latency: dispatch of a logged mutation until its response is released by the durable-LSN watermark (includes the group-commit wait).", 1e-9, &s.ackLat)
 }
@@ -474,7 +477,9 @@ func (s *Server) snapshot(kind string) error {
 	start := time.Now()
 	lg := s.cfg.Oplog
 	var mark uint64
+	var paused time.Time
 	write, err := s.cfg.Engine.SnapshotWriterAt(func() (uint64, error) {
+		paused = time.Now()
 		if lg == nil {
 			return 0, nil
 		}
@@ -486,6 +491,7 @@ func (s *Server) snapshot(kind string) error {
 	if err != nil {
 		return err
 	}
+	s.snapPause.Observe(uint64(time.Since(paused)))
 	if s.aborted.Load() {
 		return errAborted // crash point: captured (and rotated), image never written
 	}

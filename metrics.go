@@ -2,6 +2,7 @@ package grouphash
 
 import (
 	"grouphash/internal/memsim"
+	"grouphash/internal/native"
 	"grouphash/internal/stats"
 )
 
@@ -74,8 +75,8 @@ func (s *Store) RegisterMetrics(r *stats.Registry, prefix string) {
 // RegisterSubstrateMetrics exports the memory backend's cost counters
 // into r under the given metric-name prefix: the simulated machine
 // contributes NVM write-traffic, per-level cache and flush/fence
-// counters (the paper's measurement vocabulary), the native backend its
-// allocation watermark. Backends the façade does not recognise register
+// counters (the paper's measurement vocabulary), the native backend the
+// bytes it holds. Backends the façade does not recognise register
 // nothing.
 //
 // The simulated counters are read without synchronisation — the
@@ -95,8 +96,9 @@ func (s *Store) RegisterSubstrateMetrics(r *stats.Registry, prefix string) {
 			func() float64 { return m.Counters().ClockNs * 1e-9 })
 		r.RegisterGauge(prefix+"_mem_allocated_bytes", "", "Allocator watermark of the backing memory.",
 			func() float64 { return float64(m.Allocated()) })
-	case imager:
-		r.RegisterGauge(prefix+"_mem_allocated_bytes", "", "Allocator watermark of the backing memory.",
-			func() float64 { return float64(m.Allocated()) })
+	case *native.Memory:
+		r.RegisterGauge(prefix+"_mem_allocated_bytes", "",
+			"Bytes the backing memory holds: the allocator watermark less the pages freed after online expansion.",
+			func() float64 { return float64(m.Live()) })
 	}
 }
