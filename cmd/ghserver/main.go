@@ -86,7 +86,9 @@ func main() {
 	}
 	switch {
 	case lg != nil && rec.Replayed > 0:
-		log.Printf("replayed %d acked writes from %s (through LSN %d); %d items now", rec.Replayed, *logBase, lg.LastLSN(), eng.Len())
+		log.Printf("replayed %d acked writes from %s (through LSN %d) in %v (%.0f records/s); %d items now",
+			rec.Replayed, *logBase, lg.LastLSN(), rec.ReplayTime.Round(time.Microsecond),
+			float64(rec.Replayed)/rec.ReplayTime.Seconds(), eng.Len())
 	case lg != nil:
 		log.Printf("oplog %s: nothing to replay past mark %d", *logBase, rec.Mark)
 	case rec.Mark != 0:

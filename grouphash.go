@@ -593,11 +593,25 @@ func LoadSnapshotMark(path string, concurrent bool) (*Store, uint64, error) {
 
 // ReplayOplog replays the operation log based at base onto the store
 // through oplog.Replay: every record with an LSN past after (typically
-// the mark LoadSnapshotMark returned) is re-applied through ApplyBatch
-// in log order. It returns the number of records applied and the LSN
-// the log continues from (pass it to oplog.OpenConfig).
+// the mark LoadSnapshotMark returned) is re-applied through ApplyBatch,
+// each key's records in log order. A concurrent store with online
+// expansion armed replays on every core (KeyIndependent); any other
+// store replays every record in log order. It returns the number of
+// records applied and the LSN the log continues from (pass it to
+// oplog.OpenConfig). After an error, drop the store and recover again
+// from its image: records past the refused one may have been applied.
 func (s *Store) ReplayOplog(base string, after uint64) (applied int, next uint64, err error) {
 	return oplog.Replay(s, base, after)
+}
+
+// KeyIndependent reports whether every op's outcome depends only on the
+// earlier ops on its own key (oplog.KeyIndependent): true only for a
+// concurrent store with online expansion armed, which grows instead of
+// refusing an insert for lack of room. A fixed-capacity table can
+// refuse an insert that an earlier delete of another key would have
+// made room for, and a sequential store is confined to one goroutine.
+func (s *Store) KeyIndependent() bool {
+	return s.conc != nil && s.conc.OnlineExpandEnabled()
 }
 
 // String describes the store.

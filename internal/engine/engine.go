@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"grouphash"
 	"grouphash/internal/core"
@@ -199,8 +200,10 @@ type Recovery struct {
 	Loaded bool
 	Items  uint64
 	Mark   uint64
-	// Replayed is the number of log records applied past Mark.
-	Replayed int
+	// Replayed is the number of log records applied past Mark, and
+	// ReplayTime the wall time oplog.Replay took (0 without a log).
+	Replayed   int
+	ReplayTime time.Duration
 }
 
 // Restart is process-restart recovery: load image if the file exists
@@ -209,7 +212,10 @@ type Recovery struct {
 // to continue at the LSN after the last record. An empty image or
 // logBase means none; without a log Restart returns a nil *oplog.Log.
 // Replay can leave an online expansion migrating, so settle the engine
-// with an empty Quiesce before auditing it offline.
+// with an empty Quiesce before auditing it offline. On a replay error
+// Restart drops the engine: with the log split over several workers,
+// records past the refused one may already be applied, so the caller
+// recovers again from the image.
 func Restart(spec Spec, image, logBase string, cfg oplog.Config) (Engine, *oplog.Log, Recovery, error) {
 	var rec Recovery
 	var e Engine
@@ -226,7 +232,10 @@ func Restart(spec Spec, image, logBase string, cfg oplog.Config) (Engine, *oplog
 		return e, nil, rec, nil
 	}
 	var next uint64
-	if rec.Replayed, next, err = oplog.Replay(e, logBase, rec.Mark); err != nil {
+	start := time.Now()
+	rec.Replayed, next, err = oplog.Replay(e, logBase, rec.Mark)
+	rec.ReplayTime = time.Since(start)
+	if err != nil {
 		return nil, nil, rec, fmt.Errorf("engine: replaying oplog %s: %w", logBase, err)
 	}
 	lg, err := oplog.OpenConfig(logBase, next, cfg)

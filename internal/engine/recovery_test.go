@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"grouphash/internal/core"
+	"grouphash/internal/hashtab"
 	"grouphash/internal/layout"
 	"grouphash/internal/oplog"
 	"grouphash/internal/pmfs"
@@ -158,7 +160,10 @@ func TestRestart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rec != (Recovery{Replayed: 3}) || e.Len() != 1 || lg.LastLSN() != 3 {
+			if rec.ReplayTime <= 0 {
+				t.Fatalf("no image: replayed %d records in %v, want a positive time", rec.Replayed, rec.ReplayTime)
+			}
+			if rec != (Recovery{Replayed: 3, ReplayTime: rec.ReplayTime}) || e.Len() != 1 || lg.LastLSN() != 3 {
 				t.Fatalf("no image: %+v, Len %d, log at LSN %d; want 3 replayed, 1 item, LSN 3", rec, e.Len(), lg.LastLSN())
 			}
 			lg.Abort()
@@ -248,5 +253,94 @@ func TestRestartRefusesCorruptImage(t *testing.T) {
 		if _, _, _, err := Restart(spec, path, "", oplog.Config{}); err == nil {
 			t.Errorf("%s: Restart served an image with a flipped bit at byte %d", name, off)
 		}
+	}
+}
+
+// TestReplayFullTableChurn pins why a fixed-capacity engine replays on
+// one worker. It fills the table until an insert is refused, then logs
+// 2000 churn steps — delete one key, put a fresh one — through
+// ApplyBatch's committed hook, as the server logs. Each put may land
+// only because the delete before it, of another key, made room, so the
+// log replays only in log order: split by key, a put can reach the
+// table before the delete it needs and be refused.
+func TestReplayFullTableChurn(t *testing.T) {
+	for _, name := range []string{"pfht", "pathhash", "chained", "linearprobe"} {
+		t.Run(name, func(t *testing.T) {
+			spec := Spec{Name: name, Capacity: 256}
+			live, err := New(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := filepath.Join(t.TempDir(), "oplog")
+			lg, err := oplog.OpenConfig(base, 1, oplog.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			logged := func(kind core.BatchKind, k uint64) error {
+				ops := []core.BatchOp{{Kind: kind, Key: key(k), Value: k}}
+				out := make([]core.BatchResult, 1)
+				live.ApplyBatch(ops, out, nil, func(applied []int) {
+					for _, i := range applied {
+						lg.AppendBatch([]oplog.Record{{Op: oplog.OpFor(ops[i].Kind), Key: ops[i].Key, Value: ops[i].Value}})
+					}
+				})
+				return out[0].Err
+			}
+			var stored []uint64
+			next := uint64(1)
+			for ; ; next++ {
+				err := logged(core.BatchInsert, next)
+				if errors.Is(err, hashtab.ErrTableFull) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				stored = append(stored, next)
+			}
+			rng := rand.New(rand.NewSource(1))
+			for step := 0; step < 2000; step++ {
+				i := rng.Intn(len(stored))
+				if err := logged(core.BatchDelete, stored[i]); err != nil {
+					t.Fatal(err)
+				}
+				// A refused put is not logged; try fresh keys until one lands.
+				for tries := 0; ; tries++ {
+					next++
+					err := logged(core.BatchPut, next)
+					if err == nil {
+						break
+					}
+					if !errors.Is(err, hashtab.ErrTableFull) || tries == 1<<16 {
+						t.Fatalf("step %d: put of a fresh key: %v after %d tries", step, err, tries)
+					}
+				}
+				stored[i] = next
+			}
+			if err := lg.WaitDurable(lg.LastLSN()); err != nil {
+				t.Fatal(err)
+			}
+			if err := lg.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			e, err := New(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := oplog.Replay(e, base, 0); err != nil {
+				t.Fatalf("Replay of a full-table churn log: %v", err)
+			}
+			if e.Len() != live.Len() || e.Len() != uint64(len(stored)) {
+				t.Fatalf("replayed Len = %d, live %d, want %d", e.Len(), live.Len(), len(stored))
+			}
+			for k := uint64(1); k <= next; k++ {
+				wv, wok := live.Get(key(k))
+				if v, ok := e.Get(key(k)); ok != wok || v != wv {
+					t.Fatalf("Get(%d) = (%d, %t) replayed, (%d, %t) live", k, v, ok, wv, wok)
+				}
+			}
+			requireClean(t, e)
+		})
 	}
 }

@@ -10,10 +10,10 @@
 // oplog covers the tail. Each image records the log sequence number
 // (LSN) of the last operation it contains (its "oplog mark"), and
 // recovery is: load the newest image, then replay every log record
-// with a higher LSN, in LSN order (Replay, through the store's batch
-// path). Snapshot + log tail = complete state; the log is rotated at
-// every snapshot and the fully-covered segments are deleted once the
-// image is durable.
+// with a higher LSN, each key's records in LSN order (Replay, through
+// the store's batch path). Snapshot + log tail = complete state; the
+// log is rotated at every snapshot and the fully-covered segments are
+// deleted once the image is durable.
 //
 // # Group commit
 //
@@ -813,6 +813,11 @@ func (l *Log) Abort() {
 	l.notifyWaiters() // parked waiters observe closed, not a hang
 }
 
+// scanBufLen is the size of the one buffer Scan reads every segment
+// through, so recovery holds at most this much of the log in memory
+// however long a segment grows (segments rotate only at snapshots).
+const scanBufLen = 1 << 20
+
 // Scan replays the log based at base: every valid record with LSN >
 // after is passed to fn, in LSN order. It stops at the first torn or
 // out-of-sequence record of a segment (records past it were never
@@ -826,6 +831,7 @@ func Scan(base string, after uint64, fn func(Record) error) (next uint64, replay
 	if err != nil {
 		return 1, 0, err
 	}
+	buf := make([]byte, scanBufLen)
 	next = 1
 	first := true
 	for _, s := range segs {
@@ -845,7 +851,7 @@ func Scan(base string, after uint64, fn func(Record) error) (next uint64, replay
 			// tail. Continue from this segment's start.
 			next = s.start
 		}
-		n, cnt, err := scanSegment(s.path, next, after, fn)
+		n, cnt, err := scanSegment(s.path, buf, next, after, fn)
 		replayed += cnt
 		if err != nil {
 			return n, replayed, err
@@ -855,32 +861,48 @@ func Scan(base string, after uint64, fn func(Record) error) (next uint64, replay
 	return next, replayed, nil
 }
 
-// scanSegment replays one segment's records, expecting the first LSN
-// to be expected; returns the next expected LSN after the segment.
-func scanSegment(path string, expected, after uint64, fn func(Record) error) (uint64, int, error) {
-	buf, err := os.ReadFile(path)
+// scanSegment replays one segment's records, read through buf and
+// expecting the first LSN to be expected; returns the next expected LSN
+// after the segment. A record may straddle two reads: its head is
+// carried to the front of buf before the next read.
+func scanSegment(path string, buf []byte, expected, after uint64, fn func(Record) error) (uint64, int, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return expected, 0, fmt.Errorf("oplog: reading segment: %w", err)
 	}
-	if len(buf) < segHeaderLen {
-		return expected, 0, nil // torn header: no records
+	defer f.Close()
+	if _, err := f.Seek(segHeaderLen, io.SeekStart); err != nil {
+		return expected, 0, fmt.Errorf("oplog: reading segment: %w", err)
 	}
-	body := buf[segHeaderLen:]
-	count := 0
-	for off := 0; off+recordLen <= len(body); off += recordLen {
-		rec, ok := parseRecord(body[off : off+recordLen])
-		if !ok || rec.LSN != expected {
-			// Torn or out-of-sequence tail: everything from here on was
-			// never covered by an acked fsync.
-			return expected, count, nil
-		}
-		expected++
-		if rec.LSN > after {
-			if err := fn(rec); err != nil {
-				return expected, count, err
+	count, have := 0, 0
+	for {
+		n, rerr := io.ReadFull(f, buf[have:])
+		have += n
+		off := 0
+		for ; off+recordLen <= have; off += recordLen {
+			rec, ok := parseRecord(buf[off : off+recordLen])
+			if !ok || rec.LSN != expected {
+				// Torn or out-of-sequence tail: everything from here on
+				// was never covered by an acked fsync.
+				return expected, count, nil
 			}
-			count++
+			expected++
+			if rec.LSN > after {
+				if err := fn(rec); err != nil {
+					return expected, count, err
+				}
+				count++
+			}
+		}
+		switch rerr {
+		case nil:
+			have = copy(buf, buf[off:have])
+		case io.EOF, io.ErrUnexpectedEOF:
+			// The file ended; a partial record left in buf is a torn
+			// tail, or a header shorter than segHeaderLen left no body.
+			return expected, count, nil
+		default:
+			return expected, count, fmt.Errorf("oplog: reading segment: %w", rerr)
 		}
 	}
-	return expected, count, nil
 }
