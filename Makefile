@@ -41,7 +41,11 @@ race: torture fuzz-smoke chaos-smoke
 # exactly-once survival — swept across the (T, B) group-commit matrix:
 # a zero-length window (fsync as soon as a write is staged), the
 # 100µs/64KiB default, and a wide 1ms/256KiB window, the latter two
-# with preallocated segments so kills land in zero-filled tails.
+# growing segments in 1 KiB preallocation steps: the child snapshots
+# (and so rotates) every 25 ms, leaving each segment a few KiB, and a
+# step that small makes every generation grow its segments several
+# times, so kills and torn tails land in grown, zero-filled regions
+# (each kill logs the live segment's size).
 # Seed 1's schedules are mostly SIGKILLs (21, 12 and 12 of them), with
 # drains and torn tails mixed in; the small capacity forces online
 # expansions on the flagship.
@@ -49,8 +53,8 @@ TORTURE = $(GO) run -race ./cmd/ghchaos -engine grouphash -capacity 4096 -seed 1
 torture:
 	$(GO) test -race -run 'CrashTorture' -count=1 ./internal/server
 	$(TORTURE) -sync-every 0 -sync-bytes 0 -cycles 24
-	$(TORTURE) -sync-every 100us -sync-bytes 65536 -prealloc 1048576 -cycles 15
-	$(TORTURE) -sync-every 1ms -sync-bytes 262144 -prealloc 1048576 -cycles 15
+	$(TORTURE) -sync-every 100us -sync-bytes 65536 -prealloc 1024 -cycles 15
+	$(TORTURE) -sync-every 1ms -sync-bytes 262144 -prealloc 1024 -cycles 15
 
 # chaos-smoke is the randomized-schedule gate: 21 seeded schedules
 # (flagship + both logged comparison engines × seven seeds) of six

@@ -157,6 +157,7 @@ func supervise(dir string, cycles int, soak time.Duration, seed int64, spec engi
 	nextKey := uint64(1)
 	start := time.Now()
 	full := false
+	grownKills := 0 // generations that died with their live segment past its first growth step
 
 	runCycle := func(cycle int, ev chaos.Event) {
 		proc, addr := startChild(dir, spec, lcfg)
@@ -243,6 +244,14 @@ func supervise(dir string, cycles int, soak time.Duration, seed int64, spec engi
 		proc.Wait()
 		<-loadDone
 		c.Close()
+		if lcfg.PreallocBytes > 0 {
+			if fi, err := os.Stat(liveSegment(dir)); err == nil {
+				log.Printf("cycle %d: live segment is %d bytes (%d-byte growth steps)", cycle, fi.Size(), lcfg.PreallocBytes)
+				if fi.Size() > lcfg.PreallocBytes {
+					grownKills++
+				}
+			}
+		}
 		if ev.Kind == chaos.KindKillTear {
 			appendGarbage(dir, rng)
 		}
@@ -280,6 +289,9 @@ func supervise(dir string, cycles int, soak time.Duration, seed int64, spec engi
 			n++
 		}
 	}
+	if lcfg.PreallocBytes > 0 {
+		log.Printf("%d of %d generations died with their live segment grown past its first %d-byte step", grownKills, cycle, lcfg.PreallocBytes)
+	}
 	log.Printf("PASS: engine=%s seed=%d %d cycles, %d acked writes verified exactly-once, in %s",
 		spec.Name, seed, cycle, n, time.Since(start).Round(time.Millisecond))
 }
@@ -305,12 +317,11 @@ func readBurst(c *client.Client, maxKey uint64, n int, seed int64) bool {
 // acked-durable boundary inside the segment is unknowable, so cutting
 // could delete acked writes and fake a violation.)
 func appendGarbage(dir string, rng *rand.Rand) {
-	segs, err := filepath.Glob(filepath.Join(dir, "oplog.*"))
-	if err != nil || len(segs) == 0 {
+	seg := liveSegment(dir)
+	if seg == "" {
 		return
 	}
-	sort.Strings(segs)
-	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return
 	}
@@ -318,7 +329,17 @@ func appendGarbage(dir string, rng *rand.Rand) {
 	garbage := make([]byte, 1+rng.Intn(64))
 	rng.Read(garbage)
 	f.Write(garbage)
-	log.Printf("tore tail: %d garbage bytes onto %s", len(garbage), filepath.Base(segs[len(segs)-1]))
+	log.Printf("tore tail: %d garbage bytes onto %s", len(garbage), filepath.Base(seg))
+}
+
+// liveSegment names the newest oplog segment in dir ("" if none).
+func liveSegment(dir string) string {
+	segs, err := filepath.Glob(filepath.Join(dir, "oplog.*"))
+	if err != nil || len(segs) == 0 {
+		return ""
+	}
+	sort.Strings(segs)
+	return segs[len(segs)-1]
 }
 
 // startChild launches the serve-mode child with the run's engine and

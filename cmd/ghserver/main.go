@@ -56,7 +56,7 @@ func main() {
 		logBase  = flag.String("oplog", "", "operation log base path: acked writes are fsynced here before the ack and replayed over the image at start (\"\" = snapshots only; a crash then loses acked writes since the last image)")
 		syncT    = flag.Duration("oplog-sync-every", 100*time.Microsecond, "group-commit window: fsync at most this long after a write nobody waits on was staged; a waiting ack closes the window at once (0 = fsync as soon as a write is staged)")
 		syncB    = flag.Int("oplog-sync-bytes", 64<<10, "close the group-commit window once this many staged bytes accumulate, even with no ack waiting (0 = timer only)")
-		prealloc = flag.Int64("oplog-prealloc", 4<<20, "preallocate (zero-fill) each log segment to this size so steady-state group commits are data-only fdatasyncs (0 = grow on demand)")
+		prealloc = flag.Int64("oplog-prealloc", 4<<20, "grow log segments in zero-filled steps of this size: the commit that crosses a step boundary is a full fsync, every other one a data-only fdatasync (0 = grow by each write, every commit a full fsync)")
 		every    = flag.Duration("snapshot-every", 30*time.Second, "background snapshot period (0 = only the final drain snapshot)")
 		statsDur = flag.Duration("stats-every", 0, "log server stats at this period (0 = off)")
 		metrics  = flag.String("metrics-addr", "", "HTTP listen address serving GET /metrics (Prometheus scrape) and /healthz (readiness; 503 once draining); \"\" = off")

@@ -14,15 +14,16 @@ import (
 
 // TestAdaptiveRoundtrip proves a committer with a (T, B) window keeps
 // the durability contract: records acknowledged by WaitDurable are on
-// disk in strict LSN order, across concurrent appenders, with segments
-// preallocated. It also pins the whole point of group commit — far
-// fewer fsyncs than records.
+// disk in strict LSN order, across concurrent appenders, with a segment
+// that grows several preallocation steps (8 KiB steps under 40 KB of
+// records). It also pins the whole point of group commit — far fewer
+// fsyncs than records.
 func TestAdaptiveRoundtrip(t *testing.T) {
 	b := base(t)
 	l, err := OpenConfig(b, 1, Config{
 		SyncEvery:     500 * time.Microsecond,
 		SyncBytes:     16 << 10,
-		PreallocBytes: 1 << 20,
+		PreallocBytes: 8 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,34 +162,51 @@ func TestAdaptiveTimerTrigger(t *testing.T) {
 // TestAdaptiveZeroTailIgnored proves preallocation is recovery-safe:
 // the zero-filled region past the last fsynced record reads as a torn
 // tail (CRC + sequence break) and replay stops exactly at the durable
-// prefix, even when unsynced staged records and the zero tail coexist.
+// prefix, even when unsynced staged records and the zero tail coexist —
+// inside the first preallocation step, and after durable records have
+// grown the segment across several.
 func TestAdaptiveZeroTailIgnored(t *testing.T) {
-	b := base(t)
-	// An hour-long window: only WaitDurable commits, so the records
-	// staged after it stay volatile until the simulated power failure.
-	l, err := OpenConfig(b, 1, Config{SyncEvery: time.Hour, PreallocBytes: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last uint64
-	for i := 0; i < 5; i++ {
-		last = appendOne(l, OpPut, layout.Key{Lo: uint64(i + 1)}, uint64(i))
-	}
-	if err := l.WaitDurable(last); err != nil {
-		t.Fatal(err)
-	}
-	path := l.ActivePath()
-	if fi, err := os.Stat(path); err != nil || fi.Size() != 64<<10 {
-		t.Fatalf("active segment size %v, %v; want the full preallocated 64KiB", fi.Size(), err)
-	}
-	// Stage three more records but never let them commit.
-	for i := 5; i < 8; i++ {
-		appendOne(l, OpPut, layout.Key{Lo: uint64(i + 1)}, uint64(i))
-	}
-	l.Abort() // power failure: staged records die in memory, zero tail stays on disk
-	recs, next := collect(t, b, 0)
-	if len(recs) != 5 || next != 6 {
-		t.Fatalf("replayed %d records (next %d), want the 5 durable ones", len(recs), next)
+	for _, tc := range []struct {
+		name    string
+		step    int64
+		commits int // durable commits of five records each
+	}{
+		{"one-step", 64 << 10, 1},
+		// 40 commits write 8,032 bytes: four 2 KiB steps.
+		{"several-steps", 2 << 10, 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := base(t)
+			// An hour-long window: only WaitDurable commits, so the records
+			// staged after it stay volatile until the simulated power failure.
+			l, err := OpenConfig(b, 1, Config{SyncEvery: time.Hour, PreallocBytes: tc.step})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var last uint64
+			for c := 0; c < tc.commits; c++ {
+				for i := 0; i < 5; i++ {
+					last = appendOne(l, OpPut, layout.Key{Lo: last + 1}, last)
+				}
+				if err := l.WaitDurable(last); err != nil {
+					t.Fatal(err)
+				}
+			}
+			path := l.ActivePath()
+			written := segHeaderLen + int64(last)*recordLen
+			if fi, err := os.Stat(path); err != nil || fi.Size() != roundUp(written, tc.step) {
+				t.Fatalf("active segment size %v, %v; want %d bytes written rounded up to a whole %d-byte step", fi.Size(), err, written, tc.step)
+			}
+			// Stage three more records but never let them commit.
+			for i := uint64(1); i <= 3; i++ {
+				appendOne(l, OpPut, layout.Key{Lo: last + i}, last+i)
+			}
+			l.Abort() // power failure: staged records die in memory, zero tail stays on disk
+			recs, next := collect(t, b, 0)
+			if uint64(len(recs)) != last || next != last+1 {
+				t.Fatalf("replayed %d records (next %d), want the %d durable ones", len(recs), next, last)
+			}
+		})
 	}
 }
 

@@ -50,6 +50,17 @@
 // fsynced (file and directory) before any record lands in them, and
 // replay (Scan) never writes, so a crash during recovery just replays
 // again from the same files: replay is idempotent by construction.
+//
+// # Preallocation
+//
+// A segment grows in whole steps of Config.PreallocBytes: the flush
+// that would cross the zero-filled end writes real zeros up to the next
+// step boundary that covers it and commits with a full fsync, so the
+// new size and block mapping are durable. Every later commit inside the
+// grown region overwrites allocated blocks without changing file
+// metadata and commits with a data-only sync (fdatasync on Linux). The
+// zero tail past the last record reads as a torn tail (a zero record
+// fails its CRC), so preallocation changes no recovery rule.
 package oplog
 
 import (
@@ -131,12 +142,20 @@ type Config struct {
 	// the records nobody waits on: a parked WaitDurable caller has
 	// already closed the window.
 	SyncBytes int
-	// PreallocBytes, when > 0, zero-fills each new segment file to this
-	// size at creation so steady-state record flushes never extend the
-	// file and can use a data-only fsync (fdatasync on Linux) instead
-	// of journaling a size update per batch.
+	// PreallocBytes is the step segments grow by. A flush that would
+	// cross the zero-filled end zero-fills the segment up to the next
+	// whole multiple of PreallocBytes that covers it and commits with a
+	// full fsync; every other commit overwrites already-allocated blocks
+	// and uses a data-only sync (fdatasync on Linux) instead of
+	// journaling a size update. Zero or negative: the file grows by
+	// exactly what each flush writes, and every commit that wrote
+	// records is a full fsync.
 	PreallocBytes int64
 }
+
+// zeroBlock is the one source of the zeros segment growth writes, so
+// growing a segment allocates nothing.
+var zeroBlock [256 << 10]byte
 
 // segment is one on-disk log file. Segment i holds LSNs
 // [start_i, start_{i+1}-1]; the last segment is the active one.
@@ -162,12 +181,13 @@ type Log struct {
 	spare   []byte // the last flushed buffer, handed back to appenders
 	lastLSN uint64
 
-	flushMu  sync.Mutex // file writes + fsync + segment swap
-	f        *os.File   // active segment
-	written  int64      // bytes written to the active segment
-	synced   int64      // bytes fsynced (crash-survivable prefix)
-	prealloc int64      // preallocated size of the active segment (0 = none)
-	err      error      // sticky I/O failure: nothing acks after it
+	flushMu sync.Mutex // file writes + fsync + segment swap
+	f       *os.File   // active segment
+	written int64      // bytes written to the active segment
+	synced  int64      // bytes fsynced (crash-survivable prefix)
+	size    int64      // active segment's file size: the header, then written rounded up to whole PreallocBytes steps
+	grown   bool       // size changed since the last sync: the next one must be a full fsync
+	err     error      // sticky I/O failure: nothing acks after it
 
 	segs    []segment // all live segments, seq order, active last
 	durable atomic.Uint64
@@ -208,6 +228,12 @@ var testHookRotateAfterDrain func()
 // failing. Tests use it to prove batch-failure fan-out: every waiter of
 // the failed group commit (and every later one) must see the error.
 var testHookFsyncErr func() error
+
+// testHookSync, when non-nil, is told the kind of every record sync:
+// full is true for an fsync that makes a segment's growth durable and
+// false for a data-only sync. Tests use it to pin that only growth
+// steps pay for a metadata commit.
+var testHookSync func(full bool)
 
 // SetTestFsyncErr installs (or, with nil, clears) a hook consulted
 // before every record fsync; a non-nil return from the hook is treated
@@ -277,33 +303,16 @@ func parseSegHeader(hdr []byte) (start uint64, err error) {
 	return binary.LittleEndian.Uint64(hdr[16:24]), nil
 }
 
-// writeSegHeader creates a new segment file and makes its existence
-// durable (header fsync + directory fsync) before returning it. When
-// prealloc > 0 the file is zero-filled to that size first, so later
-// record flushes inside the region never extend the file — a
-// zero-filled tail is recovery-equivalent to a torn tail (a zero
-// record fails both the CRC and the LSN sequence check), so replay
-// stops at the last real record exactly as it does today.
-func writeSegHeader(path string, seq, start uint64, prealloc int64) (*os.File, error) {
+// writeSegHeader creates a header-only segment file and makes its
+// existence durable (header fsync + directory fsync) before returning
+// it. It preallocates nothing: the first flush grows the segment like
+// any later one (see grow), so creating a segment — inside the
+// snapshot's writer-exclusion window, for Rotate — costs one small
+// write and two fsyncs however large PreallocBytes is.
+func writeSegHeader(path string, seq, start uint64) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("oplog: creating segment: %w", err)
-	}
-	if prealloc > segHeaderLen {
-		// Real zero writes, not Truncate: a sparse hole would still cost
-		// a block-mapping metadata commit on first write into it.
-		zeros := make([]byte, 256<<10)
-		for off := int64(0); off < prealloc; {
-			n := prealloc - off
-			if n > int64(len(zeros)) {
-				n = int64(len(zeros))
-			}
-			if _, err := f.WriteAt(zeros[:n], off); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("oplog: preallocating segment: %w", err)
-			}
-			off += n
-		}
 	}
 	var hdr [segHeaderLen]byte
 	binary.LittleEndian.PutUint64(hdr[0:8], segMagic)
@@ -358,20 +367,20 @@ func OpenConfig(base string, nextLSN uint64, cfg Config) (*Log, error) {
 		seq = segs[n-1].seq + 1
 	}
 	path := segPath(base, seq)
-	f, err := writeSegHeader(path, seq, nextLSN, cfg.PreallocBytes)
+	f, err := writeSegHeader(path, seq, nextLSN)
 	if err != nil {
 		return nil, err
 	}
 	l := &Log{
-		base:     base,
-		dir:      filepath.Dir(base),
-		cfg:      cfg,
-		f:        f,
-		written:  segHeaderLen,
-		synced:   segHeaderLen,
-		prealloc: cfg.PreallocBytes,
-		lastLSN:  nextLSN - 1,
-		segs:     append(segs, segment{path: path, seq: seq, start: nextLSN}),
+		base:    base,
+		dir:     filepath.Dir(base),
+		cfg:     cfg,
+		f:       f,
+		written: segHeaderLen,
+		synced:  segHeaderLen,
+		size:    segHeaderLen,
+		lastLSN: nextLSN - 1,
+		segs:    append(segs, segment{path: path, seq: seq, start: nextLSN}),
 
 		kick:          make(chan struct{}, 1),
 		kickBytes:     make(chan struct{}, 1),
@@ -619,6 +628,11 @@ func (l *Log) flushLocked(fsync bool) (hw uint64, err error) {
 		}
 		l.written += int64(len(buf))
 		l.bytesOut.Add(uint64(len(buf)))
+		if l.written > l.size {
+			if err := l.grow(); err != nil {
+				return hw, l.fail(err)
+			}
+		}
 	}
 	if fsync {
 		start := time.Now()
@@ -627,18 +641,23 @@ func (l *Log) flushLocked(fsync bool) (hw uint64, err error) {
 				return hw, l.fail(fmt.Errorf("oplog: fsync: %w", err))
 			}
 		}
-		// Inside a preallocated region the flush changed no file size or
-		// block mapping, so a data-only sync suffices; past it (or with
-		// no preallocation) fall back to a full fsync.
+		// Only a flush that grew the segment changed its size and block
+		// mapping and needs a full fsync; every other one overwrote
+		// blocks whose allocation an earlier full fsync made durable.
+		full := l.grown
+		if testHookSync != nil {
+			testHookSync(full)
+		}
 		var serr error
-		if l.prealloc > 0 && l.written <= l.prealloc {
-			serr = datasync(l.f)
-		} else {
+		if full {
 			serr = l.f.Sync()
+		} else {
+			serr = datasync(l.f)
 		}
 		if serr != nil {
 			return hw, l.fail(fmt.Errorf("oplog: fsync: %w", serr))
 		}
+		l.grown = false
 		l.syncLat.Observe(uint64(time.Since(start)))
 		l.fsyncs.Add(1)
 		if prev := l.durable.Load(); hw > prev {
@@ -652,6 +671,30 @@ func (l *Log) flushLocked(fsync bool) (hw uint64, err error) {
 	l.spare = buf[:0] // flushed: its capacity backs the next window
 	l.mu.Unlock()
 	return hw, nil
+}
+
+// grow zero-fills the active segment from the end of its records up to
+// the next whole multiple of PreallocBytes (at least one byte), however
+// many steps the flush just crossed, and marks the next sync full.
+// Real zero writes, not Truncate: a sparse hole would cost a
+// block-mapping metadata commit on the first write into it. Caller
+// holds flushMu.
+func (l *Log) grow() error {
+	step := max(l.cfg.PreallocBytes, 1)
+	size := l.written
+	if r := size % step; r != 0 {
+		size += step - r
+	}
+	for off := l.written; off < size; {
+		n, err := l.f.WriteAt(zeroBlock[:min(size-off, int64(len(zeroBlock)))], off)
+		if err != nil {
+			return fmt.Errorf("oplog: growing segment: %w", err)
+		}
+		off += int64(n)
+	}
+	l.size = size
+	l.grown = true
+	return nil
 }
 
 // LastLSN returns the highest LSN assigned so far (not necessarily
@@ -690,17 +733,16 @@ func (l *Log) Rotate() error {
 	start := hw + 1
 	seq := l.segs[len(l.segs)-1].seq + 1
 	path := segPath(l.base, seq)
-	f, err := writeSegHeader(path, seq, start, l.cfg.PreallocBytes)
+	f, err := writeSegHeader(path, seq, start)
 	if err != nil {
 		return l.fail(err)
 	}
-	old, oldWritten, oldPrealloc := l.f, l.written, l.prealloc
+	old, oldWritten, oldSize := l.f, l.written, l.size
 	l.f = f
-	l.written, l.synced = segHeaderLen, segHeaderLen
-	l.prealloc = l.cfg.PreallocBytes
+	l.written, l.synced, l.size = segHeaderLen, segHeaderLen, segHeaderLen
 	l.segs = append(l.segs, segment{path: path, seq: seq, start: start})
 	l.rotations.Add(1)
-	if oldPrealloc > oldWritten {
+	if oldSize > oldWritten {
 		// Give the sealed segment's unused preallocated tail back to the
 		// filesystem. Best-effort: a leftover zero tail is replay-inert.
 		_ = old.Truncate(oldWritten)

@@ -8,10 +8,11 @@ import (
 )
 
 // datasync flushes f's written data without forcing a metadata-only
-// journal commit — fdatasync(2). Safe for the record-flush path only
-// because preallocated segments never change size there: the data
-// blocks (and any size change, which fdatasync does persist) are all
-// an acked record needs to survive.
+// journal commit — fdatasync(2). The log calls it only for a commit
+// whose flush stayed inside the segment's grown region: the full fsync
+// that ended the growth step already made the file's size and block
+// mapping durable, so the overwritten data blocks are all an acked
+// record still needs to survive.
 func datasync(f *os.File) error {
 	for {
 		err := syscall.Fdatasync(int(f.Fd()))

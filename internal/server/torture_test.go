@@ -48,8 +48,10 @@ import (
 // window (the zero Config, which fsyncs as soon as a record is
 // staged) and two (SyncEvery, SyncBytes) windows — the durability
 // contract must be identical however long the committer waits. The
-// windowed legs preallocate segments, so the torn-tail logic also runs
-// against zero-filled files.
+// windowed legs grow segments in 4 KiB preallocation steps, small
+// enough that every generation grows its segment several times, so
+// kills and torn tails land past the first step, in regions a growth
+// commit zero-filled; the test fails if none does.
 func TestCrashTorture(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -57,8 +59,8 @@ func TestCrashTorture(t *testing.T) {
 		cfg    oplog.Config
 	}{
 		{"zero-window", 24, oplog.Config{}},
-		{"adaptive-100us-64KiB", 16, oplog.Config{SyncEvery: 100 * time.Microsecond, SyncBytes: 64 << 10, PreallocBytes: 1 << 20}},
-		{"adaptive-1ms-256KiB", 16, oplog.Config{SyncEvery: time.Millisecond, SyncBytes: 256 << 10, PreallocBytes: 1 << 20}},
+		{"adaptive-100us-64KiB", 16, oplog.Config{SyncEvery: 100 * time.Microsecond, SyncBytes: 64 << 10, PreallocBytes: 4 << 10}},
+		{"adaptive-1ms-256KiB", 16, oplog.Config{SyncEvery: time.Millisecond, SyncBytes: 256 << 10, PreallocBytes: 4 << 10}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { crashTorture(t, tc.cycles, tc.cfg) })
 	}
@@ -74,6 +76,7 @@ func crashTorture(t *testing.T, cycles int, lcfg oplog.Config) {
 	for i := range ws {
 		ws[i] = newTortureWorker(uint64(i))
 	}
+	grownCrashes := 0 // crashes whose fsynced prefix ended past the first growth step
 
 	for cycle := 0; cycle < cycles; cycle++ {
 		st, lg := recoverStore(t, img, base, cycle%2 == 1, lcfg)
@@ -140,7 +143,9 @@ func crashTorture(t *testing.T, cycles int, lcfg oplog.Config) {
 		for _, c := range clients {
 			c.Close()
 		}
-		tearTail(t, lg, rng)
+		if synced := tearTail(t, lg, rng); lcfg.PreallocBytes > 0 && synced > lcfg.PreallocBytes {
+			grownCrashes++
+		}
 		if t.Failed() {
 			t.Fatalf("model violated in cycle %d", cycle)
 		}
@@ -150,6 +155,12 @@ func crashTorture(t *testing.T, cycles int, lcfg oplog.Config) {
 	verifyModel(t, st, ws, cycles)
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if lcfg.PreallocBytes > 0 {
+		t.Logf("%d of %d crashes landed past the first %d-byte growth step", grownCrashes, cycles, lcfg.PreallocBytes)
+		if grownCrashes == 0 {
+			t.Fatalf("no crash landed in a grown segment region: preallocation step %d is too large for this load", lcfg.PreallocBytes)
+		}
 	}
 }
 
@@ -219,11 +230,17 @@ func recoverStore(t *testing.T, img, base string, doomed bool, lcfg oplog.Config
 
 // tearTail abandons the log the way a power failure would: the active
 // segment keeps its fsynced prefix, loses a random amount of its
-// unsynced tail, and sometimes gains trailing garbage.
-func tearTail(t *testing.T, lg *oplog.Log, rng *rand.Rand) {
+// unsynced tail, and sometimes gains trailing garbage. It returns the
+// fsynced prefix's length.
+func tearTail(t *testing.T, lg *oplog.Log, rng *rand.Rand) int64 {
 	t.Helper()
 	synced, written := lg.SyncedSize(), lg.WrittenSize()
 	path := lg.ActivePath()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("crash: active segment %d bytes written, %d fsynced, file %d bytes", written, synced, fi.Size())
 	lg.Abort()
 	keep := synced
 	if written > synced {
@@ -244,6 +261,7 @@ func tearTail(t *testing.T, lg *oplog.Log, rng *rand.Rand) {
 			t.Fatal(err)
 		}
 	}
+	return synced
 }
 
 // Key lifecycle states in the torture model.
