@@ -16,27 +16,29 @@ vet:
 # test is the tier-1 gate: vet, the full suite, and the race detector
 # over the concurrent table (whose seqlock read path and online
 # expansion only a -race run can meaningfully exercise) plus the paged
-# native backend, the network layer built on top of it, and the
-# operation log, whose committer goroutine runs behind every log.
+# native backend, the network layer built on top of it, the operation
+# log, whose committer goroutine runs behind every log, and ghbench's
+# serving cell, whose driver keeps bursts in flight on two goroutines.
 # perfbench is its own module, so ./... never builds it, yet it embeds
 # engine.Engine and calls the façade: vet and test it here so a seam
 # change cannot break the benchmark unseen.
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/core ./internal/engine ./internal/server ./internal/client ./internal/native ./internal/oplog
+	$(GO) test -race ./internal/core ./internal/engine ./internal/server ./internal/client ./internal/native ./internal/oplog ./cmd/ghbench
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
 race: torture fuzz-smoke chaos-smoke
-	$(GO) test -race ./internal/core ./internal/engine ./internal/server ./internal/client ./internal/native ./internal/oplog ./internal/harness .
+	$(GO) test -race ./internal/core ./internal/engine ./internal/server ./internal/client ./internal/native ./internal/oplog ./internal/harness ./cmd/ghbench .
 	$(GO) test -race -run 'OnlineExpansion' -count=4 -cpu 1,2,4 ./internal/core
 	$(GO) test -race -run 'Replay' -count=4 -cpu 1,2,4 ./internal/oplog ./internal/engine .
 
 # torture is the durability gate: the in-process crash-torture test
 # (deterministic kill points: mid-group-commit, mid-rotation,
-# mid-snapshot, mid-replay; torn log tails; a zero-length and two
-# (T, B) commit windows) under the race detector, plus ghchaos
+# mid-snapshot, mid-replay; power cuts that tear the log's unsynced
+# tail; a zero-length and two (T, B) commit windows) under the race
+# detector, plus ghchaos
 # SIGKILLing a real serving process and auditing every acked write for
 # exactly-once survival — swept across the (T, B) group-commit matrix:
 # a zero-length window (fsync as soon as a write is staged), the

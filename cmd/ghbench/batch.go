@@ -5,17 +5,10 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"path/filepath"
-	"runtime"
-	"sync"
 	"time"
 
-	"grouphash"
 	"grouphash/internal/harness"
-	"grouphash/internal/layout"
-	"grouphash/internal/oplog"
-	"grouphash/internal/server"
+	"grouphash/internal/stats"
 	"grouphash/internal/wire"
 )
 
@@ -57,7 +50,7 @@ type batchRow struct {
 
 // batchBurst is the number of operations every shape keeps in flight
 // per connection: the baseline pipelines batchBurst single frames per
-// flush, and frame shapes send batchBurst/B OpBatch frames per flush.
+// write, and frame shapes send batchBurst/B OpBatch frames per write.
 const batchBurst = 256
 
 // batchKeyspan is the per-connection preloaded key range gets cycle
@@ -67,212 +60,134 @@ const batchBurst = 256
 const batchKeyspan = 4096
 
 // batchWorker drives one raw connection with reused buffers: the
-// request byte buffer, the sub-op slice and the response slice are
-// allocated once, so the client side contributes (near) nothing to the
-// measured allocation rate.
+// request byte buffer, the sub-op slice, the response slice and the
+// channels that pace bursts are allocated once, so the client side
+// contributes (near) nothing to the measured allocation rate. The
+// calling goroutine builds and sends bursts; a reader goroutine
+// consumes their responses in send order, so up to c.inflight bursts
+// are on the wire at once.
 type batchWorker struct {
-	bw    *bufio.Writer
+	c     cell
+	conn  net.Conn
 	br    *bufio.Reader
 	buf   []byte
 	subs  []wire.Request
 	resps []wire.Response
-	base  uint64 // first key of this connection's range (exclusive, +1)
-	next  uint64 // rotating get cursor into [1, batchKeyspan]
-	fresh uint64 // monotonic put cursor beyond the preloaded span
+	base  uint64         // first key of this connection's range (exclusive, +1)
+	next  uint64         // rotating get cursor into [1, c.preload]
+	fresh uint64         // monotonic put cursor beyond the preloaded span
+	slots chan struct{}  // one token per burst in flight
+	sent  chan time.Time // send time of each burst in flight, in send order
+	done  chan struct{}  // the reader has consumed every burst of a run
 }
 
-func newBatchWorker(conn net.Conn, base uint64) *batchWorker {
+func newBatchWorker(conn net.Conn, c cell, base uint64) *batchWorker {
 	return &batchWorker{
-		bw:    bufio.NewWriterSize(conn, 64<<10),
+		c:     c,
+		conn:  conn,
 		br:    bufio.NewReaderSize(conn, 64<<10),
-		buf:   make([]byte, 0, batchBurst*32),
-		subs:  make([]wire.Request, batchBurst),
-		resps: make([]wire.Response, batchBurst),
+		buf:   make([]byte, 0, c.burst*32),
+		subs:  make([]wire.Request, c.burst),
+		resps: make([]wire.Response, c.burst),
 		base:  base,
+		slots: make(chan struct{}, max(c.inflight, 1)),
+		sent:  make(chan time.Time, max(c.inflight, 1)),
+		done:  make(chan struct{}),
 	}
 }
 
-// run acks ops operations in bursts of batchBurst: fill the burst for
-// the workload, ship it as single frames (frame == 0) or OpBatch
-// frames of frame sub-ops, read every response back, repeat.
-func (w *batchWorker) run(ops int, workload string, frame int) {
-	for done := 0; done < ops; done += batchBurst {
-		for j := range w.subs {
-			op := byte(wire.OpPut)
-			switch workload {
-			case "get":
-				op = wire.OpGet
-			case "mixed":
-				if j&1 == 0 {
-					op = wire.OpGet
-				}
-			}
-			var k uint64
-			if op == wire.OpGet {
-				k = w.base + w.next%batchKeyspan + 1
-				w.next++
+// run acks bursts bursts: fill each for the workload and ship it as
+// single frames (frame 0) or OpBatch frames of c.frame sub-ops once
+// fewer than c.inflight bursts are unanswered, then return when the
+// reader has checked every response. With rtt set, each burst's round
+// trip (send → last response) is observed into it.
+func (w *batchWorker) run(bursts int, rtt *stats.Histogram) {
+	go w.read(bursts, rtt)
+	for b := 0; b < bursts; b++ {
+		w.fill()
+		w.slots <- struct{}{}
+		w.sent <- time.Now()
+		_, err := w.conn.Write(w.buf)
+		check(err)
+	}
+	<-w.done
+}
+
+// fill builds the next burst's sub-ops and their wire bytes: gets
+// cycle over the preloaded keys, puts insert fresh keys past them.
+func (w *batchWorker) fill() {
+	span := uint64(w.c.preload)
+	for j := range w.subs {
+		op, k := byte(wire.OpPut), w.base+span+w.fresh+1
+		if w.c.workload == "get" || w.c.workload == "mixed" && j&1 == 0 {
+			op, k = wire.OpGet, w.base+w.next%span+1
+			w.next++
+		} else {
+			w.fresh++
+		}
+		w.subs[j] = wire.Request{Op: op, Key: benchKey(k), Value: k}
+	}
+	w.buf = w.buf[:0]
+	for off := 0; off < len(w.subs); off += max(w.c.frame, 1) {
+		if w.c.frame == 0 {
+			w.buf = wire.AppendRequest(w.buf, w.subs[off])
+			continue
+		}
+		var err error
+		w.buf, err = wire.AppendBatchRequest(w.buf, w.subs[off:min(off+w.c.frame, len(w.subs))])
+		check(err)
+	}
+}
+
+// read consumes bursts bursts of responses in send order, panicking on
+// anything but StatusOK, and frees a slot after each.
+func (w *batchWorker) read(bursts int, rtt *stats.Histogram) {
+	for b := 0; b < bursts; b++ {
+		t0 := <-w.sent
+		for off := 0; off < len(w.resps); off += max(w.c.frame, 1) {
+			var err error
+			if w.c.frame == 0 {
+				w.resps[off], err = wire.ReadResponse(w.br)
 			} else {
-				k = w.base + batchKeyspan + w.fresh + 1 // fresh insert
-				w.fresh++
+				err = wire.ReadBatchResponses(w.br, w.resps[off:min(off+w.c.frame, len(w.resps))])
 			}
-			w.subs[j] = wire.Request{Op: op, Key: layout.Key{Lo: k, Hi: k * 0x9e3779b97f4a7c15}, Value: k}
+			check(err)
 		}
-		w.buf = w.buf[:0]
-		if frame == 0 {
-			for j := range w.subs {
-				w.buf = wire.AppendRequest(w.buf, w.subs[j])
-			}
-		} else {
-			for off := 0; off < len(w.subs); off += frame {
-				end := min(off+frame, len(w.subs))
-				var err error
-				if w.buf, err = wire.AppendBatchRequest(w.buf, w.subs[off:end]); err != nil {
-					panic(err)
-				}
+		for _, resp := range w.resps {
+			if resp.Status != wire.StatusOK {
+				panic(fmt.Sprintf("batch worker: status %d", resp.Status))
 			}
 		}
-		if _, err := w.bw.Write(w.buf); err != nil {
-			panic(err)
+		if rtt != nil {
+			rtt.Observe(uint64(time.Since(t0)))
 		}
-		if err := w.bw.Flush(); err != nil {
-			panic(err)
-		}
-		if frame == 0 {
-			for j := 0; j < len(w.subs); j++ {
-				resp, err := wire.ReadResponse(w.br)
-				if err != nil {
-					panic(err)
-				}
-				if resp.Status != wire.StatusOK {
-					panic(fmt.Sprintf("batch worker: status %d", resp.Status))
-				}
-			}
-		} else {
-			for off := 0; off < len(w.subs); off += frame {
-				end := min(off+frame, len(w.subs))
-				if err := wire.ReadBatchResponses(w.br, w.resps[off:end]); err != nil {
-					panic(err)
-				}
-				for j := off; j < end; j++ {
-					if w.resps[j].Status != wire.StatusOK {
-						panic(fmt.Sprintf("batch worker: status %d", w.resps[j].Status))
-					}
-				}
-			}
-		}
+		<-w.slots
 	}
+	w.done <- struct{}{}
 }
 
-// batchCell runs one cell: a fresh oplog-backed server, a preloaded
-// keyspace, a warmup phase on the same connections, then a measured
-// phase bracketed by GC + MemStats and counter snapshots.
-func batchCell(workload string, conns, frame, warmOps, ops int) batchRow {
-	dir, err := os.MkdirTemp("", "ghbench-batch-*")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	st, err := grouphash.New(grouphash.Options{Capacity: 1 << 19, Concurrent: true})
-	if err != nil {
-		panic(err)
-	}
-	// Preload the get key range directly through the façade, sized so
-	// that preload plus every fresh measured insert stays well below
-	// the expansion threshold: the measured phase never migrates.
-	for c := 0; c < conns; c++ {
-		base := uint64(c+1) << 40
-		for n := uint64(1); n <= batchKeyspan; n++ {
-			k := base + n
-			if err := st.Put(layout.Key{Lo: k, Hi: k * 0x9e3779b97f4a7c15}, k); err != nil {
-				panic(err)
-			}
-		}
-	}
-	lg, err := oplog.OpenConfig(filepath.Join(dir, "oplog"), 1, oplog.Config{
-		SyncEvery: 100 * time.Microsecond, SyncBytes: 64 << 10, PreallocBytes: 4 << 20})
-	if err != nil {
-		panic(err)
-	}
-	srv, err := server.New(server.Config{Engine: st, Oplog: lg})
-	if err != nil {
-		panic(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		panic(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
-
-	perConn := ops / conns
-	var warm, wg sync.WaitGroup
-	warm.Add(conns)
-	wg.Add(conns)
-	gate := make(chan struct{})
-	for c := 0; c < conns; c++ {
-		go func(c int) {
-			defer wg.Done()
-			conn, err := net.DialTimeout("tcp", ln.Addr().String(), 2*time.Second)
-			if err != nil {
-				panic(err)
-			}
-			defer conn.Close()
-			w := newBatchWorker(conn, uint64(c+1)<<40)
-			w.run(warmOps/conns, workload, frame)
-			warm.Done()
-			<-gate
-			w.run(perConn, workload, frame)
-		}(c)
-	}
-	warm.Wait()
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	appends0, persists0 := lg.Appends(), st.CountPersists()
-	start := time.Now()
-	close(gate)
-	wg.Wait()
-	wall := float64(time.Since(start).Nanoseconds()) / 1e6
-	runtime.ReadMemStats(&m1)
-	appends, persists := lg.Appends()-appends0, st.CountPersists()-persists0
-
-	total := conns * perConn
-	shape := "batch-frames"
-	if frame == 0 {
-		shape = "single-coalesced"
-	}
-	row := batchRow{
-		Workload: workload, Shape: shape, Batch: frame, Conns: conns, Ops: total,
-		WallMs: wall, KopsSec: float64(total) / wall,
-		AllocsPerOp:         float64(m1.Mallocs-m0.Mallocs) / float64(total),
-		OplogAppendsPerKop:  float64(appends) / (float64(total) / 1000),
-		CountPersistsPerKop: float64(persists) / (float64(total) / 1000),
-	}
-	if err := srv.Drain(); err != nil {
-		panic(err)
-	}
-	<-serveDone
-	return row
-}
-
-// runBatchExperiment sweeps workload × frame shape, best of three per
-// cell (throughput decides; the counter ratios of the winning run are
-// kept), and folds every row into the JSON report. The speedup
-// reference of each workload is the single-op pipelined baseline,
-// which the server coalesces transparently; explicit frames must beat
-// that.
-func runBatchExperiment(w io.Writer, scale harness.Scale, report *jsonReport) {
-	ops := scale.Ops
-	if ops > 262_144 {
-		ops = 262_144
-	}
-	if ops < 131_072 {
-		ops = 131_072 // short runs drown the speedup ratios in startup noise
-	}
+// sweepCell is the one shape the batch and engines experiments sweep:
+// 16 connections, each keeping one batchBurst-op burst in flight
+// against an adaptive-oplog flagship server with batchKeyspan keys
+// preloaded per connection, measured over 131,072–262,144 ops (short
+// runs drown the speedup ratios in startup noise) after warmBursts
+// bursts per connection. The sweeps set the frame size and the engine.
+func sweepCell(scale harness.Scale, workload string, warmBursts int) cell {
 	const conns = 16
-	ops = (ops / (conns * batchBurst)) * conns * batchBurst // whole bursts per connection
-	warm := conns * batchBurst * 4
+	return cell{
+		engine: "grouphash", capacity: 1 << 19, log: &adaptiveLog, preload: batchKeyspan,
+		workload: workload, conns: conns, burst: batchBurst, inflight: 1,
+		warm: conns * batchBurst * warmBursts, ops: min(max(scale.Ops, 131_072), 262_144),
+	}
+}
 
+// runBatchExperiment sweeps workload × frame shape on the flagship,
+// best of five per cell (throughput decides; the counter ratios of the
+// winning run are kept), and folds every row into the JSON report. The
+// speedup reference of each workload is the single-op pipelined
+// baseline, which the server coalesces transparently; explicit frames
+// must beat that.
+func runBatchExperiment(w io.Writer, scale harness.Scale, report *jsonReport) {
 	shapes := []struct {
 		label string
 		frame int
@@ -284,24 +199,27 @@ func runBatchExperiment(w io.Writer, scale harness.Scale, report *jsonReport) {
 		{"batch=256", 256},
 	}
 	for _, workload := range []string{"get", "put", "mixed"} {
+		c := sweepCell(scale, workload, 4)
 		fmt.Fprintf(w, "Batched throughput, %s workload (loopback TCP, %d conns, %d ops in flight per conn, adaptive oplog):\n",
-			workload, conns, batchBurst)
+			workload, c.conns, c.burst)
 		var baseline float64
 		for _, sh := range shapes {
-			// Best of five: each cell is a fresh server and a fraction
-			// of a second of wall time, so scheduler noise dominates a
-			// single run; the fastest is the honest capability number.
-			var row batchRow
-			for rep := 0; rep < 5; rep++ {
-				r := batchCell(workload, conns, sh.frame, warm, ops)
-				if rep == 0 || r.KopsSec > row.KopsSec {
-					row = r
-				}
-			}
+			c.frame = sh.frame
+			r := c.best(5)
 			if baseline == 0 {
-				baseline = row.KopsSec
+				baseline = r.kopsSec()
 			}
-			row.Speedup = row.KopsSec / baseline
+			shape := "batch-frames"
+			if sh.frame == 0 {
+				shape = "single-coalesced"
+			}
+			row := batchRow{
+				Workload: workload, Shape: shape, Batch: sh.frame, Conns: c.conns, Ops: r.ops,
+				WallMs: r.wallMs(), KopsSec: r.kopsSec(), Speedup: r.kopsSec() / baseline,
+				AllocsPerOp:         r.perOp(r.mallocs),
+				OplogAppendsPerKop:  r.perKop(r.appends),
+				CountPersistsPerKop: r.perKop(r.persists),
+			}
 			fmt.Fprintf(w, "  %-16s %8d ops  %8.1f ms  %8.1f kops/s  speedup %.2fx  allocs/op %6.3f  appends/kop %7.2f  persists/kop %7.2f\n",
 				sh.label, row.Ops, row.WallMs, row.KopsSec, row.Speedup,
 				row.AllocsPerOp, row.OplogAppendsPerKop, row.CountPersistsPerKop)

@@ -3,19 +3,9 @@ package main
 import (
 	"fmt"
 	"io"
-	"net"
-	"os"
-	"path/filepath"
-	"runtime"
-	"sync"
-	"time"
 
-	"grouphash/internal/core"
 	"grouphash/internal/engine"
 	"grouphash/internal/harness"
-	"grouphash/internal/layout"
-	"grouphash/internal/oplog"
-	"grouphash/internal/server"
 )
 
 // The engines experiment is the paper's scheme shoot-out moved
@@ -57,129 +47,30 @@ type engineRow struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// engineCell measures one (engine, workload) cell: a fresh server over
-// the chosen engine with an adaptive oplog, preload, warmup on the
-// same connections, then a GC-bracketed measured phase — batchCell's
-// protocol with the engine swapped out.
-func engineCell(name, workload string, conns, frame, warmOps, ops int) engineRow {
-	dir, err := os.MkdirTemp("", "ghbench-engines-*")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	eng, err := engine.New(engine.Spec{Name: name, Capacity: 1 << 19})
-	if err != nil {
-		panic(err)
-	}
-	preload := make([]core.BatchOp, batchKeyspan)
-	out := make([]core.BatchResult, batchKeyspan)
-	for c := 0; c < conns; c++ {
-		base := uint64(c+1) << 40
-		for n := range preload {
-			k := base + uint64(n) + 1
-			preload[n] = core.BatchOp{Kind: core.BatchPut, Key: layout.Key{Lo: k, Hi: k * 0x9e3779b97f4a7c15}, Value: k}
-		}
-		eng.ApplyBatch(preload, out, nil, nil)
-		for _, r := range out {
-			if r.Err != nil {
-				panic(r.Err)
-			}
-		}
-	}
-	lg, err := oplog.OpenConfig(filepath.Join(dir, "oplog"), 1, oplog.Config{
-		SyncEvery: 100 * time.Microsecond, SyncBytes: 64 << 10, PreallocBytes: 4 << 20})
-	if err != nil {
-		panic(err)
-	}
-	srv, err := server.New(server.Config{Engine: eng, Oplog: lg})
-	if err != nil {
-		panic(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		panic(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
-
-	perConn := ops / conns
-	var warm, wg sync.WaitGroup
-	warm.Add(conns)
-	wg.Add(conns)
-	gate := make(chan struct{})
-	for c := 0; c < conns; c++ {
-		go func(c int) {
-			defer wg.Done()
-			conn, err := net.DialTimeout("tcp", ln.Addr().String(), 2*time.Second)
-			if err != nil {
-				panic(err)
-			}
-			defer conn.Close()
-			w := newBatchWorker(conn, uint64(c+1)<<40)
-			w.run(warmOps/conns, workload, frame)
-			warm.Done()
-			<-gate
-			w.run(perConn, workload, frame)
-		}(c)
-	}
-	warm.Wait()
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	close(gate)
-	wg.Wait()
-	wall := float64(time.Since(start).Nanoseconds()) / 1e6
-	runtime.ReadMemStats(&m1)
-
-	total := conns * perConn
-	row := engineRow{
-		Engine: name, Workload: workload, Batch: frame, Conns: conns, Ops: total,
-		WallMs: wall, KopsSec: float64(total) / wall,
-		Items: eng.Len(), Capacity: eng.Capacity(), LoadFactor: eng.LoadFactor(),
-		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(total),
-	}
-	if err := srv.Drain(); err != nil {
-		panic(err)
-	}
-	<-serveDone
-	return row
-}
-
-// runEnginesExperiment sweeps engine × workload at the batch
-// experiment's 16-conn/256-in-flight shape, best of five per cell,
-// normalising each workload against its flagship row.
+// runEnginesExperiment sweeps engine × workload over the batch
+// experiment's cell shape with batch=256 frames, best of five per cell,
+// normalising each workload against its flagship row. The flagship rows
+// here are directly comparable to BENCH_PR8's batch=256 rows.
 func runEnginesExperiment(w io.Writer, scale harness.Scale, report *jsonReport) {
-	// Same clamp as the batch experiment, so the flagship rows here are
-	// directly comparable to BENCH_PR8's batch=256 rows.
-	ops := scale.Ops
-	if ops > 262_144 {
-		ops = 262_144
-	}
-	if ops < 131_072 {
-		ops = 131_072
-	}
-	const conns = 16
-	const frame = batchBurst // 256 sub-ops per OpBatch frame
-	ops = (ops / (conns * batchBurst)) * conns * batchBurst
-	warm := conns * batchBurst * 2
-
 	for _, workload := range []string{"get", "put", "mixed"} {
+		c := sweepCell(scale, workload, 2)
+		c.frame = batchBurst // 256 sub-ops per OpBatch frame
 		fmt.Fprintf(w, "Engine shoot-out, %s workload (loopback TCP, %d conns, batch=%d frames, adaptive oplog):\n",
-			workload, conns, frame)
+			workload, c.conns, c.frame)
 		var flagship float64
 		for _, name := range engine.Names() {
-			var row engineRow
-			for rep := 0; rep < 5; rep++ {
-				r := engineCell(name, workload, conns, frame, warm, ops)
-				if rep == 0 || r.KopsSec > row.KopsSec {
-					row = r
-				}
-			}
+			c.engine = name
+			r := c.best(5)
 			if name == "grouphash" {
-				flagship = row.KopsSec
+				flagship = r.kopsSec()
 			}
-			row.RelVsFlagship = row.KopsSec / flagship
+			row := engineRow{
+				Engine: name, Workload: workload, Batch: c.frame, Conns: c.conns, Ops: r.ops,
+				WallMs: r.wallMs(), KopsSec: r.kopsSec(),
+				Items: r.items, Capacity: r.capacity, LoadFactor: r.loadFactor,
+				RelVsFlagship: r.kopsSec() / flagship,
+				AllocsPerOp:   r.perOp(r.mallocs),
+			}
 			fmt.Fprintf(w, "  %-12s %8d ops  %8.1f ms  %8.1f kops/s  vs flagship %.2fx  lf %.3f (%d/%d)  allocs/op %6.3f\n",
 				name, row.Ops, row.WallMs, row.KopsSec, row.RelVsFlagship,
 				row.LoadFactor, row.Items, row.Capacity, row.AllocsPerOp)

@@ -84,13 +84,9 @@ func expandRehashBench(l1 uint64, seed uint64, reps int) (rows []expandRehashRow
 	items := l1 * 2 * 7 / 10 // ~70% of the two-level capacity
 	mem := native.New(1 << 16)
 	tab, err := core.Create(mem, core.Options{Cells: l1, GroupSize: 256, Seed: seed})
-	if err != nil {
-		panic(err)
-	}
+	check(err)
 	for i := uint64(1); i <= items; i++ {
-		if err := tab.InsertAutoExpand(layout.Key{Lo: i * 0x9e3779b97f4a7c15}, i); err != nil {
-			panic(err)
-		}
+		check(tab.InsertAutoExpand(layout.Key{Lo: i * 0x9e3779b97f4a7c15}, i))
 	}
 	defer tab.SetRehashWorkers(0)
 	var seq float64
@@ -99,9 +95,7 @@ func expandRehashBench(l1 uint64, seed uint64, reps int) (rows []expandRehashRow
 		best := 0.0
 		for rep := 0; rep < reps; rep++ {
 			d, err := tab.RehashBench()
-			if err != nil {
-				panic(err)
-			}
+			check(err)
 			if ms := float64(d.Nanoseconds()) / 1e6; rep == 0 || ms < best {
 				best = ms
 			}
@@ -125,9 +119,7 @@ func expandRehashBench(l1 uint64, seed uint64, reps int) (rows []expandRehashRow
 func expandStallBench(writers, ops int, seed uint64) expandStallRow {
 	mem := native.New(1 << 16)
 	tab, err := core.Create(mem, core.Options{Cells: 1 << 10, GroupSize: 64, Seed: seed})
-	if err != nil {
-		panic(err)
-	}
+	check(err)
 	c := core.NewConcurrent(tab, 0)
 	c.EnableOnlineExpand()
 

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"encoding/csv"
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
+	"reflect"
+	"strings"
 
 	"grouphash/internal/harness"
 )
@@ -115,4 +120,25 @@ func (r *jsonReport) write(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// writeRowsCSV writes rows as CSV with the JSON report's schema: one
+// column per field of the row struct, in declaration order, named by
+// its json tag, so a CSV never drifts from the JSON rows it mirrors.
+func writeRowsCSV[T any](f io.Writer, rows []T) error {
+	t := reflect.TypeFor[T]()
+	header := make([]string, t.NumField())
+	for i := range header {
+		header[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
+	}
+	records := [][]string{header}
+	for _, row := range rows {
+		v := reflect.ValueOf(row)
+		rec := make([]string, len(header))
+		for i := range rec {
+			rec[i] = fmt.Sprint(v.Field(i).Interface())
+		}
+		records = append(records, rec)
+	}
+	return csv.NewWriter(f).WriteAll(records)
 }

@@ -27,9 +27,6 @@ import (
 	"grouphash/internal/trace"
 )
 
-// traceRandomNum keeps the import local to the repeat experiment.
-func traceRandomNum(seed int64) trace.Trace { return trace.NewRandomNum(seed) }
-
 func main() {
 	exp := flag.String("exp", "all", "comma-separated experiments: all, fig2, fig5, fig6, fig7, fig8, table3, wear, ycsb, excluded, curve, repeat, expand, probe, oplog, metrics, batch, engines, workload")
 	scaleName := flag.String("scale", "default", "experiment scale: test, default, paper")
@@ -172,7 +169,7 @@ func main() {
 			for _, k := range harness.Fig5Schemes() {
 				rows = append(rows, harness.RepeatLatency(harness.LatencyConfig{
 					Build:      harness.BuildConfig{Kind: k, TotalCells: scale.RandomNumCells, Seed: uint64(scale.Seed)},
-					Trace:      traceRandomNum(scale.Seed),
+					Trace:      trace.NewRandomNum(scale.Seed),
 					LoadFactor: 0.5,
 					Ops:        scale.Ops,
 					Seed:       scale.Seed,
@@ -198,121 +195,43 @@ func main() {
 	if want("expand") {
 		timed("expand", func() {
 			runExpandExperiment(w, scale, &report)
-			writeCSV("expand.csv", func(f *os.File) error {
-				if _, err := fmt.Fprintln(f, "mode,workers,gomaxprocs,num_cpu,cells,items,wall_ms,speedup"); err != nil {
-					return err
-				}
-				for _, r := range report.ExpandRehash {
-					if _, err := fmt.Fprintf(f, "%s,%d,%d,%d,%d,%d,%.3f,%.3f\n",
-						r.Mode, r.Workers, r.GoMaxProcs, r.NumCPU, r.Cells, r.Items, r.WallMs, r.Speedup); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
+			writeCSV("expand.csv", func(f *os.File) error { return writeRowsCSV(f, report.ExpandRehash) })
 		})
 	}
 	if want("probe") {
 		timed("probe", func() {
 			runProbeExperiment(w, scale, &report)
-			writeCSV("probe.csv", func(f *os.File) error {
-				if _, err := fmt.Fprintln(f, "case,target_lf_pct,load_factor_pct,fingerprints,ns_per_op,speedup,fp_hits_per_op,fp_skips_per_op"); err != nil {
-					return err
-				}
-				for _, r := range report.Probe {
-					if _, err := fmt.Fprintf(f, "%s,%d,%.2f,%v,%.2f,%.3f,%.3f,%.3f\n",
-						r.Case, r.TargetLfPct, r.LfPct, r.Fingerprints, r.NsOp, r.Speedup, r.FpHitsOp, r.FpSkipsOp); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
+			writeCSV("probe.csv", func(f *os.File) error { return writeRowsCSV(f, report.Probe) })
 		})
 	}
 	if want("oplog") {
 		timed("oplog", func() {
 			runOplogExperiment(w, scale, &report)
-			writeCSV("oplog.csv", func(f *os.File) error {
-				if _, err := fmt.Fprintln(f, "mode,conns,batch,ops,wall_ms,kops_per_sec,slowdown"); err != nil {
-					return err
-				}
-				for _, r := range report.OplogThroughput {
-					if _, err := fmt.Fprintf(f, "%s,%d,%d,%d,%.3f,%.3f,%.3f\n", r.Mode, r.Conns, r.Batch, r.Ops, r.WallMs, r.KopsSec, r.Slowdown); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
+			writeCSV("oplog.csv", func(f *os.File) error { return writeRowsCSV(f, report.OplogThroughput) })
 		})
 	}
 	if want("metrics") {
 		timed("metrics", func() {
 			runMetricsExperiment(w, scale, &report)
-			writeCSV("metrics.csv", func(f *os.File) error {
-				if _, err := fmt.Fprintln(f, "mode,conns,batch,ops,wall_ms,kops_per_sec,overhead"); err != nil {
-					return err
-				}
-				for _, r := range report.MetricsOverhead {
-					if _, err := fmt.Fprintf(f, "%s,%d,%d,%d,%.3f,%.3f,%.3f\n", r.Mode, r.Conns, r.Batch, r.Ops, r.WallMs, r.KopsSec, r.Overhead); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
+			writeCSV("metrics.csv", func(f *os.File) error { return writeRowsCSV(f, report.MetricsOverhead) })
 		})
 	}
 	if want("batch") {
 		timed("batch", func() {
 			runBatchExperiment(w, scale, &report)
-			writeCSV("batch.csv", func(f *os.File) error {
-				if _, err := fmt.Fprintln(f, "workload,shape,batch,conns,ops,wall_ms,kops_per_sec,speedup,allocs_per_op,oplog_appends_per_kop,count_persists_per_kop"); err != nil {
-					return err
-				}
-				for _, r := range report.BatchThroughput {
-					if _, err := fmt.Fprintf(f, "%s,%s,%d,%d,%d,%.3f,%.3f,%.3f,%.4f,%.3f,%.3f\n",
-						r.Workload, r.Shape, r.Batch, r.Conns, r.Ops, r.WallMs, r.KopsSec, r.Speedup,
-						r.AllocsPerOp, r.OplogAppendsPerKop, r.CountPersistsPerKop); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
+			writeCSV("batch.csv", func(f *os.File) error { return writeRowsCSV(f, report.BatchThroughput) })
 		})
 	}
 	if want("engines") {
 		timed("engines", func() {
 			runEnginesExperiment(w, scale, &report)
-			writeCSV("engines.csv", func(f *os.File) error {
-				if _, err := fmt.Fprintln(f, "engine,workload,batch,conns,ops,wall_ms,kops_per_sec,items,capacity,load_factor,rel_vs_flagship,allocs_per_op"); err != nil {
-					return err
-				}
-				for _, r := range report.Engines {
-					if _, err := fmt.Fprintf(f, "%s,%s,%d,%d,%d,%.3f,%.3f,%d,%d,%.4f,%.3f,%.4f\n",
-						r.Engine, r.Workload, r.Batch, r.Conns, r.Ops, r.WallMs, r.KopsSec,
-						r.Items, r.Capacity, r.LoadFactor, r.RelVsFlagship, r.AllocsPerOp); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
+			writeCSV("engines.csv", func(f *os.File) error { return writeRowsCSV(f, report.Engines) })
 		})
 	}
 	if want("workload") {
 		timed("workload", func() {
 			runWorkloadExperiment(w, scale, &report)
-			writeCSV("workload.csv", func(f *os.File) error {
-				if _, err := fmt.Fprintln(f, "shape,engine,zipf_theta,tenants,flash_peak,conns,depth,batch,records,steps,acked_ops,wall_ms,kops_per_sec,burst_p50_us,burst_p99_us"); err != nil {
-					return err
-				}
-				for _, r := range report.Workload {
-					if _, err := fmt.Fprintf(f, "%s,%s,%.2f,%d,%.2f,%d,%d,%d,%d,%d,%d,%.3f,%.3f,%.1f,%.1f\n",
-						r.Shape, r.Engine, r.Theta, r.Tenants, r.Flash, r.Conns, r.Depth, r.Batch,
-						r.Records, r.Steps, r.Acked, r.WallMs, r.KopsSec, r.BurstP50Us, r.BurstP99Us); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
+			writeCSV("workload.csv", func(f *os.File) error { return writeRowsCSV(f, report.Workload) })
 		})
 	}
 	if want("ycsb") {

@@ -36,9 +36,7 @@ type probeRow struct {
 // the keys that landed.
 func probeBuild(l1 uint64, seed uint64, lfPct int, fp bool) (*core.Table, []layout.Key) {
 	tab, err := core.Create(native.New(1<<16), core.Options{Cells: l1, GroupSize: 256, Seed: seed})
-	if err != nil {
-		panic(err)
-	}
+	check(err)
 	if !fp {
 		tab.DisableFingerprints()
 	}

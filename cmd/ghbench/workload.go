@@ -3,16 +3,9 @@ package main
 import (
 	"fmt"
 	"io"
-	"net"
-	"os"
-	"path/filepath"
-	"time"
 
-	"grouphash/internal/engine"
 	"grouphash/internal/harness"
 	"grouphash/internal/loadgen"
-	"grouphash/internal/oplog"
-	"grouphash/internal/server"
 	"grouphash/internal/trace"
 )
 
@@ -54,46 +47,20 @@ type workloadRow struct {
 // adaptive oplog: preload the tenant keyspace, then drive the mix and
 // report acked throughput and burst latency.
 func workloadCell(shape string, mix trace.MixConfig, conns, depth, batch int, ops uint64) workloadRow {
-	dir, err := os.MkdirTemp("", "ghbench-workload-*")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	eng, err := engine.New(engine.Spec{Name: "grouphash", Capacity: 1 << 19})
-	if err != nil {
-		panic(err)
-	}
-	lg, err := oplog.OpenConfig(filepath.Join(dir, "oplog"), 1, oplog.Config{
-		SyncEvery: 100 * time.Microsecond, SyncBytes: 64 << 10, PreallocBytes: 4 << 20})
-	if err != nil {
-		panic(err)
-	}
-	srv, err := server.New(server.Config{Engine: eng, Oplog: lg})
-	if err != nil {
-		panic(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		panic(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
-
+	s := cell{engine: "grouphash", capacity: 1 << 19, log: &adaptiveLog}.boot()
+	defer s.stop()
 	cfg := loadgen.Config{
-		Addr:  ln.Addr().String(),
+		Addr:  s.addr,
 		Mix:   mix,
 		Ops:   ops,
 		Conns: conns,
 		Depth: depth,
 		Batch: batch,
 	}
-	if _, err := loadgen.Preload(cfg); err != nil {
-		panic(err)
-	}
+	_, err := loadgen.Preload(cfg)
+	check(err)
 	res, err := loadgen.Run(cfg)
-	if err != nil {
-		panic(err)
-	}
+	check(err)
 	if res.Drained {
 		panic("workload cell: server drained mid-run")
 	}
@@ -104,16 +71,12 @@ func workloadCell(shape string, mix trace.MixConfig, conns, depth, batch int, op
 		Conns: conns, Depth: depth, Batch: batch, Records: mix.Records,
 		Steps: res.Steps, Acked: res.Acked,
 		WallMs: wall, KopsSec: float64(res.Acked) / wall,
-		BurstP50Us: res.RTT.Quantile(0.50) / 1e3,
-		BurstP99Us: res.RTT.Quantile(0.99) / 1e3,
+		BurstP50Us: quantileUs(res.RTT, 0.50),
+		BurstP99Us: quantileUs(res.RTT, 0.99),
 	}
 	if mix.Flash != nil {
 		row.Flash = mix.Flash.Peak
 	}
-	if err := srv.Drain(); err != nil {
-		panic(err)
-	}
-	<-serveDone
 	return row
 }
 
@@ -126,13 +89,7 @@ func runWorkloadExperiment(w io.Writer, scale harness.Scale, report *jsonReport)
 		batch   = 128
 		records = uint64(1) << 16
 	)
-	ops := uint64(scale.Ops)
-	if ops > 262_144 {
-		ops = 262_144
-	}
-	if ops < 131_072 {
-		ops = 131_072
-	}
+	ops := uint64(min(max(scale.Ops, 131_072), 262_144))
 	perConn := ops / conns
 
 	base := trace.MixConfig{

@@ -215,14 +215,7 @@ func (s *Store) Put(k Key, v uint64) error {
 	if s.tab.Update(k, v) {
 		return nil
 	}
-	err := s.tab.Insert(k, v)
-	if err == hashtab.ErrTableFull && s.expand {
-		if err = s.tab.Expand(); err != nil {
-			return err
-		}
-		err = s.tab.Insert(k, v)
-	}
-	return err
+	return s.insertExpanding(k, v)
 }
 
 // Insert stores (k, v) with the paper's Algorithm-1 semantics: no
@@ -385,17 +378,14 @@ func (s *Store) MGet(keys []Key, vals []uint64, found []bool) {
 	}
 }
 
-// insertExpanding inserts, expanding once on a full table when
-// expansion is enabled — Put's fallback, shared with the batch path.
+// insertExpanding inserts on the sequential table, expanding once on a
+// full table unless expansion is disabled — Put's fallback, shared with
+// the batch path.
 func (s *Store) insertExpanding(k Key, v uint64) error {
-	err := s.tab.Insert(k, v)
-	if err == hashtab.ErrTableFull && s.expand {
-		if err = s.tab.Expand(); err != nil {
-			return err
-		}
-		err = s.tab.Insert(k, v)
+	if s.expand {
+		return s.tab.InsertAutoExpand(k, v)
 	}
-	return err
+	return s.tab.Insert(k, v)
 }
 
 // Get returns the value stored under k.

@@ -46,7 +46,8 @@ type Config struct {
 // audit closes the run.
 //
 // Run installs the package-global oplog fsync hook for KindFsyncFault
-// events; do not run two schedules concurrently in one process.
+// and KindKillTear events; do not run two schedules concurrently in
+// one process.
 func Run(cfg Config) error {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 3
@@ -178,10 +179,11 @@ func serveGeneration(cfg Config, eng engine.Engine, lg *oplog.Log, img string, e
 
 	time.Sleep(ev.Delay)
 	switch ev.Kind {
-	case KindKill:
-		srv.Abort()
-		<-serveDone
-	case KindKillTear:
+	case KindKill, KindKillTear:
+		// kill+tear cuts power: the armed fault fails the commit in
+		// flight (or the next) after it wrote its records — written,
+		// never durable, never acked: the tail tearTail cuts into.
+		fsyncFault.Store(ev.Kind == KindKillTear)
 		srv.Abort()
 		<-serveDone
 	case KindDrain:
@@ -227,7 +229,9 @@ func serveGeneration(cfg Config, eng engine.Engine, lg *oplog.Log, img string, e
 	if ev.Kind == KindKillTear {
 		// The abort left the oplog exactly as the crash found it; now
 		// take the power failure's cut of the active segment.
-		if err := tearTail(lg, rng); err != nil {
+		err := tearTail(lg, rng, logf)
+		fsyncFault.Store(false)
+		if err != nil {
 			return err
 		}
 	} else {
@@ -243,10 +247,11 @@ func serveGeneration(cfg Config, eng engine.Engine, lg *oplog.Log, img string, e
 // tearTail abandons the log the way a power failure would: the active
 // segment keeps its fsynced prefix, loses a random amount of its
 // unsynced tail, and sometimes gains trailing garbage.
-func tearTail(lg *oplog.Log, rng *rand.Rand) error {
+func tearTail(lg *oplog.Log, rng *rand.Rand, logf func(string, ...any)) error {
 	synced, written := lg.SyncedSize(), lg.WrittenSize()
 	path := lg.ActivePath()
 	lg.Abort()
+	logf("chaos: tear: active segment %d bytes written, %d fsynced", written, synced)
 	keep := synced
 	if written > synced {
 		keep = synced + rng.Int63n(written-synced+1)

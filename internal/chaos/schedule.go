@@ -29,10 +29,11 @@ const (
 	// KindKill aborts the server mid-load (in-process kill -9); the
 	// oplog keeps whatever the crash left.
 	KindKill Kind = iota
-	// KindKillTear aborts mid-load AND tears the active oplog segment
-	// the way a power failure would: the fsynced prefix survives, a
-	// random amount of the unsynced tail is lost, sometimes trailing
-	// garbage appears.
+	// KindKillTear cuts power mid-load: an fsync fault armed at the
+	// abort leaves the commit in flight written but never durable, and
+	// the active oplog segment is torn the way a power failure would:
+	// the fsynced prefix survives, a random amount of the unsynced tail
+	// is lost, sometimes trailing garbage appears.
 	KindKillTear
 	// KindDrain shuts down gracefully mid-load: buffered writes are
 	// refused with StatusDraining, a final snapshot is cut, the oplog

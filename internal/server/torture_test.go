@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"grouphash"
 	"grouphash/internal/client"
+	"grouphash/internal/core"
+	"grouphash/internal/engine"
 	"grouphash/internal/layout"
 	"grouphash/internal/oplog"
 	"grouphash/internal/wire"
@@ -22,20 +24,30 @@ import (
 // is present EXACTLY once after recovery, no refused or unacked write
 // is half-applied, and replay survives a crash during replay itself.
 //
-// Each cycle recovers (snapshot + oplog replay), verifies the model,
-// serves real pipelined client load, then crashes at a chosen point:
+// Each cycle recovers through engine.Restart (snapshot + oplog replay,
+// the one restart sequence production uses), verifies the model,
+// serves real pipelined client load, then crashes at one of the leg's
+// kill points:
 //
-//	cycle%4 == 0  under pure load (log tail mid-group-commit)
-//	cycle%4 == 1  mid-snapshot: log rotated, image never written
-//	cycle%4 == 2  mid-snapshot: image durable, log not yet truncated
-//	cycle%4 == 3  right after a completed snapshot + truncation
+//	stage 0  under pure load (log tail mid-group-commit)
+//	stage 1  mid-snapshot: log rotated, image never written
+//	stage 2  mid-snapshot: image durable, log not yet truncated
+//	stage 3  right after a completed snapshot + truncation
+//
+// The zero-window leg runs stages 1 and 2 only: ghchaos's zero-window
+// row in make torture serves with the identical oplog config and
+// SIGKILLs under load, after 25 ms periodic snapshots have completed
+// and truncated the log, so it reaches stages 0 and 3. No other gate
+// runs the windowed legs' 4 KiB growth steps, so they keep all four.
 //
 // Every odd cycle additionally simulates a crash in the middle of
-// replay (a prefix of the log applied to a store that is then thrown
-// away) before recovering for real. After every crash, the active
-// segment's unsynced tail is torn at a random point and garbage is
-// appended — kill -9 alone keeps the page cache, so tearing is what
-// makes the test model power failure rather than a polite crash.
+// replay (half the log applied to a throwaway engine whose applier
+// then refuses) before recovering for real. Every crash is a power
+// cut: an fsync fault armed at the crash instant fails the next group
+// commit after it has written its records, so they are written, never
+// durable and never acked — then the active segment's unsynced tail is
+// torn at a random point and garbage is appended. Each leg fails unless
+// at least one crash had such a tail to tear.
 //
 // The client-visible model tracks each key as acked-present,
 // acked-absent, or tainted (its batch died unacked: the op may or may
@@ -53,20 +65,63 @@ import (
 // kills and torn tails land past the first step, in regions a growth
 // commit zero-filled; the test fails if none does.
 func TestCrashTorture(t *testing.T) {
+	// One fsync hook for every leg, installed before any log opens:
+	// replacing it while a committer runs would race. Armed, it fails
+	// the next sync and reports that it did.
+	pc := &powerCut{fired: make(chan struct{}, 1)}
+	oplog.SetTestFsyncErr(func() error {
+		if !pc.armed.Load() {
+			return nil
+		}
+		select {
+		case pc.fired <- struct{}{}:
+		default:
+		}
+		return errors.New("torture: power cut")
+	})
+	t.Cleanup(func() { oplog.SetTestFsyncErr(nil) })
 	for _, tc := range []struct {
 		name   string
 		cycles int
 		cfg    oplog.Config
+		stages []int
 	}{
-		{"zero-window", 24, oplog.Config{}},
-		{"adaptive-100us-64KiB", 16, oplog.Config{SyncEvery: 100 * time.Microsecond, SyncBytes: 64 << 10, PreallocBytes: 4 << 10}},
-		{"adaptive-1ms-256KiB", 16, oplog.Config{SyncEvery: time.Millisecond, SyncBytes: 256 << 10, PreallocBytes: 4 << 10}},
+		{"zero-window", 24, oplog.Config{}, []int{1, 2}},
+		{"adaptive-100us-64KiB", 16, oplog.Config{SyncEvery: 100 * time.Microsecond, SyncBytes: 64 << 10, PreallocBytes: 4 << 10}, []int{0, 1, 2, 3}},
+		{"adaptive-1ms-256KiB", 16, oplog.Config{SyncEvery: time.Millisecond, SyncBytes: 256 << 10, PreallocBytes: 4 << 10}, []int{0, 1, 2, 3}},
 	} {
-		t.Run(tc.name, func(t *testing.T) { crashTorture(t, tc.cycles, tc.cfg) })
+		t.Run(tc.name, func(t *testing.T) { crashTorture(t, tc.cycles, tc.cfg, tc.stages, pc) })
 	}
 }
 
-func crashTorture(t *testing.T, cycles int, lcfg oplog.Config) {
+// powerCut is the torture's fsync fault: armed at the crash instant,
+// it fails the next sync, so that commit's records reach the segment
+// but are never durable and never acked.
+type powerCut struct {
+	armed atomic.Bool
+	fired chan struct{} // one token once an armed sync failed
+}
+
+// cut arms the fault and waits for the next commit to hit it; with no
+// write left to commit, it gives up after a second.
+func (pc *powerCut) cut() {
+	pc.armed.Store(true)
+	select {
+	case <-pc.fired:
+	case <-time.After(time.Second):
+	}
+}
+
+// restore disarms the fault for the next generation's log.
+func (pc *powerCut) restore() {
+	pc.armed.Store(false)
+	select {
+	case <-pc.fired:
+	default:
+	}
+}
+
+func crashTorture(t *testing.T, cycles int, lcfg oplog.Config, stages []int, pc *powerCut) {
 	dir := t.TempDir()
 	img := filepath.Join(dir, "store.pmfs")
 	base := filepath.Join(dir, "oplog")
@@ -77,6 +132,7 @@ func crashTorture(t *testing.T, cycles int, lcfg oplog.Config) {
 		ws[i] = newTortureWorker(uint64(i))
 	}
 	grownCrashes := 0 // crashes whose fsynced prefix ended past the first growth step
+	tornCrashes := 0  // crashes that left a written but unsynced tail to tear
 
 	for cycle := 0; cycle < cycles; cycle++ {
 		st, lg := recoverStore(t, img, base, cycle%2 == 1, lcfg)
@@ -115,7 +171,7 @@ func crashTorture(t *testing.T, cycles int, lcfg oplog.Config) {
 		// SnapshotWriterAt's all-stripes cut, exactly as the server
 		// does; stage 1 captures but never writes the image, so its
 		// on-disk state is "rotated, no image".
-		if stage := cycle % 4; stage >= 1 {
+		if stage := stages[cycle%len(stages)]; stage >= 1 {
 			var mark uint64
 			write, err := st.SnapshotWriterAt(func() (uint64, error) {
 				mark = lg.LastLSN()
@@ -135,6 +191,7 @@ func crashTorture(t *testing.T, cycles int, lcfg oplog.Config) {
 				}
 			}
 		}
+		pc.cut()
 		s.Abort()
 		if err := <-serveDone; err != nil {
 			t.Fatalf("Serve returned %v", err)
@@ -143,7 +200,12 @@ func crashTorture(t *testing.T, cycles int, lcfg oplog.Config) {
 		for _, c := range clients {
 			c.Close()
 		}
-		if synced := tearTail(t, lg, rng); lcfg.PreallocBytes > 0 && synced > lcfg.PreallocBytes {
+		synced, written := tearTail(t, lg, rng)
+		pc.restore()
+		if written > synced {
+			tornCrashes++
+		}
+		if lcfg.PreallocBytes > 0 && synced > lcfg.PreallocBytes {
 			grownCrashes++
 		}
 		if t.Failed() {
@@ -156,6 +218,10 @@ func crashTorture(t *testing.T, cycles int, lcfg oplog.Config) {
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("%d of %d crashes cut a written but unsynced tail", tornCrashes, cycles)
+	if tornCrashes == 0 {
+		t.Fatalf("no crash left an unsynced tail: every tear cut only what was already durable")
+	}
 	if lcfg.PreallocBytes > 0 {
 		t.Logf("%d of %d crashes landed past the first %d-byte growth step", grownCrashes, cycles, lcfg.PreallocBytes)
 		if grownCrashes == 0 {
@@ -164,77 +230,68 @@ func crashTorture(t *testing.T, cycles int, lcfg oplog.Config) {
 	}
 }
 
-// recoverStore performs the full boot-time recovery: load the latest
-// image if one exists, replay the oplog past its mark, open the log
-// for appending. With doomed set, it first simulates a crash during
-// replay: a prefix of the log is applied to a throwaway store that is
-// then abandoned — replay writes nothing, so the real recovery that
-// follows must be unaffected.
-func recoverStore(t *testing.T, img, base string, doomed bool, lcfg oplog.Config) (*grouphash.Store, *oplog.Log) {
+// tortureSpec is the engine the torture recovers: a flagship small
+// enough that the load forces online expansions.
+var tortureSpec = engine.Spec{Name: "grouphash", Capacity: 1 << 12}
+
+// recoverStore recovers through engine.Restart — load the latest image
+// if one exists, replay the oplog past its mark, open the log for
+// appending — and settles any expansion the replay left migrating with
+// an empty Quiesce. With doomed set, it first simulates a crash during
+// replay: half the log is replayed into a throwaway engine whose
+// applier then refuses — replay writes nothing, so the real recovery
+// that follows must be unaffected.
+func recoverStore(t *testing.T, img, base string, doomed bool, lcfg oplog.Config) (engine.Engine, *oplog.Log) {
 	t.Helper()
-	load := func() (*grouphash.Store, uint64) {
-		if _, err := os.Stat(img); err == nil {
-			st, mark, err := grouphash.LoadSnapshotMark(img, true)
-			if err != nil {
-				t.Fatalf("loading image: %v", err)
-			}
-			return st, mark
-		}
-		st, err := grouphash.New(grouphash.Options{Capacity: 1 << 12, Concurrent: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, 0
-	}
 	if doomed {
-		stD, markD := load()
-		_, total, err := oplog.Scan(base, markD, func(oplog.Record) error { return nil })
+		doomedEng, _, rec, err := engine.Restart(tortureSpec, img, "", lcfg)
+		if err != nil {
+			t.Fatalf("loading image: %v", err)
+		}
+		_, total, err := oplog.Scan(base, rec.Mark, func(oplog.Record) error { return nil })
 		if err != nil {
 			t.Fatalf("counting scan: %v", err)
 		}
 		if total > 1 {
-			errStop := errors.New("simulated crash mid-replay")
-			applied := 0
-			_, _, err := oplog.Scan(base, markD, func(r oplog.Record) error {
-				if applied >= total/2 {
-					return errStop
-				}
-				applied++
-				switch r.Op {
-				case oplog.OpPut:
-					return stD.Put(r.Key, r.Value)
-				case oplog.OpInsert:
-					return stD.Insert(r.Key, r.Value)
-				default:
-					stD.Delete(r.Key)
-					return nil
-				}
-			})
-			if err != nil && !errors.Is(err, errStop) {
+			if _, _, err := oplog.Replay(&haltingApplier{doomedEng, total / 2}, base, rec.Mark); !errors.Is(err, errMidReplay) {
 				t.Fatalf("partial replay: %v", err)
 			}
 		}
 	}
-	st, mark := load()
-	applied, next, err := st.ReplayOplog(base, mark)
+	st, lg, rec, err := engine.Restart(tortureSpec, img, base, lcfg)
 	if err != nil {
-		t.Fatalf("replay: %v", err)
+		t.Fatalf("recovery: %v", err)
 	}
-	lg, err := oplog.OpenConfig(base, next, lcfg)
-	if err != nil {
-		t.Fatalf("reopening oplog: %v", err)
-	}
-	t.Logf("recovered: mark=%d replayed=%d next=%d items=%d", mark, applied, next, st.Len())
+	st.Quiesce(func() {})
+	t.Logf("recovered: mark=%d replayed=%d items=%d", rec.Mark, rec.Replayed, st.Len())
 	return st, lg
+}
+
+var errMidReplay = errors.New("simulated crash mid-replay")
+
+// haltingApplier applies the first left records of a replay to its
+// engine, then refuses every later one: a crash part-way through.
+type haltingApplier struct {
+	engine.Engine
+	left int
+}
+
+func (a *haltingApplier) ApplyBatch(ops []core.BatchOp, out []core.BatchResult, sc *core.BatchScratch, committed func(applied []int)) {
+	n := min(a.left, len(ops))
+	a.Engine.ApplyBatch(ops[:n], out[:n], sc, committed)
+	for i := n; i < len(ops); i++ {
+		out[i] = core.BatchResult{Err: errMidReplay}
+	}
+	a.left -= n
 }
 
 // tearTail abandons the log the way a power failure would: the active
 // segment keeps its fsynced prefix, loses a random amount of its
 // unsynced tail, and sometimes gains trailing garbage. It returns the
-// fsynced prefix's length.
-func tearTail(t *testing.T, lg *oplog.Log, rng *rand.Rand) int64 {
+// fsynced and written lengths of the segment.
+func tearTail(t *testing.T, lg *oplog.Log, rng *rand.Rand) (synced, written int64) {
 	t.Helper()
-	synced, written := lg.SyncedSize(), lg.WrittenSize()
+	synced, written = lg.SyncedSize(), lg.WrittenSize()
 	path := lg.ActivePath()
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -261,7 +318,7 @@ func tearTail(t *testing.T, lg *oplog.Log, rng *rand.Rand) int64 {
 			t.Fatal(err)
 		}
 	}
-	return synced
+	return synced, written
 }
 
 // Key lifecycle states in the torture model.
@@ -407,7 +464,7 @@ func (w *tortureWorker) run(t *testing.T, c *client.Client) {
 // model and resolves taints to what actually survived — once observed
 // after recovery, a key's fate is durable and feeds the next cycle's
 // expectations.
-func verifyModel(t *testing.T, st *grouphash.Store, ws []*tortureWorker, cycle int) {
+func verifyModel(t *testing.T, st engine.Engine, ws []*tortureWorker, cycle int) {
 	t.Helper()
 	var expected uint64
 	for _, w := range ws {
