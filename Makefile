@@ -19,6 +19,8 @@ vet:
 # native backend, the network layer built on top of it, the operation
 # log, whose committer goroutine runs behind every log, and ghbench's
 # serving cell, whose driver keeps bursts in flight on two goroutines.
+# The crash torture runs under the race detector too, since it cuts
+# power under all of them.
 # perfbench is its own module, so ./... never builds it, yet it embeds
 # engine.Engine and calls the façade: vet and test it here so a seam
 # change cannot break the benchmark unseen.
@@ -26,6 +28,7 @@ test:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/core ./internal/engine ./internal/server ./internal/client ./internal/native ./internal/oplog ./cmd/ghbench
+	$(GO) test -race -run 'CrashTorture' ./internal/chaos
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
@@ -34,26 +37,27 @@ race: torture fuzz-smoke chaos-smoke
 	$(GO) test -race -run 'OnlineExpansion' -count=4 -cpu 1,2,4 ./internal/core
 	$(GO) test -race -run 'Replay' -count=4 -cpu 1,2,4 ./internal/oplog ./internal/engine .
 
-# torture is the durability gate: the in-process crash-torture test
-# (deterministic kill points: mid-group-commit, mid-rotation,
-# mid-snapshot, mid-replay; power cuts that tear the log's unsynced
-# tail; a zero-length and two (T, B) commit windows) under the race
-# detector, plus ghchaos
-# SIGKILLing a real serving process and auditing every acked write for
-# exactly-once survival — swept across the (T, B) group-commit matrix:
-# a zero-length window (fsync as soon as a write is staged), the
-# 100µs/64KiB default, and a wide 1ms/256KiB window, the latter two
-# growing segments in 1 KiB preallocation steps: the child snapshots
-# (and so rotates) every 25 ms, leaving each segment a few KiB, and a
-# step that small makes every generation grow its segments several
-# times, so kills and torn tails land in grown, zero-filled regions
-# (each kill logs the live segment's size).
-# Seed 1's schedules are mostly SIGKILLs (21, 12 and 12 of them), with
-# drains and torn tails mixed in; the small capacity forces online
-# expansions on the flagship.
+# torture is the durability gate: the crash torture (three chaos
+# schedules whose every event is a power cut that tears the log's
+# unsynced tail, under load or at a snapshot's durable steps, with a
+# crash mid-replay before every odd generation's recovery and the last;
+# a zero-length and two (T, B) commit windows) under the race detector,
+# plus ghchaos SIGKILLing a real serving process and auditing every
+# acked write for exactly-once survival — swept across the (T, B)
+# group-commit matrix: a zero-length window (fsync as soon as a write is
+# staged), the 100µs/64KiB default, and a wide 1ms/256KiB window, the
+# latter two growing segments in 1 KiB preallocation steps: the child
+# snapshots (and so rotates) every 25 ms, leaving each segment a few
+# KiB, and a step that small makes every generation grow its segments
+# several times, so kills and torn tails land in grown, zero-filled
+# regions (each kill logs the live segment's size, each tear the offset
+# of its garbage, written where replay reads the next record). Seed 1's
+# schedules are mostly SIGKILLs (21, 12 and 12 of them), with drains and
+# torn tails mixed in; the small capacity forces online expansions on
+# the flagship.
 TORTURE = $(GO) run -race ./cmd/ghchaos -engine grouphash -capacity 4096 -seed 1
 torture:
-	$(GO) test -race -run 'CrashTorture' -count=1 ./internal/server
+	$(GO) test -race -run 'CrashTorture' -count=1 ./internal/chaos
 	$(TORTURE) -sync-every 0 -sync-bytes 0 -cycles 24
 	$(TORTURE) -sync-every 100us -sync-bytes 65536 -prealloc 1024 -cycles 15
 	$(TORTURE) -sync-every 1ms -sync-bytes 262144 -prealloc 1024 -cycles 15
@@ -62,8 +66,9 @@ torture:
 # (flagship + both logged comparison engines × seven seeds) of six
 # events each — kills, torn tails, sticky fsync faults, drains,
 # snapshot cycles, forced online expansions — against a live in-process
-# serving stack under the race detector, a full recovery and map-oracle
-# audit after every event. Deterministic: a failure prints the exact
+# serving stack under the race detector, a full recovery (after a crash
+# mid-replay on every odd generation and the last) and map-oracle audit
+# after every event. Deterministic: a failure prints the exact
 # (engine, seed) reproduction command. The tight -timeout turns any
 # future wedge into a fast failure with a full goroutine dump instead
 # of a ten-minute stall.
@@ -74,7 +79,7 @@ chaos-smoke:
 # plays the same schedule generator against a supervised child —
 # real child processes, real SIGKILL and SIGTERM,
 # power-failure garbage on the live oplog segment — across the engine
-# seam. Bounded here; pass -duration for an open-ended soak, e.g.
+# seam, driving and auditing it with the chaos model over the wire. Bounded here; pass -duration for an open-ended soak, e.g.
 #   go run ./cmd/ghchaos -duration 30m -engine grouphash -capacity 4096
 soak:
 	$(GO) run ./cmd/ghchaos -cycles 20 -engine grouphash -capacity 4096 -seed 1

@@ -1,18 +1,21 @@
-// Command ghchaos is the real-process arm of the chaos matrix: a
+// Command ghchaos is the real-process arm of the chaos harness: a
 // supervisor re-executes its own binary as a child that recovers and
 // serves exactly the way ghserver does (image + oplog replay through
 // the engine seam, group-committed acks, aggressive background
 // snapshots), and plays seeded internal/chaos fault schedules against
 // it — SIGKILL at scheduled moments (mid-snapshot, mid-rotation,
 // mid-group-commit or mid-batch, the scheduler decides), SIGTERM
-// drains, power-failure garbage appended to the live oplog segment —
-// while a supervisor-side model audits every acked insert for
-// exactly-once survival across recoveries.
+// drains, power-failure garbage written where replay reads the live
+// oplog segment's next record — while the supervisor drives it with
+// chaos.Model's workers (inserts, deletes and overwrites) and audits
+// every recovery with the same Model over the wire. The child audits
+// its own structure after each recovery, which the wire cannot carry.
 //
-// The in-process matrix (`make chaos-smoke`) composes more injector
-// kinds (sticky fsync faults, on-demand snapshots, torn-tail
-// truncation need in-process hooks); this command is the real-process
-// half: `make torture` runs it across the (T, B) group-commit matrix,
+// The in-process harness (`make chaos-smoke`, the crash torture)
+// composes more injector kinds (sticky fsync faults, power cuts at a
+// snapshot's durable steps, torn-tail truncation, crashes mid-replay
+// need in-process hooks); this command is the real-process half:
+// `make torture` runs it across the (T, B) group-commit matrix,
 // `make soak` across engines, and -duration turns it into an
 // open-ended soak.
 //
@@ -27,6 +30,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -43,11 +47,8 @@ import (
 	"grouphash/internal/chaos"
 	"grouphash/internal/client"
 	"grouphash/internal/engine"
-	"grouphash/internal/layout"
 	"grouphash/internal/oplog"
 	"grouphash/internal/server"
-	"grouphash/internal/trace"
-	"grouphash/internal/wire"
 )
 
 func main() {
@@ -104,6 +105,14 @@ func child(dir, addrFile string, spec engine.Spec, lcfg oplog.Config) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The supervisor's audit reads keys and Len over the wire; the
+	// structure it cannot see is checked here, once an empty Quiesce has
+	// settled any expansion replay left migrating. A violation exits
+	// non-zero before the address is published, which stops the run.
+	eng.Quiesce(func() {})
+	if bad := eng.CheckConsistency(); len(bad) != 0 {
+		log.Fatalf("recovered %s is inconsistent: %v", spec.Name, bad)
+	}
 	log.Printf("recovered %s: mark=%d replayed=%d items=%d", spec.Name, rec.Mark, rec.Replayed, eng.Len())
 
 	srv, err := server.New(server.Config{
@@ -120,6 +129,10 @@ func child(dir, addrFile string, spec engine.Spec, lcfg oplog.Config) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Catch SIGTERM before the address is out, so a supervisor's drain
+	// always reaches the handler.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
 	tmp := addrFile + ".tmp"
 	if err := os.WriteFile(tmp, []byte(ln.Addr().String()), 0o644); err != nil {
 		log.Fatal(err)
@@ -130,8 +143,6 @@ func child(dir, addrFile string, spec engine.Spec, lcfg oplog.Config) {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
 	select {
 	case err := <-serveErr:
 		log.Fatalf("serve: %v", err)
@@ -143,107 +154,42 @@ func child(dir, addrFile string, spec engine.Spec, lcfg oplog.Config) {
 	}
 }
 
-// kstate is a key's supervisor-side model state.
-type kstate int
-
-const (
-	acked   kstate = iota // server acked the insert: present, exactly once
-	tainted               // batch died unacked: absent, or present exactly once
-)
-
 func supervise(dir string, cycles int, soak time.Duration, seed int64, spec engine.Spec, lcfg oplog.Config) {
 	rng := rand.New(rand.NewSource(seed ^ 0x6b8b4567))
-	keys := make(map[uint64]kstate)
-	nextKey := uint64(1)
+	model := chaos.NewModel(3)
 	start := time.Now()
-	full := false
 	grownKills := 0 // generations that died with their live segment past its first growth step
 
 	runCycle := func(cycle int, ev chaos.Event) {
-		proc, addr := startChild(dir, spec, lcfg)
-		verify(addr, keys, cycle)
+		proc, exited, addr := startChild(dir, spec, lcfg)
+		audit(addr, model, cycle)
 
-		// Mixed load: tracked insert bursts (alternating pipelined and
-		// OpBatch framing) interleaved with Zipfian reads over
-		// everything inserted so far — kills land on a realistic
-		// read/write mix, and reads of a freshly recovered tail
-		// exercise the cold paths too.
-		const batch = 64
-		c, err := client.Dial(addr, 2*time.Second)
-		if err != nil {
-			log.Fatalf("cycle %d: dial: %v", cycle, err)
-		}
-		// The schedule decides how long this generation lives. Delays
-		// are rescaled from the in-process schedule to real-process
-		// time; the jitter is drawn before the load goroutine starts,
-		// because that goroutine owns rng until loadDone.
+		// The schedule decides how long this generation lives (delays
+		// rescaled from the in-process schedule to real-process time)
+		// and how it dies: SIGTERM for drain events (the graceful path
+		// must also preserve everything), SIGKILL for every other class
+		// — with power-failure garbage for kill+tear, and the model's
+		// insert-only filler flooding the child for expand.
 		life := 30*time.Millisecond + ev.Delay*5 + time.Duration(rng.Intn(40))*time.Millisecond
-		loadDone := make(chan struct{})
-		go func() {
-			defer close(loadDone)
-			for useBatch := false; ; useBatch = !useBatch {
-				if full {
-					// Fixed-capacity engine filled up: keep the chaos
-					// alive on reads alone.
-					if !readBurst(c, nextKey, batch, rng.Int63()) {
-						return
-					}
-					continue
-				}
-				reqs := make([]wire.Request, batch)
-				base := nextKey
-				for j := range reqs {
-					k := base + uint64(j)
-					reqs[j] = wire.Request{Op: wire.OpInsert, Key: layout.Key{Lo: k}, Value: k * 3}
-				}
-				nextKey += batch
-				var resps []wire.Response
-				var err error
-				if useBatch {
-					resps, err = c.DoBatch(reqs)
-				} else {
-					resps, err = c.Do(reqs)
-				}
-				if err != nil {
-					for j := range reqs {
-						keys[base+uint64(j)] = tainted
-					}
-					return
-				}
-				for j, r := range resps {
-					switch r.Status {
-					case wire.StatusOK:
-						keys[base+uint64(j)] = acked
-					case wire.StatusFull:
-						delete(keys, base+uint64(j))
-						full = true
-					case wire.StatusDraining:
-						delete(keys, base+uint64(j))
-						return
-					default:
-						log.Fatalf("cycle %d: insert status %d", cycle, r.Status)
-					}
-				}
-				if nextKey > 256 && !readBurst(c, nextKey, batch, rng.Int63()) {
-					return
-				}
-			}
-		}()
-
-		// The schedule also decides how this generation dies: SIGTERM
-		// for drain events (the graceful path must also preserve
-		// everything), SIGKILL for every crash class — with
-		// power-failure garbage appended to the live segment for
-		// kill+tear.
+		stop := make(chan struct{})
+		loadErr := make(chan error, 1)
+		go func() { loadErr <- model.Load(addr, stop, ev.Kind) }()
 		time.Sleep(life)
 		if ev.Kind == chaos.KindDrain {
 			proc.Signal(syscall.SIGTERM)
-		} else if err := proc.Kill(); err != nil {
-			log.Fatalf("cycle %d: kill: %v", cycle, err)
+			if err := <-exited; err != nil {
+				log.Fatalf("cycle %d: drain: child %v", cycle, err)
+			}
+		} else {
+			if err := proc.Kill(); err != nil {
+				log.Fatalf("cycle %d: kill: %v", cycle, err)
+			}
+			<-exited
 		}
-		proc.Wait()
-		<-loadDone
-		c.Close()
+		close(stop)
+		if err := <-loadErr; err != nil {
+			log.Fatalf("cycle %d: %v", cycle, err)
+		}
 		if lcfg.PreallocBytes > 0 {
 			if fi, err := os.Stat(liveSegment(dir)); err == nil {
 				log.Printf("cycle %d: live segment is %d bytes (%d-byte growth steps)", cycle, fi.Size(), lcfg.PreallocBytes)
@@ -253,7 +199,7 @@ func supervise(dir string, cycles int, soak time.Duration, seed int64, spec engi
 			}
 		}
 		if ev.Kind == chaos.KindKillTear {
-			appendGarbage(dir, rng)
+			tearGarbage(dir, rng)
 		}
 	}
 
@@ -274,62 +220,73 @@ func supervise(dir string, cycles int, soak time.Duration, seed int64, spec engi
 
 	// One last recovery audits the final kill, then a clean drain and
 	// one more audit prove the graceful path preserved everything too.
-	proc, addr := startChild(dir, spec, lcfg)
-	verify(addr, keys, cycle)
-	proc.Signal(syscall.SIGTERM)
-	proc.Wait()
-	proc, addr = startChild(dir, spec, lcfg)
-	verify(addr, keys, cycle+1)
-	proc.Signal(syscall.SIGTERM)
-	proc.Wait()
-
-	n := 0
-	for _, st := range keys {
-		if st == acked {
-			n++
+	var present uint64
+	for i := 0; i < 2; i++ {
+		proc, exited, addr := startChild(dir, spec, lcfg)
+		present = audit(addr, model, cycle+i)
+		proc.Signal(syscall.SIGTERM)
+		if err := <-exited; err != nil {
+			log.Fatalf("final drain: child %v", err)
 		}
 	}
 	if lcfg.PreallocBytes > 0 {
 		log.Printf("%d of %d generations died with their live segment grown past its first %d-byte step", grownKills, cycle, lcfg.PreallocBytes)
 	}
-	log.Printf("PASS: engine=%s seed=%d %d cycles, %d acked writes verified exactly-once, in %s",
-		spec.Name, seed, cycle, n, time.Since(start).Round(time.Millisecond))
+	log.Printf("PASS: engine=%s seed=%d %d cycles, %d present keys verified exactly-once, %d ops refused for lack of room, in %s",
+		spec.Name, seed, cycle, present, model.Full(), time.Since(start).Round(time.Millisecond))
 }
 
-// readBurst sends one pipelined burst of Zipfian-skewed reads over the
-// inserted range; returns false when the connection died under it.
-func readBurst(c *client.Client, maxKey uint64, n int, seed int64) bool {
-	if maxKey < 4 {
-		return true
+// audit checks a freshly recovered child against the model over the
+// wire — every tracked key in MGet lookups, plus Len — and returns the
+// child's item count.
+func audit(addr string, model *chaos.Model, cycle int) uint64 {
+	c, err := client.Dial(addr, 2*time.Second)
+	if err != nil {
+		log.Fatalf("audit %d: dial: %v", cycle, err)
 	}
-	z := trace.NewZipfian(seed, maxKey-1, 0.99)
-	reqs := make([]wire.Request, n)
-	for i := range reqs {
-		reqs[i] = wire.Request{Op: wire.OpGet, Key: layout.Key{Lo: z.Next() + 1}}
+	defer c.Close()
+	n, err := c.Len()
+	if err != nil {
+		log.Fatalf("audit %d: len: %v", cycle, err)
 	}
-	_, err := c.Do(reqs)
-	return err == nil
+	if err := model.Audit(c.MGet, n); err != nil {
+		log.Fatalf("audit %d: %v", cycle, err)
+	}
+	log.Printf("cycle %d verified: %d keys present, len matches", cycle, n)
+	return n
 }
 
-// appendGarbage simulates the power-failure tail damage an external
-// process CAN inflict: trailing garbage on the newest oplog segment.
-// (Truncation is the in-process matrix's job — from outside, the
-// acked-durable boundary inside the segment is unknowable, so cutting
-// could delete acked writes and fake a violation.)
-func appendGarbage(dir string, rng *rand.Rand) {
+// tearGarbage simulates the power-failure tail damage an external
+// process CAN inflict: garbage where the next record would start, the
+// first all-zero record slot after the live segment's header (a real
+// record is never all zero). Appending would land past a zero-filled
+// growth step, where replay never reads. (Truncation is the in-process
+// harness's job — from outside, the acked-durable boundary inside the
+// segment is unknowable, so cutting could delete acked writes and fake
+// a violation.)
+func tearGarbage(dir string, rng *rand.Rand) {
 	seg := liveSegment(dir)
 	if seg == "" {
 		return
 	}
-	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		return
+	}
+	var zero [oplog.RecordLen]byte
+	off := oplog.SegHeaderLen
+	for off+oplog.RecordLen <= len(b) && !bytes.Equal(b[off:off+oplog.RecordLen], zero[:]) {
+		off += oplog.RecordLen
+	}
+	f, err := os.OpenFile(seg, os.O_WRONLY, 0)
 	if err != nil {
 		return
 	}
 	defer f.Close()
 	garbage := make([]byte, 1+rng.Intn(64))
 	rng.Read(garbage)
-	f.Write(garbage)
-	log.Printf("tore tail: %d garbage bytes onto %s", len(garbage), filepath.Base(seg))
+	f.WriteAt(garbage, int64(off))
+	log.Printf("tore tail: %d garbage bytes at offset %d of %s", len(garbage), off, filepath.Base(seg))
 }
 
 // liveSegment names the newest oplog segment in dir ("" if none).
@@ -343,8 +300,10 @@ func liveSegment(dir string) string {
 }
 
 // startChild launches the serve-mode child with the run's engine and
-// oplog configuration and waits for its address.
-func startChild(dir string, spec engine.Spec, lcfg oplog.Config) (*os.Process, string) {
+// oplog configuration and waits for its address. exited yields the
+// child's exit status once it ends; a child that exits before serving
+// (its recovery failed, or its structure did) stops the run.
+func startChild(dir string, spec engine.Spec, lcfg oplog.Config) (*os.Process, <-chan error, string) {
 	addrFile := filepath.Join(dir, "addr")
 	os.Remove(addrFile)
 	cmd := exec.Command(os.Args[0], "-serve", "-dir", dir, "-addr-file", addrFile,
@@ -358,73 +317,20 @@ func startChild(dir string, spec engine.Spec, lcfg oplog.Config) (*os.Process, s
 	if err := cmd.Start(); err != nil {
 		log.Fatalf("starting child: %v", err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	deadline := time.After(10 * time.Second)
 	for {
 		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 {
-			return cmd.Process, string(b)
+			return cmd.Process, exited, string(b)
 		}
-		if time.Now().After(deadline) {
+		select {
+		case err := <-exited:
+			log.Fatalf("child exited before serving: %v", err)
+		case <-deadline:
 			cmd.Process.Kill()
 			log.Fatal("child never published its address")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// verify audits a freshly recovered child against the model: acked
-// keys present with their value, tainted keys present at most once or
-// gone (their fate is then pinned for the rest of the run), and Len
-// equal to the distinct present keys — the exactly-once check.
-func verify(addr string, keys map[uint64]kstate, cycle int) {
-	c, err := client.Dial(addr, 2*time.Second)
-	if err != nil {
-		log.Fatalf("verify %d: dial: %v", cycle, err)
-	}
-	defer c.Close()
-	const batch = 512
-	all := make([]uint64, 0, len(keys))
-	for k := range keys {
-		all = append(all, k)
-	}
-	present := uint64(0)
-	for off := 0; off < len(all); off += batch {
-		end := off + batch
-		if end > len(all) {
-			end = len(all)
-		}
-		reqs := make([]wire.Request, 0, end-off)
-		for _, k := range all[off:end] {
-			reqs = append(reqs, wire.Request{Op: wire.OpGet, Key: layout.Key{Lo: k}})
-		}
-		resps, err := c.Do(reqs)
-		if err != nil {
-			log.Fatalf("verify %d: %v", cycle, err)
-		}
-		for i, r := range resps {
-			k := all[off+i]
-			switch r.Status {
-			case wire.StatusOK:
-				if r.Value != k*3 {
-					log.Fatalf("verify %d: key %d has value %d, want %d", cycle, k, r.Value, k*3)
-				}
-				present++
-				keys[k] = acked // durable now, whatever its batch's fate was
-			case wire.StatusNotFound:
-				if keys[k] == acked {
-					log.Fatalf("verify %d: ACKED WRITE LOST: key %d", cycle, k)
-				}
-				delete(keys, k) // unacked and gone: out of the model
-			default:
-				log.Fatalf("verify %d: get status %d", cycle, r.Status)
-			}
+		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	n, err := c.Len()
-	if err != nil {
-		log.Fatalf("verify %d: len: %v", cycle, err)
-	}
-	if n != present {
-		log.Fatalf("verify %d: server Len=%d but %d distinct keys are present — a replayed write was applied twice", cycle, n, present)
-	}
-	log.Printf("cycle %d verified: %d keys present, len matches", cycle, present)
 }

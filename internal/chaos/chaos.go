@@ -7,12 +7,12 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"grouphash/internal/client"
+	"grouphash/internal/core"
 	"grouphash/internal/engine"
+	"grouphash/internal/layout"
 	"grouphash/internal/oplog"
 	"grouphash/internal/server"
 )
@@ -31,70 +31,74 @@ type Config struct {
 	Events []Event
 	// Dir is the scratch directory for the image and oplog segments.
 	Dir string
+	// Log is every generation's oplog configuration: its commit window
+	// (the zero Config is a zero-length one) and growth step.
+	Log oplog.Config
 	// Workers is the concurrent load-worker count (default 3).
 	Workers int
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 }
 
-// Run executes the schedule: for each event it recovers the engine
-// from disk (image + oplog replay), audits the map oracle against the
-// recovered state — zero lost acked writes, zero phantom keys, an
-// exact item count, structural consistency — then boots a server over
-// real TCP, hammers it with modelled load, applies the event, and
-// tears the generation down for the next recovery. A final recovery +
-// audit closes the run.
+// Result counts what a run's power cuts found.
+type Result struct {
+	// Cuts is the number of power cuts: kill+tear and the cut-* kinds.
+	Cuts int
+	// Torn counts the cuts that left a written but unsynced tail.
+	Torn int
+	// Grown counts the cuts whose fsynced prefix ended past the log's
+	// first growth step (none without Log.PreallocBytes).
+	Grown int
+	// Full counts the ops the engine refused for lack of room
+	// (StatusFull); an auto-expanding engine refuses none.
+	Full int
+}
+
+// Run executes the schedule. Before each event it recovers the engine
+// from disk (image + oplog replay) and audits the model against the
+// recovered state: zero lost acked writes, zero phantom keys, an exact
+// item count, structural consistency. Then it boots a server over real
+// TCP, loads it through the model, applies the event, and tears the
+// generation down for the next recovery. A final recovery + audit
+// closes the run; it and every odd generation's recovery follow a
+// simulated crash in the middle of replay.
 //
-// Run installs the package-global oplog fsync hook for KindFsyncFault
-// and KindKillTear events; do not run two schedules concurrently in
+// Run installs the package-global oplog fsync hook that fsync-fault
+// events and power cuts arm; do not run two schedules concurrently in
 // one process.
-func Run(cfg Config) error {
+func Run(cfg Config) (Result, error) {
+	var res Result
 	if cfg.Workers <= 0 {
 		cfg.Workers = 3
 	}
 	if len(cfg.Events) == 0 {
-		return errors.New("chaos: empty schedule")
+		return res, errors.New("chaos: empty schedule")
 	}
 	spec := engine.Spec{Name: cfg.Engine, Capacity: cfg.Capacity}
-	if _, err := engine.New(spec); err != nil {
-		return err
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	img := filepath.Join(cfg.Dir, "store.pmfs")
 	base := filepath.Join(cfg.Dir, "oplog")
-	lcfg := oplog.Config{SyncEvery: 100 * time.Microsecond, SyncBytes: 64 << 10}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5ca1ab1e))
-
-	// One sticky-fault hook for the whole run, armed per event.
-	var fsyncFault atomic.Bool
-	faultErr := errors.New("chaos: injected fsync fault")
-	oplog.SetTestFsyncErr(func() error {
-		if fsyncFault.Load() {
-			return faultErr
-		}
-		return nil
-	})
+	pc := installPowerCut()
 	defer oplog.SetTestFsyncErr(nil)
+	model := NewModel(cfg.Workers)
 
-	workers := make([]*worker, cfg.Workers)
-	for i := range workers {
-		workers[i] = newWorker(i)
-	}
-	filler := newWorker(cfg.Workers + 100) // expansion flooder, own key range
-	filler.insertOnly = true
-	model := append(append([]*worker{}, workers...), filler)
-
-	for gen, ev := range cfg.Events {
-		eng, lg, rec, err := engine.Restart(spec, img, base, lcfg)
-		if err != nil {
-			return fmt.Errorf("gen %d: recovery: %w", gen, err)
-		}
-		prev := "boot"
+	for gen := 0; ; gen++ {
+		after := "boot"
 		if gen > 0 {
-			prev = cfg.Events[gen-1].Kind.String()
+			after = cfg.Events[gen-1].Kind.String()
+		}
+		if gen%2 == 1 || gen == len(cfg.Events) {
+			if err := crashMidReplay(spec, img, base, logf); err != nil {
+				return res, fmt.Errorf("gen %d: %w", gen, err)
+			}
+		}
+		eng, lg, rec, err := engine.Restart(spec, img, base, cfg.Log)
+		if err != nil {
+			return res, fmt.Errorf("gen %d: recovery: %w", gen, err)
 		}
 		// Replay can leave an online expansion still migrating in the
 		// background (its triggering insert does not wait for it), and
@@ -103,37 +107,41 @@ func Run(cfg Config) error {
 		// audit below must not read mid-flight. An empty Quiesce is the
 		// engine-agnostic "wait until nothing is moving".
 		eng.Quiesce(func() {})
-		if err := verify(eng, model, gen, prev); err != nil {
-			return err
+		err = model.Audit(func(keys []layout.Key) ([]uint64, []bool, error) {
+			vals, found := make([]uint64, len(keys)), make([]bool, len(keys))
+			for i, k := range keys {
+				vals[i], found[i] = eng.Get(k)
+			}
+			return vals, found, nil
+		}, eng.Len())
+		if bad := eng.CheckConsistency(); err == nil && len(bad) != 0 {
+			err = fmt.Errorf("recovered engine inconsistent: %v", bad)
 		}
+		if err != nil {
+			return res, fmt.Errorf("gen %d (after %s): %w", gen, after, err)
+		}
+		if gen == len(cfg.Events) {
+			lg.Abort()
+			res.Full = model.Full()
+			logf("chaos: final audit clean (%d items after %d events, %d ops refused for lack of room); %d of %d power cuts tore a written but unsynced tail",
+				eng.Len(), gen, res.Full, res.Torn, res.Cuts)
+			return res, nil
+		}
+		ev := cfg.Events[gen]
 		logf("chaos: gen %d verified (items=%d, replayed=%d) → %s", gen, eng.Len(), rec.Replayed, ev)
-
-		if err := serveGeneration(cfg, eng, lg, img, ev, workers, filler, rng, &fsyncFault, logf); err != nil {
-			return fmt.Errorf("gen %d (%s): %w", gen, ev, err)
+		if err := serveGeneration(cfg, eng, lg, img, ev, model, rng, pc, &res, logf); err != nil {
+			return res, fmt.Errorf("gen %d (%s): %w", gen, ev, err)
 		}
 	}
-
-	eng, lg, _, err := engine.Restart(spec, img, base, lcfg)
-	if err != nil {
-		return fmt.Errorf("final recovery: %w", err)
-	}
-	defer lg.Abort()
-	last := cfg.Events[len(cfg.Events)-1].Kind.String()
-	eng.Quiesce(func() {}) // same expansion settling as the per-event audit
-	if err := verify(eng, model, len(cfg.Events), last); err != nil {
-		return err
-	}
-	logf("chaos: final audit clean (%d items after %d events)", eng.Len(), len(cfg.Events))
-	return nil
 }
 
 // serveGeneration boots a server on the recovered engine, loads it,
 // applies one event and leaves the serving stack fully torn down (the
 // oplog either closed by a drain or abandoned crash-style).
 func serveGeneration(cfg Config, eng engine.Engine, lg *oplog.Log, img string, ev Event,
-	workers []*worker, filler *worker, rng *rand.Rand, fsyncFault *atomic.Bool,
-	logf func(string, ...any)) error {
+	model *Model, rng *rand.Rand, pc *powerCut, res *Result, logf func(string, ...any)) error {
 
+	defer pc.restore()
 	srv, err := server.New(server.Config{Engine: eng, Oplog: lg, SnapshotPath: img, Logf: logf})
 	if err != nil {
 		return err
@@ -142,75 +150,51 @@ func serveGeneration(cfg Config, eng engine.Engine, lg *oplog.Log, img string, e
 	if err != nil {
 		return err
 	}
-	addr := ln.Addr().String()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
-
-	load := append([]*worker{}, workers...)
-	if ev.Kind == KindExpand {
-		load = append(load, filler)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var werrMu sync.Mutex
-	var werr error
-	for _, w := range load {
-		maxBatches := 120
-		if w.insertOnly {
-			maxBatches = 600
+	served := make(chan struct{})
+	var serveErr error // read once served is closed
+	go func() {
+		if err := srv.Serve(ln); err != nil {
+			serveErr = fmt.Errorf("serve: %w", err)
 		}
-		wg.Add(1)
-		go func(w *worker, maxBatches int) {
-			defer wg.Done()
-			c, err := client.Dial(addr, time.Second)
-			if err != nil {
-				return // the event beat the dial; no ops, no model impact
-			}
-			defer c.Close()
-			if err := w.run(c, stop, maxBatches); err != nil {
-				werrMu.Lock()
-				if werr == nil {
-					werr = err
-				}
-				werrMu.Unlock()
-			}
-		}(w, maxBatches)
-	}
+		close(served)
+	}()
+	stop := make(chan struct{})
+	loadErr := make(chan error, 1)
+	go func() { loadErr <- model.Load(ln.Addr().String(), stop, ev.Kind) }()
 
 	time.Sleep(ev.Delay)
+	cut := false
 	switch ev.Kind {
-	case KindKill, KindKillTear:
-		// kill+tear cuts power: the armed fault fails the commit in
-		// flight (or the next) after it wrote its records — written,
-		// never durable, never acked: the tail tearTail cuts into.
-		fsyncFault.Store(ev.Kind == KindKillTear)
+	case KindKill:
 		srv.Abort()
-		<-serveDone
+	case KindKillTear, KindCutRotated, KindCutImaged, KindCutTruncated:
+		if err := snapshotSteps(eng, lg, img, ev.Kind); err != nil {
+			return fmt.Errorf("snapshot before the cut: %w", err)
+		}
+		pc.cut()
+		srv.Abort()
+		cut = true
 	case KindDrain:
 		if err := srv.Drain(); err != nil {
 			return fmt.Errorf("drain: %w", err)
 		}
-		<-serveDone
 	case KindSnapshot:
 		if err := srv.SnapshotNow(); err != nil {
 			return fmt.Errorf("on-demand snapshot: %w", err)
 		}
 		time.Sleep(2 * time.Millisecond) // load keeps running past the cut
 		srv.Abort()
-		<-serveDone
 	case KindFsyncFault:
-		fsyncFault.Store(true)
+		pc.armed.Store(true)
 		// The next group commit fails; the server must refuse the
 		// affected acks and self-drain (closing the oplog). If the
 		// load already dried up (no appends → no fsync → no trigger),
 		// fall back to an abort so the run never wedges.
 		select {
-		case <-serveDone:
+		case <-served:
 		case <-time.After(5 * time.Second):
 			srv.Abort()
-			<-serveDone
 		}
-		fsyncFault.Store(false)
 	case KindExpand:
 		before := eng.Expansions()
 		deadline := time.Now().Add(500 * time.Millisecond)
@@ -221,34 +205,148 @@ func serveGeneration(cfg Config, eng engine.Engine, lg *oplog.Log, img string, e
 			logf("chaos: expansion %d completed under load", eng.Expansions())
 		}
 		srv.Abort()
-		<-serveDone
 	}
+	<-served
 	close(stop)
-	wg.Wait()
-
-	if ev.Kind == KindKillTear {
-		// The abort left the oplog exactly as the crash found it; now
-		// take the power failure's cut of the active segment.
-		err := tearTail(lg, rng, logf)
-		fsyncFault.Store(false)
-		if err != nil {
-			return err
-		}
-	} else {
+	werr := errors.Join(serveErr, <-loadErr)
+	if !cut {
 		// Crash-style abandon; a no-op where the drain already closed
 		// the log (Abort and Close share the closed guard).
 		lg.Abort()
+		return werr
 	}
-	werrMu.Lock()
-	defer werrMu.Unlock()
+	// The abort left the oplog exactly as the power cut found it; now
+	// take the power failure's cut of the active segment.
+	synced, written, err := tearTail(lg, rng, logf)
+	if err != nil {
+		return err
+	}
+	res.Cuts++
+	if written > synced {
+		res.Torn++
+	}
+	if step := cfg.Log.PreallocBytes; step > 0 && synced > step {
+		res.Grown++
+	}
 	return werr
+}
+
+// snapshotSteps takes the server's snapshot protocol (server.snapshot)
+// as far as the power-cut kind k names, while the load runs: the mark
+// is read and the log rotated inside SnapshotWriterAt's all-stripes cut
+// (KindCutRotated: no image is written), the image is written
+// (KindCutImaged: the log is not truncated), and the segments it covers
+// are deleted (KindCutTruncated). KindKillTear takes none.
+func snapshotSteps(eng engine.Engine, lg *oplog.Log, img string, k Kind) error {
+	if k == KindKillTear {
+		return nil
+	}
+	var mark uint64
+	write, err := eng.SnapshotWriterAt(func() (uint64, error) {
+		mark = lg.LastLSN()
+		return mark, lg.Rotate()
+	})
+	if err != nil || k == KindCutRotated {
+		return err
+	}
+	if err := write(img); err != nil || k == KindCutImaged {
+		return err
+	}
+	return lg.TruncateThrough(mark)
+}
+
+// powerCut is the run's one fsync fault, installed before any log
+// opens: replacing the hook while a committer runs would race. Armed,
+// it fails every sync and reports the first failure on fired.
+type powerCut struct {
+	armed atomic.Bool
+	fired chan struct{} // one token once an armed sync failed
+}
+
+var errPowerCut = errors.New("chaos: injected fsync fault")
+
+func installPowerCut() *powerCut {
+	pc := &powerCut{fired: make(chan struct{}, 1)}
+	oplog.SetTestFsyncErr(func() error {
+		if !pc.armed.Load() {
+			return nil
+		}
+		select {
+		case pc.fired <- struct{}{}:
+		default:
+		}
+		return errPowerCut
+	})
+	return pc
+}
+
+// cut cuts power the way a disk loses it: armed at the crash instant,
+// the fault fails the commit in flight (or the next) after it wrote its
+// records — written, never durable, never acked: the tail tearTail cuts
+// into. It waits for that commit to fail, or a second when no write is
+// left to commit.
+func (pc *powerCut) cut() {
+	pc.armed.Store(true)
+	select {
+	case <-pc.fired:
+	case <-time.After(time.Second):
+	}
+}
+
+// restore disarms the fault for the next generation's log.
+func (pc *powerCut) restore() {
+	pc.armed.Store(false)
+	select {
+	case <-pc.fired:
+	default:
+	}
+}
+
+// crashMidReplay simulates a crash in the middle of recovery: half the
+// log past the image's mark is replayed into a throwaway engine whose
+// applier then refuses. Replay writes nothing, so the real recovery
+// that follows must be unaffected.
+func crashMidReplay(spec engine.Spec, img, base string, logf func(string, ...any)) error {
+	eng, _, rec, err := engine.Restart(spec, img, "", oplog.Config{})
+	if err != nil {
+		return fmt.Errorf("loading image: %w", err)
+	}
+	_, total, err := oplog.Scan(base, rec.Mark, func(oplog.Record) error { return nil })
+	if err != nil || total < 2 {
+		return err
+	}
+	if _, _, err := oplog.Replay(&haltingApplier{eng, total / 2}, base, rec.Mark); !errors.Is(err, errMidReplay) {
+		return fmt.Errorf("partial replay: %v", err)
+	}
+	logf("chaos: replay crashed after %d of %d records", total/2, total)
+	return nil
+}
+
+var errMidReplay = errors.New("chaos: simulated crash mid-replay")
+
+// haltingApplier applies the first left records of a replay to its
+// engine, then refuses every later one: a crash part-way through.
+type haltingApplier struct {
+	engine.Engine
+	left int
+}
+
+// ApplyBatch applies ops while records are left and refuses the rest.
+func (a *haltingApplier) ApplyBatch(ops []core.BatchOp, out []core.BatchResult, sc *core.BatchScratch, committed func(applied []int)) {
+	n := min(a.left, len(ops))
+	a.Engine.ApplyBatch(ops[:n], out[:n], sc, committed)
+	for i := n; i < len(ops); i++ {
+		out[i] = core.BatchResult{Err: errMidReplay}
+	}
+	a.left -= n
 }
 
 // tearTail abandons the log the way a power failure would: the active
 // segment keeps its fsynced prefix, loses a random amount of its
-// unsynced tail, and sometimes gains trailing garbage.
-func tearTail(lg *oplog.Log, rng *rand.Rand, logf func(string, ...any)) error {
-	synced, written := lg.SyncedSize(), lg.WrittenSize()
+// unsynced tail, and sometimes gains trailing garbage. It returns the
+// segment's fsynced and written lengths.
+func tearTail(lg *oplog.Log, rng *rand.Rand, logf func(string, ...any)) (synced, written int64, err error) {
+	synced, written = lg.SyncedSize(), lg.WrittenSize()
 	path := lg.ActivePath()
 	lg.Abort()
 	logf("chaos: tear: active segment %d bytes written, %d fsynced", written, synced)
@@ -258,18 +356,16 @@ func tearTail(lg *oplog.Log, rng *rand.Rand, logf func(string, ...any)) error {
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
-		return err
+		return synced, written, err
 	}
 	defer f.Close()
 	if err := f.Truncate(keep); err != nil {
-		return err
+		return synced, written, err
 	}
 	if rng.Intn(2) == 0 {
 		garbage := make([]byte, 1+rng.Intn(64))
 		rng.Read(garbage)
-		if _, err := f.WriteAt(garbage, keep); err != nil {
-			return err
-		}
+		_, err = f.WriteAt(garbage, keep)
 	}
-	return nil
+	return synced, written, err
 }

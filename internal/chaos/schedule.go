@@ -1,15 +1,17 @@
-// Package chaos composes every fault injector the repository has grown
-// — simulated crashes (server.Abort), torn oplog tails, sticky fsync
-// faults, graceful drains, on-demand snapshot/reload cycles and forced
-// online expansions — into randomized but fully seeded schedules run
-// against a live serving stack, with a client-side map oracle
-// (the crash-torture model) auditing exactly-once semantics after
-// every event. A schedule is reproducible from its (engine, seed)
+// Package chaos is the repository's one crash harness: it composes
+// every fault injector — simulated crashes (server.Abort), power cuts
+// that tear the oplog's unsynced tail, also between a snapshot's
+// durable steps, crashes in the middle of replay, sticky fsync faults,
+// graceful drains, on-demand snapshot/reload cycles and forced online
+// expansions — into seeded schedules run against a live serving stack,
+// with a client-side map oracle (Model) auditing exactly-once semantics
+// after every event. A schedule is reproducible from its (engine, seed)
 // pair alone, so any failure prints a one-line reproduction.
 //
 // The package runs in-process (so -race watches every interleaving);
-// cmd/ghchaos wraps the same schedule generator around real processes
-// and SIGKILL.
+// cmd/ghchaos plays the same schedule generator against real processes
+// and SIGKILL, and drives and audits them with the same Model over the
+// wire.
 package chaos
 
 import (
@@ -30,10 +32,11 @@ const (
 	// oplog keeps whatever the crash left.
 	KindKill Kind = iota
 	// KindKillTear cuts power mid-load: an fsync fault armed at the
-	// abort leaves the commit in flight written but never durable, and
-	// the active oplog segment is torn the way a power failure would:
-	// the fsynced prefix survives, a random amount of the unsynced tail
-	// is lost, sometimes trailing garbage appears.
+	// crash instant fails the commit in flight (or the next), which
+	// leaves its records written but never durable; once it has failed
+	// the server is aborted and the active oplog segment torn the way a
+	// power failure would: the fsynced prefix survives, a random amount
+	// of the unsynced tail is lost, sometimes trailing garbage appears.
 	KindKillTear
 	// KindDrain shuts down gracefully mid-load: buffered writes are
 	// refused with StatusDraining, a final snapshot is cut, the oplog
@@ -52,26 +55,29 @@ const (
 	// kills the server; fixed-capacity engines get the same churn
 	// burst without the expansion wait.
 	KindExpand
+	// KindCutRotated takes a snapshot's first durable step under load —
+	// the log rotated inside the capture's cut — then cuts power as
+	// KindKillTear does: no image is written.
+	KindCutRotated
+	// KindCutImaged cuts power once the snapshot's image is durable,
+	// before the log segments it covers are truncated.
+	KindCutImaged
+	// KindCutTruncated cuts power right after a completed snapshot and
+	// truncation. The three cut kinds are never drawn by NewSchedule;
+	// schedules that pin a snapshot's crash points list them.
+	KindCutTruncated
 )
 
 // String names the kind.
 func (k Kind) String() string {
-	switch k {
-	case KindKill:
-		return "kill"
-	case KindKillTear:
-		return "kill+tear"
-	case KindDrain:
-		return "drain"
-	case KindFsyncFault:
-		return "fsync-fault"
-	case KindSnapshot:
-		return "snapshot"
-	case KindExpand:
-		return "expand"
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
+
+var kindNames = [...]string{"kill", "kill+tear", "drain", "fsync-fault", "snapshot", "expand",
+	"cut-rotated", "cut-imaged", "cut-truncated"}
 
 // Event is one scheduled perturbation.
 type Event struct {

@@ -41,29 +41,41 @@ import (
 // see rehashInto.
 func (t *Table) Expand() error {
 	vw := t.cur()
+	if t.rebuild(vw.tab1.N*2, func(nvw *view) bool {
+		if t.expandFailures > 0 {
+			t.expandFailures--
+			return false
+		}
+		return t.rehashInto(vw, nvw)
+	}) {
+		return nil
+	}
+	return fmt.Errorf("core: expansion failed after tripling attempts: %w", hashtab.ErrTableFull)
+}
+
+// rebuild tries up to three successively doubled views, starting at
+// cells level-1 cells: it commits the first one place fills completely
+// and reports whether one did. A failed attempt's arrays (pathological
+// skew: some item did not fit even in the bigger table) go back to the
+// allocator where it can reclaim them before the next doubling.
+func (t *Table) rebuild(cells uint64, place func(nvw *view) bool) bool {
 	seed := t.mem.Read8(t.hdr + hdrSeed*layout.WordSize)
 	rec, canReclaim := t.mem.(hashtab.Reclaimer)
-	newCells := vw.tab1.N * 2
-	for attempt := 0; attempt < 3; attempt, newCells = attempt+1, newCells*2 {
+	for attempt := 0; attempt < 3; attempt, cells = attempt+1, cells*2 {
 		var mark uint64
 		if canReclaim {
 			mark = rec.Mark()
 		}
-		nvw := t.newView(newCells, seed)
-		if t.expandFailures > 0 {
-			t.expandFailures--
-		} else if t.rehashInto(vw, nvw) {
+		nvw := t.newView(cells, seed)
+		if place(nvw) {
 			t.commitRoots(nvw)
-			return nil
+			return true
 		}
-		// Placement failed even in the bigger table (pathological
-		// skew): reclaim the attempt's arrays if the allocator can,
-		// then retry with the next doubling.
 		if canReclaim {
 			rec.Release(mark)
 		}
 	}
-	return fmt.Errorf("core: expansion failed after tripling attempts: %w", hashtab.ErrTableFull)
+	return false
 }
 
 // RehashBench runs one full-table rehash into fresh doubled arrays

@@ -326,29 +326,14 @@ func (c *Concurrent) fallbackRebuild(e *expState) {
 		}
 	}
 	t.retire(e.nvw)
-	seed := t.mem.Read8(t.hdr + hdrSeed*layout.WordSize)
-	rec, canReclaim := t.mem.(hashtab.Reclaimer)
-	newCells := e.nvw.tab1.N * 2
-	for attempt := 0; attempt < 3; attempt, newCells = attempt+1, newCells*2 {
-		var mark uint64
-		if canReclaim {
-			mark = rec.Mark()
-		}
-		nvw := t.newView(newCells, seed)
-		ok := true
+	if !t.rebuild(e.nvw.tab1.N*2, func(nvw *view) bool {
 		for _, it := range items {
 			if !t.placeIn(nvw, it.Key, it.Value) {
-				ok = false
-				break
+				return false
 			}
 		}
-		if ok {
-			c.t.commitRoots(nvw)
-			return
-		}
-		if canReclaim {
-			rec.Release(mark)
-		}
+		return true
+	}) {
+		e.failed.Store(true)
 	}
-	e.failed.Store(true)
 }

@@ -123,7 +123,7 @@ func awaitDurable(t *testing.T, l *Log, lsn uint64, what string) {
 // before the timer.
 func TestAdaptiveByteTrigger(t *testing.T) {
 	b := base(t)
-	l, err := OpenConfig(b, 1, Config{SyncEvery: time.Minute, SyncBytes: 4 * recordLen})
+	l, err := OpenConfig(b, 1, Config{SyncEvery: time.Minute, SyncBytes: 4 * RecordLen})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestAdaptiveZeroTailIgnored(t *testing.T) {
 				}
 			}
 			path := l.ActivePath()
-			written := segHeaderLen + int64(last)*recordLen
+			written := SegHeaderLen + int64(last)*RecordLen
 			if fi, err := os.Stat(path); err != nil || fi.Size() != roundUp(written, tc.step) {
 				t.Fatalf("active segment size %v, %v; want %d bytes written rounded up to a whole %d-byte step", fi.Size(), err, written, tc.step)
 			}

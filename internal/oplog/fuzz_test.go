@@ -60,10 +60,10 @@ func FuzzOplogScan(f *testing.F) {
 	seg1, seg2 := fuzzSeedSegments(f)
 	f.Add(seg1, seg2, uint16(0))
 	f.Add(seg1[:len(seg1)-13], seg2, uint16(2))                  // torn tail mid-record
-	f.Add(seg1[:segHeaderLen-5], seg2, uint16(0))                // torn header
+	f.Add(seg1[:SegHeaderLen-5], seg2, uint16(0))                // torn header
 	f.Add(seg2, seg1, uint16(0))                                 // segments swapped: overlap/ordering stress
 	f.Add([]byte{}, []byte{}, uint16(9))                         // empty files
-	f.Add(make([]byte, segHeaderLen+recordLen), seg2, uint16(0)) // zeroed bytes
+	f.Add(make([]byte, SegHeaderLen+RecordLen), seg2, uint16(0)) // zeroed bytes
 
 	f.Fuzz(func(t *testing.T, a, b []byte, after16 uint16) {
 		dir := t.TempDir()
@@ -108,7 +108,7 @@ func FuzzOplogScan(f *testing.F) {
 		tornBase := filepath.Join(dir, "torn")
 		// Build the segment in memory (writeSegHeader would fsync the
 		// file and directory — far too slow inside a fuzz loop).
-		hdr := make([]byte, segHeaderLen)
+		hdr := make([]byte, SegHeaderLen)
 		binary.LittleEndian.PutUint64(hdr[0:8], segMagic)
 		binary.LittleEndian.PutUint64(hdr[8:16], 1)  // seq
 		binary.LittleEndian.PutUint64(hdr[16:24], 1) // start LSN

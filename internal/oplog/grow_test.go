@@ -70,7 +70,7 @@ func (g *growthCommit) commit(n int) {
 	if err := g.l.WaitDurable(appendN(g.l, n)); err != nil {
 		g.t.Fatal(err)
 	}
-	g.written += int64(n) * recordLen
+	g.written += int64(n) * RecordLen
 	size := segSize(g.t, g.l)
 	if size%g.step != 0 || size < g.written || size != roundUp(g.written, g.step) {
 		g.t.Fatalf("step %d: segment is %d bytes after %d written, want %d", g.step, size, g.written, roundUp(g.written, g.step))
@@ -123,9 +123,9 @@ func TestSegmentGrowthSyncKinds(t *testing.T) {
 				t.Fatal(err)
 			}
 			g := &growthCommit{t: t, l: l, step: max(tc.cfg.PreallocBytes, 1), full: full, data: data,
-				written: segHeaderLen, size: segSize(t, l)}
-			if g.size != segHeaderLen {
-				t.Fatalf("new segment is %d bytes, want header-only %d", g.size, segHeaderLen)
+				written: SegHeaderLen, size: segSize(t, l)}
+			if g.size != SegHeaderLen {
+				t.Fatalf("new segment is %d bytes, want header-only %d", g.size, SegHeaderLen)
 			}
 			total := 0
 			for _, n := range tc.plan {

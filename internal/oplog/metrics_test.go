@@ -78,8 +78,8 @@ func TestRegisterMetrics(t *testing.T) {
 	if v, ok := fams["gh_oplog_fsyncs_total"].Sample(""); !ok || v < 2 {
 		t.Errorf("gh_oplog_fsyncs_total = %v (%v), want ≥ 2", v, ok)
 	}
-	if v, ok := fams["gh_oplog_bytes_written_total"].Sample(""); !ok || v != 7*recordLen {
-		t.Errorf("gh_oplog_bytes_written_total = %v (%v), want %d", v, ok, 7*recordLen)
+	if v, ok := fams["gh_oplog_bytes_written_total"].Sample(""); !ok || v != 7*RecordLen {
+		t.Errorf("gh_oplog_bytes_written_total = %v (%v), want %d", v, ok, 7*RecordLen)
 	}
 	if v := fams["gh_oplog_batch_records"].Samples["_count|"]; v < 2 {
 		t.Errorf("gh_oplog_batch_records count = %v, want ≥ 2", v)

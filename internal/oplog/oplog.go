@@ -111,13 +111,14 @@ type Record struct {
 // version.
 const segMagic = 0x47484f504c4f4701 // "GHOPLOG" + 1
 
-// segHeaderLen is the segment header size: magic, seq, startLSN, crc
-// (padded to a word).
-const segHeaderLen = 32
+// SegHeaderLen is the segment header size: magic, seq, startLSN, crc
+// (padded to a word). It and RecordLen are exported, as ActivePath is,
+// for crash harnesses that aim damage at a record slot.
+const SegHeaderLen = 32
 
-// recordLen is the fixed record size: lsn, key.Lo, key.Hi, value, op +
+// RecordLen is the fixed record size: lsn, key.Lo, key.Hi, value, op +
 // 3 pad bytes, crc32.
-const recordLen = 8 + 8 + 8 + 8 + 4 + 4
+const RecordLen = 8 + 8 + 8 + 8 + 4 + 4
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -286,7 +287,7 @@ func readSegHeader(path string) (start uint64, err error) {
 		return 0, err
 	}
 	defer f.Close()
-	var hdr [segHeaderLen]byte
+	var hdr [SegHeaderLen]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return 0, fmt.Errorf("oplog: segment header: %w", err)
 	}
@@ -314,7 +315,7 @@ func writeSegHeader(path string, seq, start uint64) (*os.File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oplog: creating segment: %w", err)
 	}
-	var hdr [segHeaderLen]byte
+	var hdr [SegHeaderLen]byte
 	binary.LittleEndian.PutUint64(hdr[0:8], segMagic)
 	binary.LittleEndian.PutUint64(hdr[8:16], seq)
 	binary.LittleEndian.PutUint64(hdr[16:24], start)
@@ -376,9 +377,9 @@ func OpenConfig(base string, nextLSN uint64, cfg Config) (*Log, error) {
 		dir:     filepath.Dir(base),
 		cfg:     cfg,
 		f:       f,
-		written: segHeaderLen,
-		synced:  segHeaderLen,
-		size:    segHeaderLen,
+		written: SegHeaderLen,
+		synced:  SegHeaderLen,
+		size:    SegHeaderLen,
 		lastLSN: nextLSN - 1,
 		segs:    append(segs, segment{path: path, seq: seq, start: nextLSN}),
 
@@ -569,8 +570,8 @@ func appendRecord(buf []byte, r Record) []byte {
 	// moved to the heap by escape analysis (the checksum call defeats
 	// it) and would cost one allocation per staged record.
 	n := len(buf)
-	buf = append(buf, make([]byte, recordLen)...)
-	b := buf[n : n+recordLen]
+	buf = append(buf, make([]byte, RecordLen)...)
+	b := buf[n : n+RecordLen]
 	binary.LittleEndian.PutUint64(b[0:8], r.LSN)
 	binary.LittleEndian.PutUint64(b[8:16], r.Key.Lo)
 	binary.LittleEndian.PutUint64(b[16:24], r.Key.Hi)
@@ -582,7 +583,7 @@ func appendRecord(buf []byte, r Record) []byte {
 
 // parseRecord decodes and validates one record.
 func parseRecord(b []byte) (Record, bool) {
-	if len(b) < recordLen {
+	if len(b) < RecordLen {
 		return Record{}, false
 	}
 	if binary.LittleEndian.Uint32(b[36:40]) != crc32.Checksum(b[:36], crcTable) {
@@ -739,7 +740,7 @@ func (l *Log) Rotate() error {
 	}
 	old, oldWritten, oldSize := l.f, l.written, l.size
 	l.f = f
-	l.written, l.synced, l.size = segHeaderLen, segHeaderLen, segHeaderLen
+	l.written, l.synced, l.size = SegHeaderLen, SegHeaderLen, SegHeaderLen
 	l.segs = append(l.segs, segment{path: path, seq: seq, start: start})
 	l.rotations.Add(1)
 	if oldSize > oldWritten {
@@ -913,7 +914,7 @@ func scanSegment(path string, buf []byte, expected, after uint64, fn func(Record
 		return expected, 0, fmt.Errorf("oplog: reading segment: %w", err)
 	}
 	defer f.Close()
-	if _, err := f.Seek(segHeaderLen, io.SeekStart); err != nil {
+	if _, err := f.Seek(SegHeaderLen, io.SeekStart); err != nil {
 		return expected, 0, fmt.Errorf("oplog: reading segment: %w", err)
 	}
 	count, have := 0, 0
@@ -921,8 +922,8 @@ func scanSegment(path string, buf []byte, expected, after uint64, fn func(Record
 		n, rerr := io.ReadFull(f, buf[have:])
 		have += n
 		off := 0
-		for ; off+recordLen <= have; off += recordLen {
-			rec, ok := parseRecord(buf[off : off+recordLen])
+		for ; off+RecordLen <= have; off += RecordLen {
+			rec, ok := parseRecord(buf[off : off+RecordLen])
 			if !ok || rec.LSN != expected {
 				// Torn or out-of-sequence tail: everything from here on
 				// was never covered by an acked fsync.
@@ -941,7 +942,7 @@ func scanSegment(path string, buf []byte, expected, after uint64, fn func(Record
 			have = copy(buf, buf[off:have])
 		case io.EOF, io.ErrUnexpectedEOF:
 			// The file ended; a partial record left in buf is a torn
-			// tail, or a header shorter than segHeaderLen left no body.
+			// tail, or a header shorter than SegHeaderLen left no body.
 			return expected, count, nil
 		default:
 			return expected, count, fmt.Errorf("oplog: reading segment: %w", rerr)

@@ -246,10 +246,10 @@ func TestReplaySplitsByKey(t *testing.T) {
 // Scan yields every whole record as logged, stops at the tear, and
 // allocates no more for it than one buffer, whatever the segment size.
 func TestScanStreamsSegment(t *testing.T) {
-	if scanBufLen%recordLen == 0 {
-		t.Fatalf("scanBufLen %d is a multiple of recordLen: no record straddles a buffer boundary", scanBufLen)
+	if scanBufLen%RecordLen == 0 {
+		t.Fatalf("scanBufLen %d is a multiple of RecordLen: no record straddles a buffer boundary", scanBufLen)
 	}
-	total := 4*scanBufLen/recordLen + 1000
+	total := 4*scanBufLen/RecordLen + 1000
 	recs := make([]Record, total)
 	for i := range recs {
 		recs[i] = Record{Op: []Op{OpPut, OpInsert, OpDelete}[i%3], Key: layout.Key{Lo: uint64(i) + 1, Hi: uint64(i) * 3}, Value: uint64(i) * 7}
@@ -257,7 +257,7 @@ func TestScanStreamsSegment(t *testing.T) {
 	b := base(t)
 	writeRecords(t, b, recs)
 	path := segPath(b, 1)
-	if err := os.Truncate(path, segHeaderLen+int64(total)*recordLen-13); err != nil {
+	if err := os.Truncate(path, SegHeaderLen+int64(total)*RecordLen-13); err != nil {
 		t.Fatal(err)
 	}
 
@@ -282,6 +282,6 @@ func TestScanStreamsSegment(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(scanBufLen+64<<10); got > limit {
-		t.Fatalf("Scan of a %d-byte segment allocated %d bytes, want at most %d", segHeaderLen+total*recordLen, got, limit)
+		t.Fatalf("Scan of a %d-byte segment allocated %d bytes, want at most %d", SegHeaderLen+total*RecordLen, got, limit)
 	}
 }
