@@ -19,8 +19,10 @@ vet:
 # native backend, the network layer built on top of it, the operation
 # log, whose committer goroutine runs behind every log, and ghbench's
 # serving cell, whose driver keeps bursts in flight on two goroutines.
-# The crash torture runs under the race detector too, since it cuts
-# power under all of them.
+# The façade's property oracle runs under it as well: it races per-op
+# Put/Insert/Delete against ApplyBatch bursts, MGet and Quiesce, which
+# share one critical section. The crash torture runs under the race
+# detector too, since it cuts power under all of them.
 # perfbench is its own module, so ./... never builds it, yet it embeds
 # engine.Engine and calls the façade: vet and test it here so a seam
 # change cannot break the benchmark unseen.
@@ -28,6 +30,7 @@ test:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/core ./internal/engine ./internal/server ./internal/client ./internal/native ./internal/oplog ./cmd/ghbench
+	$(GO) test -race -run 'TestConcurrentPropertyOracle' .
 	$(GO) test -race -run 'CrashTorture' ./internal/chaos
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...

@@ -137,7 +137,7 @@ func expandStallBench(writers, ops int, seed uint64) expandStallRow {
 			base := uint64(w+1) << 40
 			for i := uint64(1); i <= uint64(perWorker); i++ {
 				t0 := time.Now()
-				err := c.Insert(layout.Key{Lo: base + i}, i)
+				err := c.Apply(core.BatchOp{Kind: core.BatchInsert, Key: layout.Key{Lo: base + i}, Value: i}).Err
 				lat = append(lat, float64(time.Since(t0).Nanoseconds())/1e3)
 				if err != nil {
 					mu.Lock()

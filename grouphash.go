@@ -81,17 +81,9 @@ type Options struct {
 	GroupSize uint64
 	// Seed selects the hash function. Default 0.
 	Seed uint64
-	// DisableExpand makes Put return ErrTableFull instead of growing.
+	// DisableExpand makes Put and Insert return ErrTableFull instead of
+	// growing.
 	DisableExpand bool
-	// TwoChoice enables the second hash function discussed in §4.4 of
-	// the paper: higher space utilisation, lower cache locality. Not
-	// compatible with Concurrent.
-	TwoChoice bool
-	// GroupIndex enables the volatile per-group occupancy index: group
-	// scans stop once every occupied cell has been seen, sharply
-	// cutting absent-key lookup cost. Derived state only — rebuilt on
-	// open and after recovery, no extra persistence traffic.
-	GroupIndex bool
 	// Concurrent enables the striped-lock wrapper, making all Store
 	// methods safe for concurrent use. On the native backend (the
 	// default) a full table no longer fails writes: expansion runs
@@ -141,21 +133,14 @@ func New(opts Options) (*Store, error) {
 		cell := layout.ForKeySize(opts.KeyBytes).CellSize()
 		mem = native.New(core.HeaderBytes + l1*2*cell)
 	}
-	if opts.Concurrent && opts.TwoChoice {
-		return nil, fmt.Errorf("grouphash: Concurrent and TwoChoice are mutually exclusive")
-	}
 	tab, err := core.Create(mem, core.Options{
 		Cells:     l1,
 		GroupSize: gs,
 		KeyBytes:  opts.KeyBytes,
 		Seed:      opts.Seed,
-		TwoChoice: opts.TwoChoice,
 	})
 	if err != nil {
 		return nil, err
-	}
-	if opts.GroupIndex {
-		tab.EnableGroupIndex()
 	}
 	s := &Store{tab: tab, mem: mem, expand: !opts.DisableExpand}
 	if opts.Concurrent {
@@ -209,26 +194,20 @@ func (s *Store) Header() uint64 { return s.tab.Header() }
 // instead of failing — the write blocks only until the migration has
 // drained its own stripe, then retries against the doubled arrays.
 func (s *Store) Put(k Key, v uint64) error {
-	if s.conc != nil {
-		return s.conc.Upsert(k, v)
-	}
-	if s.tab.Update(k, v) {
-		return nil
-	}
-	return s.insertExpanding(k, v)
+	return s.apply(BatchOp{Kind: BatchPut, Key: k, Value: v}).Err
 }
 
 // Insert stores (k, v) with the paper's Algorithm-1 semantics: no
-// existing-key check, duplicates allowed.
+// existing-key check, duplicates allowed. It grows the table exactly
+// as Put does.
 func (s *Store) Insert(k Key, v uint64) error {
-	if s.conc != nil {
-		return s.conc.Insert(k, v)
-	}
-	return s.tab.Insert(k, v)
+	return s.apply(BatchOp{Kind: BatchInsert, Key: k, Value: v}).Err
 }
 
-// Item is a key-value pair for batch operations.
-type Item = core.Item
+// Delete removes k, reporting whether it was present.
+func (s *Store) Delete(k Key) bool {
+	return s.apply(BatchOp{Kind: BatchDelete, Key: k}).Found
+}
 
 // Batch types, re-exported from core. See Store.ApplyBatch.
 type (
@@ -254,38 +233,6 @@ const (
 	BatchDelete = core.BatchDelete
 )
 
-// InsertBatch inserts items with one persistent count update for the
-// whole batch — roughly one persist barrier in three saved per insert.
-// Crash consistency is unchanged (recovery recomputes the count). On a
-// sequential store this is core.Table.InsertBatch (items place in
-// order; the first failure stops the batch). On a concurrent store it
-// runs through ApplyBatch's stripe-grouped runs: one lock acquisition
-// and one count persist per stripe-run, items grouped by stripe rather
-// than placed in strict submission order, and a full table waits for
-// online expansion instead of failing. Either way the return is the
-// number of items placed plus the first error in submission order.
-func (s *Store) InsertBatch(items []Item) (int, error) {
-	if s.conc == nil {
-		return s.tab.InsertBatch(items)
-	}
-	ops := make([]BatchOp, len(items))
-	out := make([]BatchResult, len(items))
-	for i, it := range items {
-		ops[i] = BatchOp{Kind: BatchInsert, Key: it.Key, Value: it.Value}
-	}
-	s.conc.ApplyBatch(ops, out, nil, nil)
-	placed := 0
-	var err error
-	for i := range out {
-		if out[i].Err == nil {
-			placed++
-		} else if err == nil {
-			err = out[i].Err
-		}
-	}
-	return placed, err
-}
-
 // ApplyBatch applies a burst of mutations as stripe-grouped runs with
 // one lock acquisition, one persistent count update, and one commit-
 // hook call per run — the only path by which the network server
@@ -308,59 +255,51 @@ func (s *Store) InsertBatch(items []Item) (int, error) {
 // as always.
 //
 // On a sequential store the ops apply in submission order under the
-// caller's exclusivity, with one count persist for the whole batch and
-// one committed call at the end.
+// caller's exclusivity, one count persist each, with one committed
+// call at the end.
 func (s *Store) ApplyBatch(ops []BatchOp, out []BatchResult, sc *BatchScratch, committed func(applied []int)) {
 	if s.conc != nil {
 		s.conc.ApplyBatch(ops, out, sc, committed)
 		return
 	}
-	s.applyBatchSequential(ops, out, committed)
-}
-
-// applyBatchSequential is the non-concurrent fallback: ops in
-// submission order, automatic expansion on a full table (mirroring
-// Put), one count persist per mutation (the sequential Table funnels
-// every mutation through its own setCount; the amortisation here is
-// only the single committed call).
-func (s *Store) applyBatchSequential(ops []BatchOp, out []BatchResult, committed func(applied []int)) {
 	if len(ops) != len(out) {
 		panic("grouphash: ApplyBatch len(ops) != len(out)")
 	}
-	applied := make([]int, 0, len(ops))
+	var applied []int
 	for i := range ops {
-		out[i] = BatchResult{}
-		op := &ops[i]
-		switch op.Kind {
-		case BatchPut:
-			if s.tab.Update(op.Key, op.Value) {
-				out[i].Found = true
-				applied = append(applied, i)
-				continue
-			}
-			if err := s.insertExpanding(op.Key, op.Value); err != nil {
-				out[i].Err = err
-				continue
-			}
+		out[i] = s.apply(ops[i])
+		if committed != nil && out[i].Err == nil && (ops[i].Kind != BatchDelete || out[i].Found) {
 			applied = append(applied, i)
-		case BatchInsert:
-			if err := s.insertExpanding(op.Key, op.Value); err != nil {
-				out[i].Err = err
-				continue
-			}
-			applied = append(applied, i)
-		case BatchDelete:
-			if s.tab.Delete(op.Key) {
-				out[i].Found = true
-				applied = append(applied, i)
-			}
-		default:
-			panic("grouphash: ApplyBatch: unknown BatchKind")
 		}
 	}
-	if len(applied) > 0 && committed != nil {
+	if len(applied) > 0 {
 		committed(applied)
 	}
+}
+
+// apply runs one mutation: on a concurrent store through the table's
+// one mutating critical section (core.Concurrent.Apply), on a
+// sequential one through the op switch below, which a full table grows
+// through unless expansion is disabled.
+func (s *Store) apply(op BatchOp) BatchResult {
+	if s.conc != nil {
+		return s.conc.Apply(op)
+	}
+	switch op.Kind {
+	case BatchPut:
+		if s.tab.Update(op.Key, op.Value) {
+			return BatchResult{Found: true}
+		}
+		fallthrough
+	case BatchInsert:
+		if s.expand {
+			return BatchResult{Err: s.tab.InsertAutoExpand(op.Key, op.Value)}
+		}
+		return BatchResult{Err: s.tab.Insert(op.Key, op.Value)}
+	case BatchDelete:
+		return BatchResult{Found: s.tab.Delete(op.Key)}
+	}
+	panic("grouphash: ApplyBatch: unknown BatchKind")
 }
 
 // MGet looks up many keys in one call, filling the caller's parallel
@@ -378,30 +317,12 @@ func (s *Store) MGet(keys []Key, vals []uint64, found []bool) {
 	}
 }
 
-// insertExpanding inserts on the sequential table, expanding once on a
-// full table unless expansion is disabled — Put's fallback, shared with
-// the batch path.
-func (s *Store) insertExpanding(k Key, v uint64) error {
-	if s.expand {
-		return s.tab.InsertAutoExpand(k, v)
-	}
-	return s.tab.Insert(k, v)
-}
-
 // Get returns the value stored under k.
 func (s *Store) Get(k Key) (uint64, bool) {
 	if s.conc != nil {
 		return s.conc.Lookup(k)
 	}
 	return s.tab.Lookup(k)
-}
-
-// Delete removes k, reporting whether it was present.
-func (s *Store) Delete(k Key) bool {
-	if s.conc != nil {
-		return s.conc.Delete(k)
-	}
-	return s.tab.Delete(k)
 }
 
 // Len returns the number of stored items.
@@ -463,7 +384,7 @@ func (s *Store) Concurrent() bool { return s.conc != nil }
 // completes within the Put that triggered it).
 func (s *Store) Expanding() bool { return s.conc != nil && s.conc.Expanding() }
 
-// Expansions returns the number of completed online expansions on a
+// Expansions returns the number of committed online expansions on a
 // concurrent store (0 on sequential stores).
 func (s *Store) Expansions() uint64 {
 	if s.conc == nil {

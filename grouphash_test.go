@@ -96,6 +96,106 @@ func TestStoreDisableExpand(t *testing.T) {
 	}
 }
 
+// TestSequentialInsertGrowsLikePut pins one insert path on a sequential
+// store: Insert, Put of fresh keys and ApplyBatch(BatchInsert) grow a
+// 64-item store to the same capacity and place every item, and with
+// DisableExpand all three refuse the same items.
+func TestSequentialInsertGrowsLikePut(t *testing.T) {
+	const n = 10000
+	ops := make([]BatchOp, n)
+	for i := range ops {
+		ops[i] = BatchOp{Kind: BatchInsert, Key: Key{Lo: uint64(i) + 1}, Value: uint64(i)}
+	}
+	paths := []struct {
+		name string
+		run  func(st *Store) []BatchResult
+	}{
+		{"Put", func(st *Store) []BatchResult {
+			out := make([]BatchResult, n)
+			for i, op := range ops {
+				out[i].Err = st.Put(op.Key, op.Value)
+			}
+			return out
+		}},
+		{"Insert", func(st *Store) []BatchResult {
+			out := make([]BatchResult, n)
+			for i, op := range ops {
+				out[i].Err = st.Insert(op.Key, op.Value)
+			}
+			return out
+		}},
+		{"ApplyBatch", func(st *Store) []BatchResult {
+			out := make([]BatchResult, n)
+			st.ApplyBatch(ops, out, nil, nil)
+			return out
+		}},
+	}
+	for _, disable := range []bool{false, true} {
+		var want *Store
+		var wantOut []BatchResult
+		for _, p := range paths {
+			st, err := New(Options{Capacity: 64, DisableExpand: disable})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := p.run(st)
+			refused := 0
+			for i := range out {
+				if err := out[i].Err; err != nil && !errors.Is(err, ErrTableFull) {
+					t.Fatalf("%s (DisableExpand=%v) item %d: %v", p.name, disable, i+1, err)
+				} else if err != nil {
+					refused++
+				}
+			}
+			if !disable && (refused != 0 || st.Len() != n) {
+				t.Fatalf("%s refused %d of %d items and holds %d on a growing store", p.name, refused, n, st.Len())
+			}
+			if disable && refused == 0 {
+				t.Fatalf("%s never refused an item with DisableExpand", p.name)
+			}
+			if msgs := st.CheckConsistency(); len(msgs) != 0 {
+				t.Fatalf("%s: inconsistent: %v", p.name, msgs)
+			}
+			if want == nil {
+				want, wantOut = st, out
+				continue
+			}
+			if st.Capacity() != want.Capacity() || st.Len() != want.Len() {
+				t.Fatalf("%s (DisableExpand=%v): %d items in %d cells, Put left %d in %d",
+					p.name, disable, st.Len(), st.Capacity(), want.Len(), want.Capacity())
+			}
+			for i := range out {
+				if (out[i].Err == nil) != (wantOut[i].Err == nil) {
+					t.Fatalf("%s (DisableExpand=%v) item %d: error %v, Put's %v", p.name, disable, i+1, out[i].Err, wantOut[i].Err)
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentPerOpAllocs guards the per-op entry points of a
+// concurrent store: Put, Insert and Delete each run one stripe-run of
+// the table's batch critical section and allocate nothing.
+func TestConcurrentPerOpAllocs(t *testing.T) {
+	st, err := New(Options{Capacity: 1 << 12, Concurrent: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := Key{Lo: 42}
+	for _, op := range []struct {
+		name string
+		run  func()
+	}{
+		{"Put", func() { st.Put(k, 1) }},
+		{"Insert", func() { st.Insert(k, 2) }},
+		{"Delete", func() { st.Delete(k) }},
+	} {
+		if n := testing.AllocsPerRun(100, op.run); n != 0 {
+			t.Errorf("%s allocates %.1f times per op, want 0", op.name, n)
+		}
+	}
+}
+
 func TestStoreInsertAllowsDuplicates(t *testing.T) {
 	st, _ := New(Options{Capacity: 1 << 10})
 	st.Insert(Key{Lo: 5}, 1)
@@ -286,39 +386,6 @@ func TestQuickStoreMatchesMap(t *testing.T) {
 	}
 }
 
-func TestStoreInsertBatch(t *testing.T) {
-	st, err := New(Options{Capacity: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := make([]Item, 100)
-	for i := range items {
-		items[i] = Item{Key: Key{Lo: uint64(i) + 1}, Value: uint64(i)}
-	}
-	n, err := st.InsertBatch(items)
-	if err != nil || n != 100 {
-		t.Fatalf("batch: %d, %v", n, err)
-	}
-	if st.Len() != 100 {
-		t.Fatalf("Len = %d", st.Len())
-	}
-	// Concurrent stores batch through the stripe-grouped ApplyBatch now
-	// (one lock acquisition + one count persist per stripe-run).
-	cst, _ := New(Options{Capacity: 1 << 10, Concurrent: true})
-	n, err = cst.InsertBatch(items)
-	if err != nil || n != 100 {
-		t.Fatalf("concurrent batch: %d, %v", n, err)
-	}
-	if cst.Len() != 100 {
-		t.Fatalf("concurrent Len = %d", cst.Len())
-	}
-	for i := range items {
-		if v, ok := cst.Get(items[i].Key); !ok || v != items[i].Value {
-			t.Fatalf("concurrent Get(%d) = %d, %v", i, v, ok)
-		}
-	}
-}
-
 func TestSimScheduledCrashAndImage(t *testing.T) {
 	dir := t.TempDir()
 	img := dir + "/store.img"
@@ -377,34 +444,6 @@ func TestStoreInsertDeleteConcurrentPaths(t *testing.T) {
 	}
 	if st.Delete(Key{Lo: 3}) {
 		t.Fatal("double delete")
-	}
-}
-
-func TestStoreGroupIndexOption(t *testing.T) {
-	st, err := New(Options{Capacity: 1 << 12, GroupIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(1); i <= 2000; i++ {
-		if err := st.Put(Key{Lo: i}, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := uint64(1); i <= 2000; i++ {
-		if v, ok := st.Get(Key{Lo: i}); !ok || v != i {
-			t.Fatalf("key %d = (%d, %v)", i, v, ok)
-		}
-	}
-	if _, ok := st.Get(Key{Lo: 1 << 30}); ok {
-		t.Fatal("phantom")
-	}
-	for i := uint64(1); i <= 2000; i += 2 {
-		if !st.Delete(Key{Lo: i}) {
-			t.Fatalf("delete %d", i)
-		}
-	}
-	if msgs := st.CheckConsistency(); len(msgs) != 0 {
-		t.Fatalf("inconsistent: %v", msgs)
 	}
 }
 
@@ -521,17 +560,21 @@ func testSnapshotGrown(t *testing.T) {
 	}
 }
 
-// fill inserts keys 1..n (value = key) in 4096-item batches.
+// fill inserts keys 1..n (value = key) in 4096-op batches.
 func fill(t *testing.T, st *Store, n uint64) {
 	t.Helper()
-	items := make([]Item, 0, 4096)
+	ops := make([]BatchOp, 0, 4096)
+	out := make([]BatchResult, cap(ops))
 	for i := uint64(1); i <= n; i++ {
-		items = append(items, Item{Key: Key{Lo: i}, Value: i})
-		if len(items) == cap(items) || i == n {
-			if _, err := st.InsertBatch(items); err != nil {
-				t.Fatal(err)
+		ops = append(ops, BatchOp{Kind: BatchInsert, Key: Key{Lo: i}, Value: i})
+		if len(ops) == cap(ops) || i == n {
+			st.ApplyBatch(ops, out[:len(ops)], nil, nil)
+			for j := range ops {
+				if err := out[j].Err; err != nil {
+					t.Fatal(err)
+				}
 			}
-			items = items[:0]
+			ops = ops[:0]
 		}
 	}
 	st.Quiesce(func() {}) // settle any expansion still migrating

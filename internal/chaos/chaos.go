@@ -52,6 +52,10 @@ type Result struct {
 	// Full counts the ops the engine refused for lack of room
 	// (StatusFull); an auto-expanding engine refuses none.
 	Full int
+	// Expansions sums Engine.Expansions over the generations' engines,
+	// each read before its teardown: the online expansions that
+	// committed a bigger table, replay's included.
+	Expansions uint64
 }
 
 // Run executes the schedule. Before each event it recovers the engine
@@ -122,14 +126,17 @@ func Run(cfg Config) (Result, error) {
 		}
 		if gen == len(cfg.Events) {
 			lg.Abort()
+			res.Expansions += eng.Expansions()
 			res.Full = model.Full()
-			logf("chaos: final audit clean (%d items after %d events, %d ops refused for lack of room); %d of %d power cuts tore a written but unsynced tail",
-				eng.Len(), gen, res.Full, res.Torn, res.Cuts)
+			logf("chaos: final audit clean (%d items after %d events, %d ops refused for lack of room, %d expansions committed); %d of %d power cuts tore a written but unsynced tail",
+				eng.Len(), gen, res.Full, res.Expansions, res.Torn, res.Cuts)
 			return res, nil
 		}
 		ev := cfg.Events[gen]
 		logf("chaos: gen %d verified (items=%d, replayed=%d) → %s", gen, eng.Len(), rec.Replayed, ev)
-		if err := serveGeneration(cfg, eng, lg, img, ev, model, rng, pc, &res, logf); err != nil {
+		err = serveGeneration(cfg, eng, lg, img, ev, model, rng, pc, &res, logf)
+		res.Expansions += eng.Expansions()
+		if err != nil {
 			return res, fmt.Errorf("gen %d (%s): %w", gen, ev, err)
 		}
 	}
@@ -196,13 +203,17 @@ func serveGeneration(cfg Config, eng engine.Engine, lg *oplog.Log, img string, e
 			srv.Abort()
 		}
 	case KindExpand:
-		before := eng.Expansions()
-		deadline := time.Now().Add(500 * time.Millisecond)
-		for eng.Expansions() == before && time.Now().Before(deadline) {
-			time.Sleep(2 * time.Millisecond)
-		}
-		if eng.Expansions() > before {
-			logf("chaos: expansion %d completed under load", eng.Expansions())
+		// Only an engine that grows instead of refusing an insert
+		// (oplog.KeyIndependent) can complete an expansion to wait for.
+		if ki, ok := eng.(oplog.KeyIndependent); ok && ki.KeyIndependent() {
+			before := eng.Expansions()
+			deadline := time.Now().Add(500 * time.Millisecond)
+			for eng.Expansions() == before && time.Now().Before(deadline) {
+				time.Sleep(2 * time.Millisecond)
+			}
+			if eng.Expansions() > before {
+				logf("chaos: expansion %d completed under load", eng.Expansions())
+			}
 		}
 		srv.Abort()
 	}

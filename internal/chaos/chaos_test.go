@@ -86,9 +86,9 @@ func TestChaosMatrix(t *testing.T) {
 // segments in 4 KiB steps, small enough that every generation grows its
 // segment several times, so cuts land in regions a growth commit
 // zero-filled. A leg fails if the flagship refused an op for lack of
-// room (an expansion or rebuild failed), and unless every cut tore a
-// written but unsynced tail and, with growth steps, some cut landed
-// past the first.
+// room (an expansion or rebuild failed) or committed no expansion at
+// all, and unless every cut tore a written but unsynced tail and, with
+// growth steps, some cut landed past the first.
 func TestCrashTorture(t *testing.T) {
 	all := []Kind{KindKillTear, KindCutRotated, KindCutImaged, KindCutTruncated}
 	for _, leg := range []struct {
@@ -108,8 +108,10 @@ func TestCrashTorture(t *testing.T) {
 				events[i] = Event{Kind: leg.kinds[i%len(leg.kinds)], Delay: time.Duration(5+rng.Intn(10)) * time.Millisecond}
 			}
 			res, err := Run(Config{
-				Engine:   "grouphash",
-				Capacity: 1 << 12,
+				Engine: "grouphash",
+				// Small enough that even a -race run's load forces
+				// several expansions: at 4096 a leg committed only one.
+				Capacity: 1 << 10,
 				Seed:     1,
 				Events:   events,
 				Dir:      t.TempDir(),
@@ -121,6 +123,10 @@ func TestCrashTorture(t *testing.T) {
 			}
 			if res.Full != 0 {
 				t.Fatalf("the flagship refused %d ops for lack of room", res.Full)
+			}
+			t.Logf("%d online expansions committed", res.Expansions)
+			if res.Expansions == 0 {
+				t.Fatal("the flagship committed no online expansion: every one failed, or the load never forced one")
 			}
 			t.Logf("%d of %d crashes cut a written but unsynced tail", res.Torn, res.Cuts)
 			if res.Torn < res.Cuts {

@@ -25,7 +25,8 @@ type BatchKind uint8
 
 const (
 	// BatchPut upserts: overwrite in place if the key exists, insert
-	// otherwise (Concurrent.Upsert's semantics).
+	// otherwise, in one critical section, so racing puts of one key
+	// never commit duplicates.
 	BatchPut BatchKind = iota + 1
 	// BatchInsert inserts with Algorithm-1 semantics: no existing-key
 	// check, duplicates allowed.
@@ -81,10 +82,9 @@ type BatchScratch struct {
 //
 // A full group mid-run commits the prefix (count + hook), releases the
 // stripe, waits for the online expansion to make room (awaitRoom), and
-// resumes the run against the grown table — the same retry loop as
-// Insert, amortised. If expansion itself fails, the blocked op
-// reports ErrTableFull and the rest of the run still applies (deletes
-// and in-place puts can succeed in a full table).
+// resumes the run against the grown table. If expansion itself fails,
+// the blocked op reports ErrTableFull and the rest of the run still
+// applies (deletes and in-place puts can succeed in a full table).
 //
 // sc may be nil (a scratch is then allocated); committed may be nil.
 func (c *Concurrent) ApplyBatch(ops []BatchOp, out []BatchResult, sc *BatchScratch, committed func(applied []int)) {
@@ -153,18 +153,40 @@ func (c *Concurrent) ApplyBatch(ops []BatchOp, out []BatchResult, sc *BatchScrat
 	}
 }
 
+// Apply runs one mutation as a stripe-run of one — no stripe sort, no
+// scratch, no allocation — and returns its outcome. It is the per-op
+// entry point (the façade's Put, Insert and Delete), so every mutation
+// of a concurrent table runs applyRun's critical section.
+func (c *Concurrent) Apply(op BatchOp) BatchResult {
+	if !c.t.l.ValidKey(op.Key) {
+		return BatchResult{Err: hashtab.ErrInvalidKey}
+	}
+	ops, out, run := [1]BatchOp{op}, [1]BatchResult{}, [1]int32{}
+	_, si := c.stripeFor(op.Key)
+	c.applyRun(ops[:], out[:], nil, si, run[:], nil)
+	return out[0]
+}
+
 // applyRun applies one stripe-run (the op indices in run, all mapping
-// to stripe si), re-locking and resuming after each expansion wait.
+// to stripe si), re-locking and resuming after each expansion wait. It
+// is the concurrent table's only mutating critical section: the stripe
+// lock, the route to the migrated or current view, the cell commits,
+// one count persist and the commit hook. The indices handed to
+// committed are gathered in sc, which may be nil when committed is.
 func (c *Concurrent) applyRun(ops []BatchOp, out []BatchResult, sc *BatchScratch, si int, run []int32, committed func(applied []int)) {
 	s := &c.stripes[si]
 	noRoom := false // a failed awaitRoom: full-group ops now fail for good
+	placed := false // some op inserted: the load factor may have crossed
 	i := 0
 	for i < len(run) {
 		s.lock()
 		vw := c.routeView(si)
-		sc.applied = sc.applied[:0]
+		if committed != nil {
+			sc.applied = sc.applied[:0]
+		}
 		delta := int64(0)
 		full := false
+	apply:
 		for ; i < len(run); i++ {
 			idx := int(run[i])
 			op := &ops[idx]
@@ -172,42 +194,38 @@ func (c *Concurrent) applyRun(ops []BatchOp, out []BatchResult, sc *BatchScratch
 			case BatchPut:
 				if c.t.updateIn(vw, op.Key, op.Value) {
 					out[idx].Found = true
-					sc.applied = append(sc.applied, idx)
-					continue
+					break
 				}
-				if c.t.placeIn(vw, op.Key, op.Value) {
-					delta++
-					sc.applied = append(sc.applied, idx)
-					continue
-				}
+				fallthrough
 			case BatchInsert:
-				if c.t.placeIn(vw, op.Key, op.Value) {
-					delta++
-					sc.applied = append(sc.applied, idx)
-					continue
+				if !c.t.placeIn(vw, op.Key, op.Value) {
+					// The op's groups are full.
+					if noRoom {
+						out[idx].Err = hashtab.ErrTableFull
+						continue
+					}
+					full = true
+					break apply
 				}
+				delta++
+				placed = true
 			case BatchDelete:
-				if c.t.removeIn(vw, op.Key) {
-					out[idx].Found = true
-					delta--
-					sc.applied = append(sc.applied, idx)
+				if !c.t.removeIn(vw, op.Key) {
+					continue // absent: nothing applied
 				}
-				continue
+				out[idx].Found = true
+				delta--
 			default:
 				panic("core: ApplyBatch: unknown BatchKind")
 			}
-			// Placement failed: the op's groups are full.
-			if noRoom {
-				out[idx].Err = hashtab.ErrTableFull
-				continue
+			if committed != nil {
+				sc.applied = append(sc.applied, idx)
 			}
-			full = true
-			break
 		}
 		if delta != 0 {
 			c.bumpCount(delta)
 		}
-		if len(sc.applied) > 0 && committed != nil {
+		if committed != nil && len(sc.applied) > 0 {
 			committed(sc.applied)
 		}
 		s.unlock()
@@ -222,5 +240,7 @@ func (c *Concurrent) applyRun(ops []BatchOp, out []BatchResult, sc *BatchScratch
 			}
 		}
 	}
-	c.maybeTriggerExpand()
+	if placed {
+		c.maybeTriggerExpand()
+	}
 }

@@ -55,7 +55,7 @@ type Concurrent struct {
 	expandOK   bool                     // EnableOnlineExpand was called
 	expandMu   sync.Mutex               // serialises expansion starts
 	exp        atomic.Pointer[expState] // non-nil while one is in flight
-	expansions atomic.Uint64            // completed expansions
+	expansions atomic.Uint64            // committed expansions
 	fallbacks  atomic.Uint64            // expansions that needed the stop-the-world rebuild
 	stripesMig atomic.Uint64            // stripes migrated, cumulative across expansions
 	stallNanos atomic.Uint64            // total writer wall time blocked in awaitRoom
@@ -171,79 +171,6 @@ func (s *stripe) unlock() {
 	s.mu.Unlock()
 }
 
-// Name implements hashtab.Table.
-func (c *Concurrent) Name() string { return "group-concurrent" }
-
-// Insert stores (k, v) under the group lock. Placement delegates to
-// the same placeIn helper the sequential Insert uses, so the two paths
-// cannot drift; the key is validated first, exactly as in Table.Insert
-// (the compact layout's reserved zero key would corrupt the
-// key-word-as-bitmap occupancy invariant if committed). Count
-// maintenance happens under the count mutex; the commit order (cell
-// first, count second) matches the sequential protocol, so crash
-// consistency is unchanged.
-//
-// When online expansion is enabled, a full group no longer fails the
-// insert: the writer kicks off (or joins) an expansion, blocks until
-// the migration has drained its stripe — a per-stripe wait, typically
-// far shorter than a full rehash — and retries against the doubled
-// arrays. ErrTableFull then only escapes if expansion itself fails.
-func (c *Concurrent) Insert(k layout.Key, v uint64) error {
-	if !c.t.l.ValidKey(k) {
-		return hashtab.ErrInvalidKey
-	}
-	for {
-		s, si := c.stripeFor(k)
-		s.lock()
-		ok := c.t.placeIn(c.routeView(si), k, v)
-		if ok {
-			c.bumpCount(1)
-		}
-		s.unlock()
-		if ok {
-			c.maybeTriggerExpand()
-			return nil
-		}
-		if err := c.awaitRoom(si); err != nil {
-			return err
-		}
-	}
-}
-
-// Upsert stores (k, v), overwriting any existing value for k, as one
-// atomic operation under the group lock. Unlike an Update-then-Insert
-// sequence composed by the caller (two separate lock acquisitions,
-// between which another goroutine can insert the same key), Upsert
-// cannot create duplicate items under concurrency — the property a
-// networked front-end's PUT needs. Full groups expand-and-retry
-// exactly as in Insert.
-func (c *Concurrent) Upsert(k layout.Key, v uint64) error {
-	if !c.t.l.ValidKey(k) {
-		return hashtab.ErrInvalidKey
-	}
-	for {
-		s, si := c.stripeFor(k)
-		s.lock()
-		vw := c.routeView(si)
-		if c.t.updateIn(vw, k, v) {
-			s.unlock()
-			return nil
-		}
-		ok := c.t.placeIn(vw, k, v)
-		if ok {
-			c.bumpCount(1)
-		}
-		s.unlock()
-		if ok {
-			c.maybeTriggerExpand()
-			return nil
-		}
-		if err := c.awaitRoom(si); err != nil {
-			return err
-		}
-	}
-}
-
 // Lookup returns the value under k. On backends with atomic word reads
 // it first runs the seqlock fast path: read the stripe version (even
 // means no writer), probe with no lock held, and accept the result only
@@ -280,27 +207,6 @@ func (c *Concurrent) Lookup(k layout.Key) (uint64, bool) {
 	return c.t.lookupIn(c.routeView(si), k)
 }
 
-// Delete removes k under the group lock, delegating to the same
-// removeIn helper as the sequential Delete.
-func (c *Concurrent) Delete(k layout.Key) bool {
-	s, si := c.stripeFor(k)
-	s.lock()
-	defer s.unlock()
-	if !c.t.removeIn(c.routeView(si), k) {
-		return false
-	}
-	c.bumpCount(-1)
-	return true
-}
-
-// Update overwrites an existing key's value under the group lock.
-func (c *Concurrent) Update(k layout.Key, v uint64) bool {
-	s, si := c.stripeFor(k)
-	s.lock()
-	defer s.unlock()
-	return c.t.updateIn(c.routeView(si), k, v)
-}
-
 func (c *Concurrent) bumpCount(delta int64) {
 	c.countMu.Lock()
 	c.t.setCount(uint64(int64(c.t.Len()) + delta))
@@ -314,18 +220,10 @@ func (c *Concurrent) Len() uint64 {
 	return c.t.Len()
 }
 
-// Capacity returns the wrapped table's capacity.
-func (c *Concurrent) Capacity() uint64 { return c.t.Capacity() }
-
-// LoadFactor returns Len/Capacity.
-func (c *Concurrent) LoadFactor() float64 {
-	return float64(c.Len()) / float64(c.Capacity())
-}
-
-// Quiesce runs fn while every stripe is held exclusively: no insert,
-// upsert, delete or update is in flight, optimistic readers observe an
-// odd version and fall back to the (blocked) shared lock, and the
-// wrapped table is momentarily as quiet as a single-threaded one.
+// Quiesce runs fn while every stripe is held exclusively: no mutation
+// is in flight, optimistic readers observe an odd version and fall
+// back to the (blocked) shared lock, and the wrapped table is
+// momentarily as quiet as a single-threaded one.
 // This is the snapshot hook: fn may read the entire backing memory
 // (e.g. copy an image for a pmfs save) without racing any writer.
 // Stripes are always taken in index order, so concurrent Quiesce calls

@@ -32,7 +32,7 @@ func benchConcurrent(b *testing.B, optimistic bool) (*Concurrent, []layout.Key) 
 	keys := make([]layout.Key, 0, n)
 	for i := uint64(1); uint64(len(keys)) < n; i++ {
 		k := layout.Key{Lo: i * 2654435761}
-		if err := c.Insert(k, i); err != nil {
+		if err := c.Apply(BatchOp{Kind: BatchInsert, Key: k, Value: i}).Err; err != nil {
 			b.Fatal(err)
 		}
 		keys = append(keys, k)
@@ -71,9 +71,10 @@ func BenchmarkConcurrentLookupParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentMixedParallel runs a 90/10 lookup/update mix, the
-// regime the seqlock is designed for: rare writers bump stripe versions
-// while the read majority stays lock-free.
+// BenchmarkConcurrentMixedParallel runs a 90/10 lookup/put mix (every
+// put overwrites a present key), the regime the seqlock is designed
+// for: rare writers bump stripe versions while the read majority stays
+// lock-free.
 func BenchmarkConcurrentMixedParallel(b *testing.B) {
 	for _, mode := range []struct {
 		name       string
@@ -88,7 +89,7 @@ func BenchmarkConcurrentMixedParallel(b *testing.B) {
 				for pb.Next() {
 					k := keys[i%uint64(len(keys))]
 					if i%10 == 0 {
-						c.Update(k, i)
+						c.Apply(BatchOp{Kind: BatchPut, Key: k, Value: i})
 					} else if _, ok := c.Lookup(k); !ok {
 						b.Fatal("key lost")
 					}

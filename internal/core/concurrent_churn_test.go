@@ -14,16 +14,15 @@ import (
 // TestConcurrentZeroKeyRejected is the regression test for the
 // concurrent wrapper committing the compact layout's reserved zero key
 // (which would corrupt the key-word-as-bitmap occupancy invariant):
-// Insert and Upsert must reject it exactly as Table.Insert does.
+// every op kind must reject it exactly as Table.Insert does.
 func TestConcurrentZeroKeyRejected(t *testing.T) {
 	mem := native.New(1 << 20)
 	tab := mustCreate(t, mem, Options{Cells: 256, GroupSize: 16, Seed: 3})
 	c := NewConcurrent(tab, 0)
-	if err := c.Insert(layout.Key{}, 7); !errors.Is(err, hashtab.ErrInvalidKey) {
-		t.Fatalf("Insert(zero key) = %v, want ErrInvalidKey", err)
-	}
-	if err := c.Upsert(layout.Key{}, 7); !errors.Is(err, hashtab.ErrInvalidKey) {
-		t.Fatalf("Upsert(zero key) = %v, want ErrInvalidKey", err)
+	for _, kind := range []BatchKind{BatchInsert, BatchPut, BatchDelete} {
+		if r := c.Apply(BatchOp{Kind: kind, Value: 7}); !errors.Is(r.Err, hashtab.ErrInvalidKey) || r.Found {
+			t.Fatalf("kind %d on the zero key = %+v, want ErrInvalidKey", kind, r)
+		}
 	}
 	if c.Len() != 0 {
 		t.Fatalf("Len = %d after rejected inserts, want 0", c.Len())
@@ -33,9 +32,9 @@ func TestConcurrentZeroKeyRejected(t *testing.T) {
 	}
 }
 
-// TestConcurrentUpsertNoDuplicates races many goroutines upserting the
-// SAME fresh key: the single-lock upsert must leave exactly one item,
-// where a caller-composed Update-then-Insert would race into
+// TestConcurrentUpsertNoDuplicates races many goroutines putting the
+// SAME fresh key: the single-lock put (an upsert) must leave exactly
+// one item, where a caller-composed update-then-insert would race into
 // duplicates.
 func TestConcurrentUpsertNoDuplicates(t *testing.T) {
 	mem := native.New(8 << 20)
@@ -50,8 +49,8 @@ func TestConcurrentUpsertNoDuplicates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				k := layout.Key{Lo: uint64(i%50 + 1)}
-				if err := c.Upsert(k, uint64(w)); err != nil {
-					t.Errorf("upsert: %v", err)
+				if err := c.Apply(BatchOp{Kind: BatchPut, Key: k, Value: uint64(w)}).Err; err != nil {
+					t.Errorf("put: %v", err)
 					return
 				}
 			}
@@ -62,7 +61,7 @@ func TestConcurrentUpsertNoDuplicates(t *testing.T) {
 		return
 	}
 	if c.Len() != 50 {
-		t.Fatalf("Len = %d, want 50 (upserts must not duplicate)", c.Len())
+		t.Fatalf("Len = %d, want 50 (puts must not duplicate)", c.Len())
 	}
 	seen := make(map[uint64]int)
 	tab.Range(func(k layout.Key, v uint64) bool {
@@ -76,11 +75,11 @@ func TestConcurrentUpsertNoDuplicates(t *testing.T) {
 	}
 }
 
-// TestConcurrentChurn exercises the FULL wrapper API — Insert, Upsert,
-// Update, Delete, Lookup, Len — under -race: each worker churns a
-// disjoint key range (so per-key expectations stay deterministic)
-// while a shared reader sweeps the whole space through the seqlock
-// path.
+// TestConcurrentChurn exercises the wrapper's per-op API — puts that
+// insert and puts that overwrite, deletes, Lookup, Len — under -race:
+// each worker churns a disjoint key range (so per-key expectations stay
+// deterministic) while a shared reader sweeps the whole space through
+// the seqlock path.
 func TestConcurrentChurn(t *testing.T) {
 	mem := native.New(64 << 20)
 	tab := mustCreate(t, mem, Options{Cells: 1 << 14, GroupSize: 64, Seed: 11})
@@ -108,19 +107,19 @@ func TestConcurrentChurn(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				for i := uint64(0); i < rangeSize; i++ {
 					k := layout.Key{Lo: base + i}
-					if err := c.Upsert(k, uint64(r)<<32|i); err != nil {
-						t.Errorf("upsert: %v", err)
+					if err := c.Apply(BatchOp{Kind: BatchPut, Key: k, Value: uint64(r)<<32 | i}).Err; err != nil {
+						t.Errorf("put: %v", err)
 						return
 					}
 				}
 				for i := uint64(0); i < rangeSize; i += 2 {
-					if !c.Update(layout.Key{Lo: base + i}, ^uint64(0)) {
-						t.Errorf("update of present key failed")
+					if !c.Apply(BatchOp{Kind: BatchPut, Key: layout.Key{Lo: base + i}, Value: ^uint64(0)}).Found {
+						t.Errorf("put over a present key inserted instead")
 						return
 					}
 				}
 				for i := uint64(1); i < rangeSize; i += 2 {
-					if !c.Delete(layout.Key{Lo: base + i}) {
+					if !c.Apply(BatchOp{Kind: BatchDelete, Key: layout.Key{Lo: base + i}}).Found {
 						t.Errorf("delete of present key failed")
 						return
 					}
@@ -171,9 +170,9 @@ func TestConcurrentQuiesce(t *testing.T) {
 			for i := uint64(0); !stop.Load(); i++ {
 				k := layout.Key{Lo: base + i%2000}
 				if i%3 == 2 {
-					c.Delete(k)
-				} else if err := c.Upsert(k, i); err != nil {
-					t.Errorf("upsert: %v", err)
+					c.Apply(BatchOp{Kind: BatchDelete, Key: k})
+				} else if err := c.Apply(BatchOp{Kind: BatchPut, Key: k, Value: i}).Err; err != nil {
+					t.Errorf("put: %v", err)
 					return
 				}
 			}

@@ -12,26 +12,27 @@ func TestConcurrentBasicOps(t *testing.T) {
 	mem := native.New(16 << 20)
 	tab := mustCreate(t, mem, Options{Cells: 4096, GroupSize: 64, Seed: 6})
 	c := NewConcurrent(tab, 0)
-	if c.Name() != "group-concurrent" {
-		t.Fatal("name")
+	k := layout.Key{Lo: 5}
+	if r := c.Apply(BatchOp{Kind: BatchInsert, Key: k, Value: 50}); r != (BatchResult{}) {
+		t.Fatalf("insert = %+v", r)
 	}
-	if err := c.Insert(layout.Key{Lo: 5}, 50); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := c.Lookup(layout.Key{Lo: 5}); !ok || v != 50 {
+	if v, ok := c.Lookup(k); !ok || v != 50 {
 		t.Fatalf("lookup = (%d, %v)", v, ok)
 	}
-	if !c.Update(layout.Key{Lo: 5}, 51) {
-		t.Fatal("update failed")
+	if r := c.Apply(BatchOp{Kind: BatchPut, Key: k, Value: 51}); r != (BatchResult{Found: true}) {
+		t.Fatalf("put over a present key = %+v", r)
 	}
-	if !c.Delete(layout.Key{Lo: 5}) {
-		t.Fatal("delete failed")
+	if v, ok := c.Lookup(k); !ok || v != 51 {
+		t.Fatalf("lookup after put = (%d, %v)", v, ok)
+	}
+	if r := c.Apply(BatchOp{Kind: BatchDelete, Key: k}); r != (BatchResult{Found: true}) {
+		t.Fatalf("delete = %+v", r)
+	}
+	if r := c.Apply(BatchOp{Kind: BatchDelete, Key: k}); r != (BatchResult{}) {
+		t.Fatalf("delete of an absent key = %+v", r)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("Len = %d", c.Len())
-	}
-	if c.Capacity() != tab.Capacity() || c.LoadFactor() != 0 {
-		t.Fatal("capacity/load factor passthrough broken")
 	}
 }
 
@@ -48,7 +49,7 @@ func TestConcurrentParallelInserts(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				k := layout.Key{Lo: uint64(w*perWorker + i + 1)}
-				if err := c.Insert(k, k.Lo*2); err != nil {
+				if err := c.Apply(BatchOp{Kind: BatchInsert, Key: k, Value: k.Lo * 2}).Err; err != nil {
 					t.Errorf("worker %d insert %d: %v", w, i, err)
 					return
 				}
@@ -88,13 +89,13 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 			base := uint64(w*rangeSize + 1)
 			for i := uint64(0); i < rangeSize; i++ {
 				k := layout.Key{Lo: base + i}
-				if err := c.Insert(k, i); err != nil {
+				if err := c.Apply(BatchOp{Kind: BatchInsert, Key: k, Value: i}).Err; err != nil {
 					t.Errorf("insert: %v", err)
 					return
 				}
 			}
 			for i := uint64(0); i < rangeSize; i += 2 {
-				if !c.Delete(layout.Key{Lo: base + i}) {
+				if !c.Apply(BatchOp{Kind: BatchDelete, Key: layout.Key{Lo: base + i}}).Found {
 					t.Errorf("delete failed")
 					return
 				}

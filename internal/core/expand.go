@@ -41,13 +41,7 @@ import (
 // see rehashInto.
 func (t *Table) Expand() error {
 	vw := t.cur()
-	if t.rebuild(vw.tab1.N*2, func(nvw *view) bool {
-		if t.expandFailures > 0 {
-			t.expandFailures--
-			return false
-		}
-		return t.rehashInto(vw, nvw)
-	}) {
+	if t.rebuild(vw.tab1.N*2, func(nvw *view) bool { return t.rehashInto(vw, nvw) }) {
 		return nil
 	}
 	return fmt.Errorf("core: expansion failed after tripling attempts: %w", hashtab.ErrTableFull)
@@ -67,7 +61,9 @@ func (t *Table) rebuild(cells uint64, place func(nvw *view) bool) bool {
 			mark = rec.Mark()
 		}
 		nvw := t.newView(cells, seed)
-		if place(nvw) {
+		if t.expandFailures > 0 {
+			t.expandFailures--
+		} else if place(nvw) {
 			t.commitRoots(nvw)
 			return true
 		}

@@ -105,7 +105,8 @@ func (c *Concurrent) OnlineExpandEnabled() bool { return c.expandOK }
 // Expanding reports whether an online expansion is currently in flight.
 func (c *Concurrent) Expanding() bool { return c.exp.Load() != nil }
 
-// Expansions returns the number of completed online expansions.
+// Expansions returns the number of online expansions that committed a
+// bigger table; one whose fallback rebuild failed too is not counted.
 func (c *Concurrent) Expansions() uint64 { return c.expansions.Load() }
 
 // ExpandProgress reports the in-flight expansion's migration progress
@@ -293,7 +294,9 @@ func (c *Concurrent) finishExpansion(e *expState) {
 	for i := range c.stripes {
 		c.stripes[i].unlock()
 	}
-	c.expansions.Add(1)
+	if !e.failed.Load() {
+		c.expansions.Add(1)
+	}
 	close(e.done)
 }
 

@@ -157,11 +157,11 @@ func TestOnlineExpansionUnderLoad(t *testing.T) {
 			base := uint64(w+1) << 32
 			for i := uint64(1); i <= perWorker; i++ {
 				k := layout.Key{Lo: base + i}
-				if err := c.Insert(k, base+i); err != nil {
+				if err := c.Apply(BatchOp{Kind: BatchInsert, Key: k, Value: base + i}).Err; err != nil {
 					errs[w] = fmt.Errorf("insert %d: %w", i, err)
 					return
 				}
-				// Interleave reads and occasional deletes/updates so
+				// Interleave reads and occasional deletes/puts so
 				// every operation type crosses live migrations.
 				if v, ok := c.Lookup(k); !ok || v != base+i {
 					errs[w] = fmt.Errorf("read-own-write %d: (%d, %v)", i, v, ok)
@@ -169,13 +169,13 @@ func TestOnlineExpansionUnderLoad(t *testing.T) {
 				}
 				switch i % 16 {
 				case 3:
-					if !c.Delete(k) {
+					if !c.Apply(BatchOp{Kind: BatchDelete, Key: k}).Found {
 						errs[w] = fmt.Errorf("delete %d failed", i)
 						return
 					}
 				case 7:
-					if !c.Update(k, base+i+1) {
-						errs[w] = fmt.Errorf("update %d failed", i)
+					if !c.Apply(BatchOp{Kind: BatchPut, Key: k, Value: base + i + 1}).Found {
+						errs[w] = fmt.Errorf("put %d inserted over a present key", i)
 						return
 					}
 				}
@@ -246,7 +246,7 @@ func TestOnlineExpansionQuiesceInteraction(t *testing.T) {
 				return
 			default:
 			}
-			if err := c.Insert(layout.Key{Lo: i}, i); err != nil {
+			if err := c.Apply(BatchOp{Kind: BatchInsert, Key: layout.Key{Lo: i}, Value: i}).Err; err != nil {
 				t.Errorf("insert %d: %v", i, err)
 				return
 			}
@@ -330,7 +330,7 @@ func TestOnlineExpansionCrashPoints(t *testing.T) {
 	// crash.
 	const n = 200
 	for i := uint64(1); i <= n; i++ {
-		if err := c.Insert(layout.Key{Lo: i}, i); err != nil {
+		if err := c.Apply(BatchOp{Kind: BatchInsert, Key: layout.Key{Lo: i}, Value: i}).Err; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -400,7 +400,7 @@ func TestOnlineExpansionFallbackRebuild(t *testing.T) {
 
 	const n = 80
 	for i := uint64(1); i <= n; i++ {
-		if err := c.Insert(layout.Key{Lo: i}, i); err != nil {
+		if err := c.Apply(BatchOp{Kind: BatchInsert, Key: layout.Key{Lo: i}, Value: i}).Err; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -448,8 +448,53 @@ func TestOnlineExpansionFallbackRebuild(t *testing.T) {
 			t.Fatalf("item %d lost by fallback rebuild: (%d, %v)", i, v, ok)
 		}
 	}
-	if err := c.Insert(layout.Key{Lo: n + 1}, n+1); err != nil {
+	if err := c.Apply(BatchOp{Kind: BatchInsert, Key: layout.Key{Lo: n + 1}, Value: n + 1}).Err; err != nil {
 		t.Fatalf("insert after fallback: %v", err)
+	}
+}
+
+// TestOnlineExpansionFailedRebuildNotCounted pins Expansions as a count
+// of committed growth: when every stripe's migration overflows and all
+// three attempts of the fallback rebuild fail too, the old arrays stay
+// current, and the expansion is not counted although its fallback ran.
+// The next expansion that commits is.
+func TestOnlineExpansionFailedRebuildNotCounted(t *testing.T) {
+	mem := native.New(0)
+	tab, err := Create(mem, Options{Cells: 1 << 12, GroupSize: 8, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewConcurrent(tab, 4)
+	c.EnableOnlineExpand()
+	const n = 80
+	for i := uint64(1); i <= n; i++ {
+		if err := c.Apply(BatchOp{Kind: BatchInsert, Key: layout.Key{Lo: i}, Value: i}).Err; err != nil {
+			t.Fatal(err)
+		}
+	}
+	cells := tab.Cells()
+
+	c.hookMigrateFail = func(int) bool { return true }
+	tab.expandFailures = 3
+	c.ensureExpansion()
+	c.WaitExpansion()
+	if c.Fallbacks() != 1 {
+		t.Fatalf("Fallbacks() = %d, want 1", c.Fallbacks())
+	}
+	if c.Expansions() != 0 || tab.Cells() != cells {
+		t.Fatalf("after a failed rebuild: Expansions() = %d and %d cells, want 0 and %d", c.Expansions(), tab.Cells(), cells)
+	}
+	for i := uint64(1); i <= n; i++ {
+		if v, ok := c.Lookup(layout.Key{Lo: i}); !ok || v != i {
+			t.Fatalf("item %d lost by a failed rebuild: (%d, %v)", i, v, ok)
+		}
+	}
+
+	c.hookMigrateFail = nil
+	c.ensureExpansion()
+	c.WaitExpansion()
+	if c.Expansions() != 1 || tab.Cells() != 2*cells {
+		t.Fatalf("after a committed expansion: Expansions() = %d and %d cells, want 1 and %d", c.Expansions(), tab.Cells(), 2*cells)
 	}
 }
 
@@ -471,7 +516,7 @@ func TestOnlineExpansionStaleViewReadsZeros(t *testing.T) {
 	c.EnableOnlineExpand()
 	const n = 4000
 	for i := uint64(1); i <= n; i++ {
-		if err := c.Insert(layout.Key{Lo: i}, i); err != nil {
+		if err := c.Apply(BatchOp{Kind: BatchInsert, Key: layout.Key{Lo: i}, Value: i}).Err; err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -108,8 +108,8 @@ func (t *Table) Delete(k layout.Key) bool {
 // removeIn runs the cell retire protocol (clear commit word, scrub
 // payload) against one view, without the count update, reporting
 // whether the key was found. It is the deletion twin of placeIn and the
-// single implementation both Table.Delete and Concurrent.Delete build
-// on, so the sequential and concurrent paths cannot drift.
+// single implementation both Table.Delete and the concurrent applyRun
+// build on, so the sequential and concurrent paths cannot drift.
 func (t *Table) removeIn(vw *view, k layout.Key) bool {
 	i1, i2, n := t.homesIn(vw, k)
 	if vw.tab1.Matches(i1, k) {

@@ -70,7 +70,7 @@ func TestConcurrentSeqlockChurn(t *testing.T) {
 
 	const hotKeys = 64
 	for i := uint64(1); i <= hotKeys; i++ {
-		if err := c.Insert(layout.Key{Lo: i}, i*2); err != nil {
+		if err := c.Apply(BatchOp{Kind: BatchInsert, Key: layout.Key{Lo: i}, Value: i * 2}).Err; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,8 +85,8 @@ func TestConcurrentSeqlockChurn(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < 4000; i++ {
 				k := layout.Key{Lo: uint64((i+w*31)%hotKeys) + 1}
-				if c.Delete(k) {
-					if err := c.Insert(k, k.Lo*2); err != nil {
+				if c.Apply(BatchOp{Kind: BatchDelete, Key: k}).Found {
+					if err := c.Apply(BatchOp{Kind: BatchInsert, Key: k, Value: k.Lo * 2}).Err; err != nil {
 						t.Errorf("reinsert: %v", err)
 						return
 					}
@@ -135,7 +135,7 @@ func TestConcurrentLookupFallbackUnderWriteLock(t *testing.T) {
 	tab := mustCreate(t, mem, Options{Cells: 1 << 12, GroupSize: 64, Seed: 12})
 	c := NewConcurrent(tab, 1) // single stripe: every op contends
 	for i := uint64(1); i <= 100; i++ {
-		if err := c.Insert(layout.Key{Lo: i}, i*2); err != nil {
+		if err := c.Apply(BatchOp{Kind: BatchInsert, Key: layout.Key{Lo: i}, Value: i * 2}).Err; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,8 +145,8 @@ func TestConcurrentLookupFallbackUnderWriteLock(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 2000; i++ {
 			k := layout.Key{Lo: uint64(i%100) + 1}
-			c.Delete(k)
-			c.Insert(k, k.Lo*2)
+			c.Apply(BatchOp{Kind: BatchDelete, Key: k})
+			c.Apply(BatchOp{Kind: BatchInsert, Key: k, Value: k.Lo * 2})
 		}
 	}()
 	go func() {

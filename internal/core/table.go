@@ -150,8 +150,9 @@ type Table struct {
 	// migration: 0 = auto (GOMAXPROCS on eligible backends), 1 = force
 	// sequential, n > 1 = force an n-worker pool. See SetRehashWorkers.
 	rehashWorkers int
-	// expandFailures forces the first n rehash attempts of Expand to
-	// report failure (test hook for the tripling-retry/reclaim path).
+	// expandFailures forces the next n attempts of rebuild — Expand's
+	// and the online fallback's — to fail (test hook for the
+	// tripling-retry/reclaim path).
 	expandFailures int
 	// countPersists counts setCount calls — persist barriers on the
 	// count word, the hottest word in the table. Batch paths amortise

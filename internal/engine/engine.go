@@ -1,7 +1,7 @@
 // Package engine defines the storage-engine seam the serving stack is
 // built on: one small interface every hash scheme in the repository
 // can stand behind, so the network server, the commands and the
-// end-to-end benchmarks are substrate-agnostic (ROADMAP item 5).
+// end-to-end benchmarks are substrate-agnostic.
 //
 // The group-hash façade (grouphash.Store) is the flagship
 // implementation — it satisfies Engine directly, with its striped

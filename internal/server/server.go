@@ -85,7 +85,7 @@ type Config struct {
 	// Oplog, when non-nil, is the operation log every mutating request
 	// is made durable on before it is acked. The caller opens it
 	// (after replaying it into Engine) and the server takes ownership:
-	// Drain closes it. See cmd/ghserver for the recovery sequence.
+	// Drain closes it. engine.Restart is the recovery sequence.
 	Oplog *oplog.Log
 	// Registry, when non-nil, is where the server registers its metrics
 	// (plus the store's and oplog's); nil means a fresh private registry,
