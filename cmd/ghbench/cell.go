@@ -157,13 +157,14 @@ func (c cell) run() cellResult {
 	wall := time.Since(start)
 	runtime.ReadMemStats(&m1)
 	appends, fsyncs, persists := s.counters()
+	items, capacity := s.eng.Len(), s.eng.Capacity()
 
 	return cellResult{
 		ops: c.conns * bursts * c.burst, wall: wall,
 		mallocs: m1.Mallocs - m0.Mallocs,
 		appends: appends - appends0, fsyncs: fsyncs - fsyncs0, persists: persists - persists0,
 		ack: s.srv.AckLatency(), rtt: rtt.Snapshot(),
-		items: s.eng.Len(), capacity: s.eng.Capacity(), loadFactor: s.eng.LoadFactor(),
+		items: items, capacity: capacity, loadFactor: float64(items) / float64(capacity),
 	}
 }
 

@@ -36,7 +36,6 @@ import (
 	"strings"
 	"time"
 
-	"grouphash/internal/client"
 	"grouphash/internal/loadgen"
 	"grouphash/internal/stats"
 	"grouphash/internal/trace"
@@ -143,12 +142,6 @@ func main() {
 		if err := reg.WritePrometheus(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
-	}
-	if c, err := client.Dial(*addr, 0); err == nil {
-		if text, err := c.ServerStats(); err == nil {
-			fmt.Printf("server: %s\n", text)
-		}
-		c.Close()
 	}
 	if res.Drained {
 		fmt.Println("ghload: server drained mid-run; counts above cover acked operations only")

@@ -26,6 +26,12 @@
 // every acked write is back, exactly once. Without -oplog the server
 // degrades to snapshots only, where a crash loses acked writes since
 // the last image. See DESIGN.md §6.
+//
+// Observability: -metrics-addr serves every layer's metrics registry
+// at GET /metrics (Prometheus text exposition) and readiness at
+// /healthz; the wire protocol's stats op returns the same exposition.
+// A drain logs a one-line summary of connections, writes, reads and
+// refused writes. See DESIGN.md §8.
 package main
 
 import (
@@ -58,7 +64,6 @@ func main() {
 		syncB    = flag.Int("oplog-sync-bytes", 64<<10, "close the group-commit window once this many staged bytes accumulate, even with no ack waiting (0 = timer only)")
 		prealloc = flag.Int64("oplog-prealloc", 4<<20, "grow log segments in zero-filled steps of this size: the commit that crosses a step boundary is a full fsync, every other one a data-only fdatasync (0 = grow by each write, every commit a full fsync)")
 		every    = flag.Duration("snapshot-every", 30*time.Second, "background snapshot period (0 = only the final drain snapshot)")
-		statsDur = flag.Duration("stats-every", 0, "log server stats at this period (0 = off)")
 		metrics  = flag.String("metrics-addr", "", "HTTP listen address serving GET /metrics (Prometheus scrape) and /healthz (readiness; 503 once draining); \"\" = off")
 	)
 	flag.Parse()
@@ -130,28 +135,6 @@ func main() {
 		log.Printf("metrics on http://%s/metrics", mln.Addr())
 	}
 
-	// The stats logger is tied to shutdown: a bare time.Tick would keep
-	// this goroutine printing stale counters after the drain.
-	statsStop := make(chan struct{})
-	statsDone := make(chan struct{})
-	if *statsDur > 0 {
-		go func() {
-			defer close(statsDone)
-			t := time.NewTicker(*statsDur)
-			defer t.Stop()
-			for {
-				select {
-				case <-statsStop:
-					return
-				case <-t.C:
-					log.Print(srv.StatsText())
-				}
-			}
-		}()
-	} else {
-		close(statsDone)
-	}
-
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.ListenAndServe(*addr) }()
 
@@ -162,8 +145,6 @@ func main() {
 		log.Fatalf("serve: %v", err)
 	case got := <-sig:
 		log.Printf("%s: draining", got)
-		close(statsStop)
-		<-statsDone
 		if err := srv.Drain(); err != nil {
 			log.Fatalf("drain: %v", err)
 		}
@@ -173,6 +154,5 @@ func main() {
 			// balancers while connections wind down; closed after.
 			msrv.Close()
 		}
-		log.Print(srv.StatsText())
 	}
 }

@@ -210,30 +210,12 @@ func (c *Client) Len() (uint64, error) {
 	return resp.Value, nil
 }
 
-// ServerStats returns the server's counters/latency text.
-func (c *Client) ServerStats() (string, error) {
-	return c.serverStats(wire.StatsFormatText)
-}
-
-// ServerStatsJSON returns the server's counters as a JSON document
-// (the OpStats machine-readable format). Servers predating the format
-// selector answer with the text dump instead — callers that must
-// distinguish should check the first byte is '{'.
-func (c *Client) ServerStatsJSON() (string, error) {
-	return c.serverStats(wire.StatsFormatJSON)
-}
-
 // ServerMetrics returns the server's metrics registry rendered as
 // Prometheus text exposition — the same payload GET /metrics serves,
-// fetched over the wire protocol (truncated at a line boundary if it
+// fetched over the wire protocol (cut at a line boundary if it
 // exceeds the frame limit).
 func (c *Client) ServerMetrics() (string, error) {
-	return c.serverStats(wire.StatsFormatProm)
-}
-
-// serverStats runs one OpStats request with the given format selector.
-func (c *Client) serverStats(format uint64) (string, error) {
-	resp, err := c.do(wire.Request{Op: wire.OpStats, Value: format})
+	resp, err := c.do(wire.Request{Op: wire.OpStats})
 	if err != nil {
 		return "", err
 	}

@@ -190,17 +190,17 @@ func (e *tableEngine) ApplyBatch(ops []core.BatchOp, out []core.BatchResult, _ *
 	for i := range ops {
 		out[i] = core.BatchResult{}
 		op := &ops[i]
+		// Every kind rejects an invalid key up front, as the flagship
+		// does: the answer is O(1) and identical across schemes instead
+		// of depending on each scheme's probe loop to fail to match.
+		if !e.l.ValidKey(op.Key) {
+			out[i].Err = hashtab.ErrInvalidKey
+			continue
+		}
 		switch op.Kind {
 		case core.BatchPut:
 			// Upsert: update in place when the key exists, insert
-			// otherwise. The explicit ValidKey check keeps the
-			// invalid-key answer O(1) (and identical across schemes)
-			// instead of depending on each scheme's probe loop to fail
-			// to match.
-			if !e.l.ValidKey(op.Key) {
-				out[i].Err = hashtab.ErrInvalidKey
-				continue
-			}
+			// otherwise.
 			if e.tab.Update(op.Key, op.Value) {
 				out[i].Found = true
 			} else if err := e.tab.Insert(op.Key, op.Value); err != nil {
@@ -239,16 +239,6 @@ func (e *tableEngine) Len() uint64 {
 // Capacity returns the table's structural bound, fixed at build time.
 func (e *tableEngine) Capacity() uint64 { return e.tab.Capacity() }
 
-// LoadFactor returns Len/Capacity, 0 on a zero-capacity table.
-func (e *tableEngine) LoadFactor() float64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return safeLoadFactor(e.tab.Len(), e.tab.Capacity())
-}
-
-// Expanding is always false: the comparison schemes never grow.
-func (e *tableEngine) Expanding() bool { return false }
-
 // Expansions is always 0: the comparison schemes never grow.
 func (e *tableEngine) Expansions() uint64 { return 0 }
 
@@ -285,7 +275,14 @@ func (e *tableEngine) RegisterMetrics(r *stats.Registry, prefix string) {
 		func() float64 { return float64(e.Len()) })
 	r.RegisterGauge(p+"capacity_cells", "", "Total cell count of the table.",
 		func() float64 { return float64(e.Capacity()) })
-	r.RegisterGauge(p+"load_factor", "", "Items / cells.", e.LoadFactor)
+	r.RegisterGauge(p+"load_factor", "", "Items / cells.",
+		func() float64 {
+			capacity := e.Capacity()
+			if capacity == 0 {
+				return 0 // never NaN, which would leak into every scrape
+			}
+			return float64(e.Len()) / float64(capacity)
+		})
 }
 
 // SnapshotWriterAt copies the image and calls cut under the writer

@@ -4,8 +4,8 @@ package engine
 // run identically against all five engines (plus the -L undo-WAL
 // variants). The suite asserts the FAÇADE contract — zero-key
 // rejection under the 8-byte layout, Put-upserts-Insert-duplicates,
-// delete-absent leaves the count alone, NaN-free LoadFactor, snapshot
-// round-trips, idempotent recovery. When a scheme disagrees, the
+// delete-absent leaves the count alone, a NaN-free load_factor gauge,
+// snapshot round-trips, idempotent recovery. When a scheme disagrees, the
 // scheme gets fixed, never the suite.
 
 import (
@@ -112,12 +112,18 @@ func TestConformanceZeroKeyRejected(t *testing.T) {
 		if err := put(e, zero, 7); !errors.Is(err, hashtab.ErrInvalidKey) {
 			t.Errorf("Put(zero) = %v, want ErrInvalidKey", err)
 		}
+		// Delete answers the zero key like the other kinds, so the wire
+		// reports StatusInvalidKey on every engine, not StatusNotFound.
+		delZero := func(when string) {
+			t.Helper()
+			if r := apply(e, core.BatchDelete, zero, 0); !errors.Is(r.Err, hashtab.ErrInvalidKey) || r.Found {
+				t.Errorf("Delete(zero) %s = (found %v, %v), want ErrInvalidKey", when, r.Found, r.Err)
+			}
+		}
 		if _, ok := e.Get(zero); ok {
 			t.Error("Get(zero) found an item in an empty table")
 		}
-		if del(e, zero) {
-			t.Error("Delete(zero) = true in an empty table")
-		}
+		delZero("in an empty table")
 		if e.Len() != 0 {
 			t.Errorf("Len = %d after rejected zero-key ops, want 0", e.Len())
 		}
@@ -132,9 +138,7 @@ func TestConformanceZeroKeyRejected(t *testing.T) {
 		if _, ok := e.Get(zero); ok {
 			t.Error("Get(zero) false-positived against a populated table")
 		}
-		if del(e, zero) {
-			t.Error("Delete(zero) = true against a populated table")
-		}
+		delZero("against a populated table")
 		if e.Len() != 64 {
 			t.Errorf("Len = %d, want 64", e.Len())
 		}
@@ -363,25 +367,47 @@ func TestConformanceHooks(t *testing.T) {
 	})
 }
 
+// TestConformanceLoadFactorNeverNaN reads the gh_store_load_factor
+// gauge from a scrape of an empty and of a loaded table: it must be
+// Len/Capacity, never NaN, and an idle flagship must not report an
+// expansion in flight.
 func TestConformanceLoadFactorNeverNaN(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, spec Spec, e Engine) {
+		r := stats.NewRegistry()
+		e.RegisterMetrics(r, "gh")
 		check := func(when string) {
-			lf := e.LoadFactor()
-			if math.IsNaN(lf) || math.IsInf(lf, 0) || lf < 0 {
-				t.Fatalf("LoadFactor %s = %v", when, lf)
+			t.Helper()
+			var buf bytes.Buffer
+			if err := r.WritePrometheus(&buf); err != nil {
+				t.Fatal(err)
+			}
+			fams, err := stats.ValidateExposition(&buf)
+			if err != nil {
+				t.Fatalf("scrape %s: %v", when, err)
+			}
+			lf, ok := fams["gh_store_load_factor"].Sample("")
+			if !ok || math.IsNaN(lf) || math.IsInf(lf, 0) || lf < 0 {
+				t.Fatalf("gh_store_load_factor %s = %v (present %v)", when, lf, ok)
+			}
+			if want := float64(e.Len()) / float64(e.Capacity()); lf != want {
+				t.Fatalf("gh_store_load_factor %s = %v, want Len/Capacity = %v", when, lf, want)
+			}
+			if f := fams["gh_store_expanding"]; f != nil {
+				if v, _ := f.Sample(""); v != 0 {
+					t.Fatalf("gh_store_expanding %s = %v on an idle table", when, v)
+				}
 			}
 		}
-		check("on empty table")
-		if err := put(e, key(1), 1); err != nil {
-			t.Fatal(err)
-		}
-		check("after put")
 		if e.Capacity() == 0 {
 			t.Fatal("Capacity = 0")
 		}
-		if e.Expanding() {
-			t.Fatal("Expanding = true on an idle table")
+		check("on an empty table")
+		for i := uint64(1); i <= 64; i++ {
+			if err := put(e, key(i), i); err != nil {
+				t.Fatal(err)
+			}
 		}
+		check("on a loaded table")
 	})
 }
 

@@ -17,14 +17,14 @@
 // The interface is also a CONTRACT, pinned by the conformance suite
 // (conformance_test.go) running identically against all five engines.
 // Every mutation goes through ApplyBatch, whose op kinds carry the
-// façade's semantics: the zero key is rejected under the 8-byte
-// layout, BatchPut upserts while BatchInsert allows duplicates
+// façade's semantics: every kind rejects the zero key under the
+// 8-byte layout, BatchPut upserts while BatchInsert allows duplicates
 // (Algorithm-1 semantics), a BatchDelete of an absent key reports
-// Found=false without touching the persisted count, LoadFactor never
-// divides by zero, snapshots round-trip, an oplog replays to the state
-// its ops produced live, and recovery is idempotent. Where a scheme
-// historically disagreed with the façade, the scheme was fixed — not
-// the suite.
+// Found=false without touching the persisted count, the load_factor
+// gauge never divides by zero, snapshots round-trip, an oplog replays
+// to the state its ops produced live, and recovery is idempotent.
+// Where a scheme historically disagreed with the façade, the scheme
+// was fixed — not the suite.
 //
 // Restart is the one process-restart sequence on top of the seam:
 // image, replay through ApplyBatch, reopened log.
@@ -68,14 +68,11 @@ type Engine interface {
 	ApplyBatch(ops []core.BatchOp, out []core.BatchResult, sc *core.BatchScratch, committed func(applied []int))
 
 	// Len returns the number of stored items; Capacity the structural
-	// bound; LoadFactor their ratio, 0 (never NaN) on an empty or
-	// zero-capacity table.
+	// bound.
 	Len() uint64
 	Capacity() uint64
-	LoadFactor() float64
-	// Expanding/Expansions report stop-less online growth; engines
-	// with fixed capacity return false/0.
-	Expanding() bool
+	// Expansions counts committed stop-less online expansions; engines
+	// with fixed capacity return 0.
 	Expansions() uint64
 
 	// Quiesce runs fn with every writer excluded. fn must not call
@@ -87,7 +84,9 @@ type Engine interface {
 	// repairing, returning human-readable violations (empty = clean).
 	CheckConsistency() []string
 	// RegisterMetrics exports occupancy (and whatever else the engine
-	// tracks) into r under prefix (e.g. "gh" → gh_store_items).
+	// tracks) into r under prefix (e.g. "gh" → gh_store_items), with a
+	// load_factor gauge that reads 0, never NaN, on an empty or
+	// zero-capacity table.
 	RegisterMetrics(r *stats.Registry, prefix string)
 
 	// SnapshotWriterAt captures a consistent pmfs image under writer
@@ -243,14 +242,4 @@ func Restart(spec Spec, image, logBase string, cfg oplog.Config) (Engine, *oplog
 		return nil, nil, rec, fmt.Errorf("engine: opening oplog %s: %w", logBase, err)
 	}
 	return e, lg, rec, nil
-}
-
-// safeLoadFactor is Len/Capacity with the divide-by-zero guarded: an
-// empty or zero-capacity table reports 0, never NaN (which would leak
-// into /metrics gauges and benchmark JSON).
-func safeLoadFactor(n, capacity uint64) float64 {
-	if capacity == 0 {
-		return 0
-	}
-	return float64(n) / float64(capacity)
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"io"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -8,14 +9,15 @@ import (
 
 	"grouphash/internal/core"
 	"grouphash/internal/layout"
+	"grouphash/internal/stats"
 )
 
 // TestEngineConcurrentOracle is the flagship property test ported to
 // the engine seam and pointed at the adapter-wrapped comparison
 // schemes: several workers drive randomised single-op and batch
 // streams (a single op is a one-op ApplyBatch) on disjoint key ranges, each against its own map oracle,
-// while a chaos goroutine hammers the read-only surface (Len,
-// LoadFactor, Quiesce, CheckConsistency). The adapter serialises the
+// while a chaos goroutine hammers the read-only surface (Len, a
+// metrics scrape, Quiesce, CheckConsistency). The adapter serialises the
 // schemes behind a mutex, so what this proves under -race is that the
 // locking really covers every entry point — hooks, ApplyBatch's
 // applied callback, SnapshotWriterAt's two-phase copy — and that the
@@ -71,6 +73,8 @@ func TestEngineConcurrentOracle(t *testing.T) {
 			dir := t.TempDir()
 			for phase := 0; phase < phases; phase++ {
 				stop := make(chan struct{})
+				reg := stats.NewRegistry()
+				eng.RegisterMetrics(reg, "gh")
 				var chaos sync.WaitGroup
 				chaos.Add(1)
 				go func() {
@@ -83,7 +87,10 @@ func TestEngineConcurrentOracle(t *testing.T) {
 						}
 						eng.Quiesce(func() {})
 						_ = eng.Len()
-						_ = eng.LoadFactor()
+						if err := reg.WritePrometheus(io.Discard); err != nil {
+							t.Errorf("scrape: %v", err)
+							return
+						}
 						_ = eng.CheckConsistency()
 					}
 				}()

@@ -24,7 +24,7 @@ func writeLog(t *testing.T, base string, ops []core.BatchOp) {
 	}
 	recs := make([]oplog.Record, len(ops))
 	for i, op := range ops {
-		recs[i] = oplog.Record{Op: oplog.OpFor(op.Kind), Key: op.Key, Value: op.Value}
+		recs[i] = oplog.Record{BatchOp: op}
 	}
 	if err := l.WaitDurable(l.AppendBatch(recs) + uint64(len(recs)) - 1); err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestReplayFullTableChurn(t *testing.T) {
 				out := make([]core.BatchResult, 1)
 				live.ApplyBatch(ops, out, nil, func(applied []int) {
 					for _, i := range applied {
-						lg.AppendBatch([]oplog.Record{{Op: oplog.OpFor(ops[i].Kind), Key: ops[i].Key, Value: ops[i].Value}})
+						lg.AppendBatch([]oplog.Record{{BatchOp: ops[i]}})
 					}
 				})
 				return out[0].Err

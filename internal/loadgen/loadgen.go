@@ -53,8 +53,6 @@ type Config struct {
 	// (ghload_tenant_ops_total, ghload_tenant_rtt_seconds). Register
 	// at most one Run per Registry — series names collide otherwise.
 	Registry *stats.Registry
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -104,12 +102,8 @@ func (c *Config) logf(format string, args ...any) {
 	}
 }
 
-func (c *Config) dialTimeout() time.Duration {
-	if c.DialTimeout > 0 {
-		return c.DialTimeout
-	}
-	return 5 * time.Second
-}
+// dialTimeout bounds connection establishment.
+const dialTimeout = 5 * time.Second
 
 // send ships one burst: pipelined single frames by default, explicit
 // OpBatch frames when batch > 0.
@@ -151,7 +145,7 @@ func Preload(cfg Config) (uint64, error) {
 		wg.Add(1)
 		go func(lo, hi uint64) {
 			defer wg.Done()
-			c, err := client.Dial(cfg.Addr, cfg.dialTimeout())
+			c, err := client.Dial(cfg.Addr, dialTimeout)
 			if err != nil {
 				errc <- fmt.Errorf("loadgen: preload dial: %w", err)
 				return
@@ -262,7 +256,7 @@ func Run(cfg Config) (Result, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := client.Dial(cfg.Addr, cfg.dialTimeout())
+			c, err := client.Dial(cfg.Addr, dialTimeout)
 			if err != nil {
 				errc <- fmt.Errorf("loadgen: dial: %w", err)
 				return

@@ -89,8 +89,7 @@ func baseMix(mut func(*trace.MixConfig)) trace.MixConfig {
 // explicit frames.
 func TestPreloadHonorsBatch(t *testing.T) {
 	frameCount := func(t *testing.T, batch int) uint64 {
-		reg := stats.NewRegistry()
-		l := startLab(t, server.Config{Registry: reg})
+		l := startLab(t, server.Config{})
 		n, err := Preload(Config{Addr: l.addr, Mix: baseMix(nil), Conns: 2, Depth: 64, Batch: batch})
 		if err != nil {
 			t.Fatal(err)
@@ -99,7 +98,7 @@ func TestPreloadHonorsBatch(t *testing.T) {
 			t.Fatalf("preload acked %d keys, want 2000", n)
 		}
 		var buf bytes.Buffer
-		if err := reg.WritePrometheus(&buf); err != nil {
+		if err := l.srv.Registry().WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
 		}
 		for _, line := range strings.Split(buf.String(), "\n") {

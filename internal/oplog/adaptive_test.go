@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"grouphash/internal/core"
 	"grouphash/internal/layout"
 )
 
@@ -37,7 +38,7 @@ func TestAdaptiveRoundtrip(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				lsn := appendOne(l, OpPut, layout.Key{Lo: uint64(w)<<32 | uint64(i)}, uint64(i))
+				lsn := appendOne(l, core.BatchPut, layout.Key{Lo: uint64(w)<<32 | uint64(i)}, uint64(i))
 				if err := l.WaitDurable(lsn); err != nil {
 					errs <- fmt.Errorf("WaitDurable(%d): %w", lsn, err)
 					return
@@ -87,7 +88,7 @@ func TestWaiterEndsCommitWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	lsn := appendOne(l, OpPut, layout.Key{Lo: 1}, 1)
+	lsn := appendOne(l, core.BatchPut, layout.Key{Lo: 1}, 1)
 	done := make(chan error, 1)
 	go func() { done <- l.WaitDurable(lsn) }()
 	select {
@@ -130,7 +131,7 @@ func TestAdaptiveByteTrigger(t *testing.T) {
 	defer l.Close()
 	var last uint64
 	for i := 0; i < 4; i++ {
-		last = appendOne(l, OpPut, layout.Key{Lo: uint64(i + 1)}, 1)
+		last = appendOne(l, core.BatchPut, layout.Key{Lo: uint64(i + 1)}, 1)
 	}
 	awaitDurable(t, l, last, "byte trigger")
 }
@@ -153,7 +154,7 @@ func TestAdaptiveTimerTrigger(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer l.Close()
-			lsn := appendOne(l, OpPut, layout.Key{Lo: 1}, 1)
+			lsn := appendOne(l, core.BatchPut, layout.Key{Lo: 1}, 1)
 			awaitDurable(t, l, lsn, "SyncEvery timer")
 		})
 	}
@@ -186,7 +187,7 @@ func TestAdaptiveZeroTailIgnored(t *testing.T) {
 			var last uint64
 			for c := 0; c < tc.commits; c++ {
 				for i := 0; i < 5; i++ {
-					last = appendOne(l, OpPut, layout.Key{Lo: last + 1}, last)
+					last = appendOne(l, core.BatchPut, layout.Key{Lo: last + 1}, last)
 				}
 				if err := l.WaitDurable(last); err != nil {
 					t.Fatal(err)
@@ -199,7 +200,7 @@ func TestAdaptiveZeroTailIgnored(t *testing.T) {
 			}
 			// Stage three more records but never let them commit.
 			for i := uint64(1); i <= 3; i++ {
-				appendOne(l, OpPut, layout.Key{Lo: last + i}, last+i)
+				appendOne(l, core.BatchPut, layout.Key{Lo: last + i}, last+i)
 			}
 			l.Abort() // power failure: staged records die in memory, zero tail stays on disk
 			recs, next := collect(t, b, 0)
@@ -241,7 +242,7 @@ func TestBatchFailureFanOut(t *testing.T) {
 			defer SetTestFsyncErr(nil)
 
 			// A healthy batch first: the failure must not be retroactive.
-			lsn := appendOne(l, OpPut, layout.Key{Lo: 1}, 1)
+			lsn := appendOne(l, core.BatchPut, layout.Key{Lo: 1}, 1)
 			if err := l.WaitDurable(lsn); err != nil {
 				t.Fatalf("healthy batch: %v", err)
 			}
@@ -254,7 +255,7 @@ func TestBatchFailureFanOut(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					lsn := appendOne(l, OpPut, layout.Key{Lo: uint64(i + 2)}, 1)
+					lsn := appendOne(l, core.BatchPut, layout.Key{Lo: uint64(i + 2)}, 1)
 					got[i] = l.WaitDurable(lsn)
 				}(i)
 			}
@@ -276,7 +277,7 @@ func TestBatchFailureFanOut(t *testing.T) {
 
 			// Sticky: clearing the fault does not resurrect the log.
 			armed.Store(false)
-			lsn = appendOne(l, OpPut, layout.Key{Lo: 100}, 1)
+			lsn = appendOne(l, core.BatchPut, layout.Key{Lo: 100}, 1)
 			if err := l.WaitDurable(lsn); err == nil {
 				t.Fatal("WaitDurable succeeded after a sticky I/O failure")
 			}
@@ -303,7 +304,7 @@ func TestCloseRacesAppendAndWaitDurable(t *testing.T) {
 		go func(w uint64) {
 			defer wg.Done()
 			for i := uint64(0); ; i++ {
-				lsn := appendOne(l, OpPut, layout.Key{Lo: w<<32 | i}, i)
+				lsn := appendOne(l, core.BatchPut, layout.Key{Lo: w<<32 | i}, i)
 				if err := l.WaitDurable(lsn); err != nil {
 					if !errors.Is(err, ErrClosed) {
 						t.Errorf("worker %d: %v", w, err)

@@ -3,6 +3,7 @@ package oplog
 import (
 	"testing"
 
+	"grouphash/internal/core"
 	"grouphash/internal/layout"
 )
 
@@ -23,13 +24,13 @@ func TestAppendBatch(t *testing.T) {
 		t.Fatalf("empty AppendBatch counted as an append (%d)", got)
 	}
 
-	if lsn := appendOne(l, OpPut, layout.Key{Lo: 1}, 10); lsn != 1 {
+	if lsn := appendOne(l, core.BatchPut, layout.Key{Lo: 1}, 10); lsn != 1 {
 		t.Fatalf("one-record batch LSN %d, want 1", lsn)
 	}
 	recs := []Record{
-		{Op: OpInsert, Key: layout.Key{Lo: 2}, Value: 20},
-		{Op: OpPut, Key: layout.Key{Lo: 3}, Value: 30},
-		{Op: OpDelete, Key: layout.Key{Lo: 4}},
+		{BatchOp: core.BatchOp{Kind: core.BatchInsert, Key: layout.Key{Lo: 2}, Value: 20}},
+		{BatchOp: core.BatchOp{Kind: core.BatchPut, Key: layout.Key{Lo: 3}, Value: 30}},
+		{BatchOp: core.BatchOp{Kind: core.BatchDelete, Key: layout.Key{Lo: 4}}},
 	}
 	first := l.AppendBatch(recs)
 	if first != 2 {
@@ -40,7 +41,7 @@ func TestAppendBatch(t *testing.T) {
 			t.Fatalf("recs[%d].LSN = %d, want %d", i, r.LSN, first+uint64(i))
 		}
 	}
-	if lsn := appendOne(l, OpPut, layout.Key{Lo: 5}, 50); lsn != 5 {
+	if lsn := appendOne(l, core.BatchPut, layout.Key{Lo: 5}, 50); lsn != 5 {
 		t.Fatalf("post-batch one-record LSN %d, want 5", lsn)
 	}
 	if got := l.Appends(); got != 3 {
@@ -61,10 +62,10 @@ func TestAppendBatch(t *testing.T) {
 	if len(replayed) != 5 || next != 6 {
 		t.Fatalf("replayed %d records, next=%d", len(replayed), next)
 	}
-	wantOps := []Op{OpPut, OpInsert, OpPut, OpDelete, OpPut}
+	wantKinds := []core.BatchKind{core.BatchPut, core.BatchInsert, core.BatchPut, core.BatchDelete, core.BatchPut}
 	wantLo := []uint64{1, 2, 3, 4, 5}
 	for i, r := range replayed {
-		if r.LSN != uint64(i+1) || r.Op != wantOps[i] || r.Key.Lo != wantLo[i] {
+		if r.LSN != uint64(i+1) || r.Kind != wantKinds[i] || r.Key.Lo != wantLo[i] {
 			t.Fatalf("record %d = %+v", i, r)
 		}
 	}
@@ -81,7 +82,7 @@ func TestAppendBatchAdaptive(t *testing.T) {
 	}
 	recs := make([]Record, 64)
 	for i := range recs {
-		recs[i] = Record{Op: OpPut, Key: layout.Key{Lo: uint64(i + 1)}, Value: uint64(i)}
+		recs[i] = Record{BatchOp: core.BatchOp{Kind: core.BatchPut, Key: layout.Key{Lo: uint64(i + 1)}, Value: uint64(i)}}
 	}
 	first := l.AppendBatch(recs)
 	if first != 1 {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"grouphash/internal/core"
 	"grouphash/internal/layout"
 )
 
@@ -20,7 +21,7 @@ func fuzzSeedSegments(f *testing.F) ([]byte, []byte) {
 		f.Fatal(err)
 	}
 	for i := uint64(1); i <= 5; i++ {
-		appendOne(l, OpPut, layout.Key{Lo: i}, i*100)
+		appendOne(l, core.BatchPut, layout.Key{Lo: i}, i*100)
 	}
 	if err := l.WaitDurable(5); err != nil {
 		f.Fatal(err)
@@ -29,7 +30,7 @@ func fuzzSeedSegments(f *testing.F) ([]byte, []byte) {
 		f.Fatal(err)
 	}
 	for i := uint64(6); i <= 9; i++ {
-		appendOne(l, OpInsert, layout.Key{Lo: i, Hi: i}, i)
+		appendOne(l, core.BatchInsert, layout.Key{Lo: i, Hi: i}, i)
 	}
 	if err := l.Close(); err != nil {
 		f.Fatal(err)
@@ -114,9 +115,9 @@ func FuzzOplogScan(f *testing.F) {
 		binary.LittleEndian.PutUint64(hdr[16:24], 1) // start LSN
 		binary.LittleEndian.PutUint32(hdr[24:28], crc32.Checksum(hdr[:24], crcTable))
 		want := []Record{
-			{LSN: 1, Op: OpPut, Key: layout.Key{Lo: 11}, Value: 110},
-			{LSN: 2, Op: OpDelete, Key: layout.Key{Lo: 22, Hi: 1}},
-			{LSN: 3, Op: OpInsert, Key: layout.Key{Lo: 33}, Value: 330},
+			{LSN: 1, BatchOp: core.BatchOp{Kind: core.BatchPut, Key: layout.Key{Lo: 11}, Value: 110}},
+			{LSN: 2, BatchOp: core.BatchOp{Kind: core.BatchDelete, Key: layout.Key{Lo: 22, Hi: 1}}},
+			{LSN: 3, BatchOp: core.BatchOp{Kind: core.BatchInsert, Key: layout.Key{Lo: 33}, Value: 330}},
 		}
 		body := hdr
 		for _, r := range want {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"grouphash/internal/core"
 	"grouphash/internal/layout"
 )
 
@@ -45,7 +46,7 @@ func roundUp(written, step int64) int64 {
 func appendN(l *Log, n int) uint64 {
 	recs := make([]Record, n)
 	for i := range recs {
-		recs[i] = Record{Op: OpPut, Key: layout.Key{Lo: uint64(i) + 1}, Value: uint64(i)}
+		recs[i] = Record{BatchOp: core.BatchOp{Kind: core.BatchPut, Key: layout.Key{Lo: uint64(i) + 1}, Value: uint64(i)}}
 	}
 	return l.AppendBatch(recs) + uint64(n) - 1
 }

@@ -37,11 +37,3 @@ func (l *Log) Fsyncs() uint64 { return l.fsyncs.Load() }
 // buffer-lock acquisition, so records÷appends is the staging
 // amortisation the batch paths buy.
 func (l *Log) Appends() uint64 { return l.appends.Load() }
-
-// SyncLatency returns a snapshot of the fsync latency distribution in
-// nanoseconds.
-func (l *Log) SyncLatency() *stats.HistSnapshot { return l.syncLat.Snapshot() }
-
-// BatchSizes returns a snapshot of the group-commit batch-size
-// distribution (records per fsync).
-func (l *Log) BatchSizes() *stats.HistSnapshot { return l.batchRec.Snapshot() }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"grouphash/internal/core"
 	"grouphash/internal/layout"
 	"grouphash/internal/stats"
 )
@@ -25,13 +26,13 @@ func TestRegisterMetrics(t *testing.T) {
 
 	// Two group commits: 5 records under one fsync, then 2 more.
 	for i := uint64(1); i <= 5; i++ {
-		appendOne(l, OpPut, layout.Key{Lo: i}, i)
+		appendOne(l, core.BatchPut, layout.Key{Lo: i}, i)
 	}
 	if err := l.WaitDurable(5); err != nil {
 		t.Fatal(err)
 	}
-	appendOne(l, OpDelete, layout.Key{Lo: 1}, 0)
-	appendOne(l, OpInsert, layout.Key{Lo: 9}, 90)
+	appendOne(l, core.BatchDelete, layout.Key{Lo: 1}, 0)
+	appendOne(l, core.BatchInsert, layout.Key{Lo: 9}, 90)
 	if err := l.WaitDurable(7); err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +45,6 @@ func TestRegisterMetrics(t *testing.T) {
 
 	if got := l.Fsyncs(); got < 2 {
 		t.Fatalf("Fsyncs = %d, want ≥ 2", got)
-	}
-	batches := l.BatchSizes()
-	if batches.Count != 2 || batches.Sum != 7 {
-		t.Fatalf("batch distribution count=%d sum=%d, want 2 batches summing to 7 records",
-			batches.Count, batches.Sum)
-	}
-	if lat := l.SyncLatency(); lat.Count != uint64(l.Fsyncs()) {
-		t.Fatalf("sync latency has %d samples, want one per fsync (%d)", lat.Count, l.Fsyncs())
 	}
 
 	var buf bytes.Buffer
@@ -75,13 +68,20 @@ func TestRegisterMetrics(t *testing.T) {
 			t.Errorf("%s = %v (%v), want %v", name, v, ok, want)
 		}
 	}
-	if v, ok := fams["gh_oplog_fsyncs_total"].Sample(""); !ok || v < 2 {
-		t.Errorf("gh_oplog_fsyncs_total = %v (%v), want ≥ 2", v, ok)
+	fsyncs, ok := fams["gh_oplog_fsyncs_total"].Sample("")
+	if !ok || fsyncs != float64(l.Fsyncs()) {
+		t.Errorf("gh_oplog_fsyncs_total = %v (%v), want Fsyncs() = %d", fsyncs, ok, l.Fsyncs())
 	}
 	if v, ok := fams["gh_oplog_bytes_written_total"].Sample(""); !ok || v != 7*RecordLen {
 		t.Errorf("gh_oplog_bytes_written_total = %v (%v), want %d", v, ok, 7*RecordLen)
 	}
-	if v := fams["gh_oplog_batch_records"].Samples["_count|"]; v < 2 {
-		t.Errorf("gh_oplog_batch_records count = %v, want ≥ 2", v)
+	// The two group commits are the batch-size histogram's only
+	// samples: 5 records, then 2.
+	batches := fams["gh_oplog_batch_records"]
+	if n, sum := batches.Samples["_count|"], batches.Samples["_sum|"]; n != 2 || sum != 7 {
+		t.Errorf("gh_oplog_batch_records count=%v sum=%v, want 2 batches summing to 7 records", n, sum)
+	}
+	if n := fams["gh_oplog_sync_latency_seconds"].Samples["_count|"]; n != fsyncs {
+		t.Errorf("gh_oplog_sync_latency_seconds has %v samples, want one per fsync (%v)", n, fsyncs)
 	}
 }

@@ -77,34 +77,18 @@ import (
 	"sync/atomic"
 	"time"
 
+	"grouphash/internal/core"
 	"grouphash/internal/layout"
 	"grouphash/internal/stats"
 )
 
-// Op identifies the logged store mutation.
-type Op byte
-
-// The logged operation kinds, mirroring the store's mutating API.
-const (
-	// OpPut is an upsert (grouphash.Store.Put).
-	OpPut Op = iota + 1
-	// OpInsert is an Algorithm-1 insert, duplicates allowed.
-	OpInsert
-	// OpDelete removes a key.
-	OpDelete
-)
-
 // Record is one durable log entry: an acked (or at least
-// fsync-covered) store mutation.
+// fsync-covered) store mutation. On disk its kind is the BatchKind
+// byte, so the store's own op replays unchanged.
 type Record struct {
 	// LSN is the record's log sequence number; strictly sequential.
 	LSN uint64
-	// Op is the mutation kind.
-	Op Op
-	// Key is the target key.
-	Key layout.Key
-	// Value is the payload word (unused by OpDelete).
-	Value uint64
+	core.BatchOp
 }
 
 // segMagic identifies an oplog segment file, last byte = format
@@ -576,7 +560,7 @@ func appendRecord(buf []byte, r Record) []byte {
 	binary.LittleEndian.PutUint64(b[8:16], r.Key.Lo)
 	binary.LittleEndian.PutUint64(b[16:24], r.Key.Hi)
 	binary.LittleEndian.PutUint64(b[24:32], r.Value)
-	b[32] = byte(r.Op)
+	b[32] = byte(r.Kind)
 	binary.LittleEndian.PutUint32(b[36:40], crc32.Checksum(b[:36], crcTable))
 	return buf
 }
@@ -590,12 +574,14 @@ func parseRecord(b []byte) (Record, bool) {
 		return Record{}, false
 	}
 	r := Record{
-		LSN:   binary.LittleEndian.Uint64(b[0:8]),
-		Key:   layout.Key{Lo: binary.LittleEndian.Uint64(b[8:16]), Hi: binary.LittleEndian.Uint64(b[16:24])},
-		Value: binary.LittleEndian.Uint64(b[24:32]),
-		Op:    Op(b[32]),
+		LSN: binary.LittleEndian.Uint64(b[0:8]),
+		BatchOp: core.BatchOp{
+			Kind:  core.BatchKind(b[32]),
+			Key:   layout.Key{Lo: binary.LittleEndian.Uint64(b[8:16]), Hi: binary.LittleEndian.Uint64(b[16:24])},
+			Value: binary.LittleEndian.Uint64(b[24:32]),
+		},
 	}
-	if r.Op < OpPut || r.Op > OpDelete {
+	if r.Kind < core.BatchPut || r.Kind > core.BatchDelete {
 		return Record{}, false
 	}
 	return r, true

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"grouphash/internal/core"
 	"grouphash/internal/layout"
 )
 
@@ -19,8 +20,8 @@ func base(t *testing.T) string {
 }
 
 // appendOne stages a single record and returns its LSN.
-func appendOne(l *Log, op Op, k layout.Key, v uint64) uint64 {
-	return l.AppendBatch([]Record{{Op: op, Key: k, Value: v}})
+func appendOne(l *Log, kind core.BatchKind, k layout.Key, v uint64) uint64 {
+	return l.AppendBatch([]Record{{BatchOp: core.BatchOp{Kind: kind, Key: k, Value: v}}})
 }
 
 // collect replays base after the given LSN into a slice.
@@ -36,6 +37,73 @@ func collect(t *testing.T, b string, after uint64) (recs []Record, next uint64) 
 	return recs, next
 }
 
+// TestRecordKindOnDisk pins the record format's kind byte: 1 put, 2
+// insert, 3 delete, the values core.BatchKind has and logs written
+// before Record carried a core.BatchOp hold. A segment encoded here
+// byte for byte, header included, must scan back as those kinds, and
+// the log must write the same record bytes for the same ops.
+func TestRecordKindOnDisk(t *testing.T) {
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	ops := []struct {
+		kind   byte
+		lo, hi uint64
+		value  uint64
+	}{{1, 11, 12, 13}, {2, 21, 22, 23}, {3, 31, 32, 0}}
+	hdr := make([]byte, SegHeaderLen)
+	binary.LittleEndian.PutUint64(hdr[0:8], 0x47484f504c4f4701) // "GHOPLOG" + format 1
+	binary.LittleEndian.PutUint64(hdr[8:16], 1)                 // segment seq
+	binary.LittleEndian.PutUint64(hdr[16:24], 1)                // start LSN
+	binary.LittleEndian.PutUint32(hdr[24:28], crc32.Checksum(hdr[:24], castagnoli))
+	var recs []byte
+	for i, op := range ops {
+		b := make([]byte, RecordLen)
+		binary.LittleEndian.PutUint64(b[0:8], uint64(i+1))
+		binary.LittleEndian.PutUint64(b[8:16], op.lo)
+		binary.LittleEndian.PutUint64(b[16:24], op.hi)
+		binary.LittleEndian.PutUint64(b[24:32], op.value)
+		b[32] = op.kind
+		binary.LittleEndian.PutUint32(b[36:40], crc32.Checksum(b[:36], castagnoli))
+		recs = append(recs, b...)
+	}
+	want := []core.BatchKind{core.BatchPut, core.BatchInsert, core.BatchDelete}
+
+	b := base(t)
+	if err := os.WriteFile(b+".00000001", append(hdr, recs...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, next := collect(t, b, 0)
+	if len(got) != len(ops) || next != uint64(len(ops))+1 {
+		t.Fatalf("scanned %d records (next %d), want %d", len(got), next, len(ops))
+	}
+	for i, r := range got {
+		op := ops[i]
+		if r.LSN != uint64(i+1) || r.Kind != want[i] || r.Key != (layout.Key{Lo: op.lo, Hi: op.hi}) || r.Value != op.value {
+			t.Errorf("record %d = %+v, want kind byte %d as %v", i, r, op.kind, want[i])
+		}
+	}
+
+	written := base(t)
+	l, err := OpenConfig(written, 1, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Record, len(got))
+	for i, r := range got {
+		batch[i] = Record{BatchOp: r.BatchOp}
+	}
+	l.AppendBatch(batch)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(written + ".00000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(file) < SegHeaderLen+len(recs) || string(file[SegHeaderLen:SegHeaderLen+len(recs)]) != string(recs) {
+		t.Fatalf("log wrote records\n%x\nwant\n%x", file[min(len(file), SegHeaderLen):], recs)
+	}
+}
+
 func TestAppendSyncScanRoundtrip(t *testing.T) {
 	b := base(t)
 	// An hour-long window: nothing commits until WaitDurable asks.
@@ -45,12 +113,12 @@ func TestAppendSyncScanRoundtrip(t *testing.T) {
 	}
 	var last uint64
 	for i := uint64(1); i <= 100; i++ {
-		op := OpPut
+		op := core.BatchPut
 		switch i % 3 {
 		case 1:
-			op = OpInsert
+			op = core.BatchInsert
 		case 2:
-			op = OpDelete
+			op = core.BatchDelete
 		}
 		last = appendOne(l, op, layout.Key{Lo: i, Hi: i * 7}, i*11)
 		if last != i {
@@ -93,7 +161,7 @@ func TestScanIsIdempotentAndReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 32; i++ {
-		appendOne(l, OpInsert, layout.Key{Lo: i}, i)
+		appendOne(l, core.BatchInsert, layout.Key{Lo: i}, i)
 	}
 	if err := l.WaitDurable(32); err != nil {
 		t.Fatal(err)
@@ -132,7 +200,7 @@ func TestTornTailStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 10; i++ {
-		appendOne(l, OpPut, layout.Key{Lo: i}, i)
+		appendOne(l, core.BatchPut, layout.Key{Lo: i}, i)
 	}
 	if err := l.WaitDurable(10); err != nil {
 		t.Fatal(err)
@@ -175,13 +243,13 @@ func TestRotateAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 5; i++ {
-		appendOne(l, OpInsert, layout.Key{Lo: i}, i)
+		appendOne(l, core.BatchInsert, layout.Key{Lo: i}, i)
 	}
 	if err := l.Rotate(); err != nil { // snapshot at LSN 5
 		t.Fatal(err)
 	}
 	for i := uint64(6); i <= 8; i++ {
-		appendOne(l, OpInsert, layout.Key{Lo: i}, i)
+		appendOne(l, core.BatchInsert, layout.Key{Lo: i}, i)
 	}
 	if err := l.WaitDurable(8); err != nil {
 		t.Fatal(err)
@@ -220,7 +288,7 @@ func TestReopenAfterCrashStartsFreshSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 4; i++ {
-		appendOne(l, OpPut, layout.Key{Lo: i}, i)
+		appendOne(l, core.BatchPut, layout.Key{Lo: i}, i)
 	}
 	if err := l.WaitDurable(4); err != nil {
 		t.Fatal(err)
@@ -233,7 +301,7 @@ func TestReopenAfterCrashStartsFreshSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := appendOne(l2, OpPut, layout.Key{Lo: 99}, 99); got != 5 {
+	if got := appendOne(l2, core.BatchPut, layout.Key{Lo: 99}, 99); got != 5 {
 		t.Fatalf("post-crash LSN %d, want 5", got)
 	}
 	if err := l2.WaitDurable(5); err != nil {
@@ -252,7 +320,7 @@ func TestDeadSegmentTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendOne(l, OpPut, layout.Key{Lo: 1}, 1)
+	appendOne(l, core.BatchPut, layout.Key{Lo: 1}, 1)
 	if err := l.WaitDurable(1); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +339,7 @@ func TestDeadSegmentTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendOne(l2, OpPut, layout.Key{Lo: 2}, 2)
+	appendOne(l2, core.BatchPut, layout.Key{Lo: 2}, 2)
 	if err := l2.WaitDurable(2); err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +381,7 @@ func TestRotateConcurrentWithAppend(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := uint64(1); i <= total; i++ {
-			appendOne(l, OpInsert, layout.Key{Lo: i}, i)
+			appendOne(l, core.BatchInsert, layout.Key{Lo: i}, i)
 			if i%8192 == 0 {
 				if err := l.WaitDurable(i); err != nil {
 					t.Errorf("WaitDurable(%d): %v", i, err)
@@ -364,10 +432,10 @@ func TestAppendInRotateWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 3; i++ {
-		appendOne(l, OpPut, layout.Key{Lo: i}, i)
+		appendOne(l, core.BatchPut, layout.Key{Lo: i}, i)
 	}
 	testHookRotateAfterDrain = func() {
-		if got := appendOne(l, OpPut, layout.Key{Lo: 4}, 4); got != 4 {
+		if got := appendOne(l, core.BatchPut, layout.Key{Lo: 4}, 4); got != 4 {
 			t.Errorf("raced append assigned LSN %d, want 4", got)
 		}
 	}
@@ -376,7 +444,7 @@ func TestAppendInRotateWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	testHookRotateAfterDrain = nil
-	appendOne(l, OpPut, layout.Key{Lo: 5}, 5)
+	appendOne(l, core.BatchPut, layout.Key{Lo: 5}, 5)
 	if err := l.WaitDurable(5); err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +477,7 @@ func TestWideSegmentSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 3; i++ {
-		appendOne(l, OpPut, layout.Key{Lo: i}, i)
+		appendOne(l, core.BatchPut, layout.Key{Lo: i}, i)
 	}
 	if err := l.WaitDurable(3); err != nil {
 		t.Fatal(err)
@@ -443,7 +511,7 @@ func TestWideSegmentSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := appendOne(l2, OpPut, layout.Key{Lo: 4}, 4); got != 4 {
+	if got := appendOne(l2, core.BatchPut, layout.Key{Lo: 4}, 4); got != 4 {
 		t.Fatalf("post-reopen LSN %d, want 4", got)
 	}
 	if err := l2.WaitDurable(4); err != nil {
@@ -477,7 +545,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				lsn := appendOne(l, OpInsert, layout.Key{Lo: uint64(w)<<32 | uint64(i+1)}, uint64(i))
+				lsn := appendOne(l, core.BatchInsert, layout.Key{Lo: uint64(w)<<32 | uint64(i+1)}, uint64(i))
 				if i%7 == 0 {
 					if err := l.WaitDurable(lsn); err != nil {
 						t.Errorf("WaitDurable: %v", err)

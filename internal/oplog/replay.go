@@ -40,31 +40,6 @@ const replayBatch = 256
 // worker keeps applying while the scanner waits on a read.
 const replayDepth = 4
 
-// OpFor returns the log op that records a mutation of kind k.
-func OpFor(k core.BatchKind) Op {
-	switch k {
-	case core.BatchPut:
-		return OpPut
-	case core.BatchInsert:
-		return OpInsert
-	default:
-		return OpDelete
-	}
-}
-
-// kind is OpFor's inverse. Scan only yields the three valid ops: it
-// treats any other byte as a torn tail.
-func (o Op) kind() core.BatchKind {
-	switch o {
-	case OpPut:
-		return core.BatchPut
-	case OpInsert:
-		return core.BatchInsert
-	default:
-		return core.BatchDelete
-	}
-}
-
 // replayBatchBuf is one batch of records on its way to a worker.
 type replayBatchBuf struct {
 	ops  []core.BatchOp
@@ -170,7 +145,7 @@ func Replay(a Applier, base string, after uint64) (applied int, next uint64, err
 			return nil // scan on only to find where the log ends
 		}
 		w := &ws[route(r.Key.Lo, n)]
-		w.fill.ops = append(w.fill.ops, core.BatchOp{Kind: r.Op.kind(), Key: r.Key, Value: r.Value})
+		w.fill.ops = append(w.fill.ops, r.BatchOp)
 		w.fill.lsns = append(w.fill.lsns, r.LSN)
 		if len(w.fill.ops) == replayBatch {
 			if stop.Load() {

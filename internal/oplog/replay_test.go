@@ -31,8 +31,8 @@ func (r *recorder) ApplyBatch(ops []core.BatchOp, out []core.BatchResult, _ *cor
 }
 
 // TestReplayBatches pins Replay's shape: records past after reach the
-// applier in log order, in batches of 256, with each op mapped back to
-// the kind OpFor logged it as; the first failed op names its LSN.
+// applier in log order, in batches of 256, each op the one its record
+// logged; the first failed op names its LSN.
 func TestReplayBatches(t *testing.T) {
 	b := base(t)
 	l, err := OpenConfig(b, 1, Config{})
@@ -42,7 +42,7 @@ func TestReplayBatches(t *testing.T) {
 	kinds := []core.BatchKind{core.BatchPut, core.BatchInsert, core.BatchDelete}
 	recs := make([]Record, 600)
 	for i := range recs {
-		recs[i] = Record{Op: OpFor(kinds[i%3]), Key: layout.Key{Lo: uint64(i + 1)}, Value: uint64(i)}
+		recs[i] = Record{BatchOp: core.BatchOp{Kind: kinds[i%3], Key: layout.Key{Lo: uint64(i + 1)}, Value: uint64(i)}}
 	}
 	if err := l.WaitDurable(l.AppendBatch(recs) + 599); err != nil {
 		t.Fatal(err)
@@ -138,17 +138,17 @@ func TestReplaySplitsByKey(t *testing.T) {
 	hot := 0
 	for i := range recs {
 		lsn := uint64(i + 1)
-		r := Record{Op: OpInsert, Key: layout.Key{Lo: 10000 + lsn, Hi: lsn}, Value: lsn}
+		r := Record{BatchOp: core.BatchOp{Kind: core.BatchInsert, Key: layout.Key{Lo: 10000 + lsn, Hi: lsn}, Value: lsn}}
 		switch {
 		case i%200 == 100 && i < 1600:
 			// Eight records with one Lo and eight Hi values: a router that
 			// hashed Hi would split them over two workers with odds
 			// 127 in 128.
-			r.Op, r.Key = OpPut, layout.Key{Lo: sameLo, Hi: lsn}
+			r.Kind, r.Key = core.BatchPut, layout.Key{Lo: sameLo, Hi: lsn}
 		case i%5 == 0:
 			// Put/delete/put chains on 8 hot keys, spread over the log so
 			// every chain crosses batch boundaries.
-			r.Op, r.Key = []Op{OpPut, OpDelete, OpPut}[hot/8%3], layout.Key{Lo: uint64(1 + hot%8), Hi: 7}
+			r.Kind, r.Key = []core.BatchKind{core.BatchPut, core.BatchDelete, core.BatchPut}[hot/8%3], layout.Key{Lo: uint64(1 + hot%8), Hi: 7}
 			hot++
 		}
 		recs[i] = r
@@ -175,7 +175,7 @@ func TestReplaySplitsByKey(t *testing.T) {
 		for _, op := range batch {
 			lsn := op.Value
 			want := recs[lsn-1]
-			if lsn <= after || op.Key != want.Key || op.Kind != want.Op.kind() {
+			if lsn <= after || op.Key != want.Key || op.Kind != want.Kind {
 				t.Fatalf("op %+v applied, want LSN %d past %d as %+v", op, lsn, after, want)
 			}
 			seen[lsn]++
@@ -221,7 +221,7 @@ func TestReplaySplitsByKey(t *testing.T) {
 	var lower, upper uint64
 	for i := 300; i < total && (lower == 0 || upper == 0); i++ {
 		lo := recs[i].Key.Lo
-		if recs[i].Op != OpInsert {
+		if recs[i].Kind != core.BatchInsert {
 			continue
 		}
 		if lower == 0 && route(lo, workers) == workers-1 {
@@ -252,7 +252,7 @@ func TestScanStreamsSegment(t *testing.T) {
 	total := 4*scanBufLen/RecordLen + 1000
 	recs := make([]Record, total)
 	for i := range recs {
-		recs[i] = Record{Op: []Op{OpPut, OpInsert, OpDelete}[i%3], Key: layout.Key{Lo: uint64(i) + 1, Hi: uint64(i) * 3}, Value: uint64(i) * 7}
+		recs[i] = Record{BatchOp: core.BatchOp{Kind: []core.BatchKind{core.BatchPut, core.BatchInsert, core.BatchDelete}[i%3], Key: layout.Key{Lo: uint64(i) + 1, Hi: uint64(i) * 3}, Value: uint64(i) * 7}}
 	}
 	b := base(t)
 	writeRecords(t, b, recs)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"grouphash/internal/core"
 	"grouphash/internal/layout"
 )
 
@@ -104,7 +105,7 @@ func BenchmarkGrowthStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		lsn := appendOne(l, OpPut, layout.Key{Lo: uint64(i) + 1}, 1)
+		lsn := appendOne(l, core.BatchPut, layout.Key{Lo: uint64(i) + 1}, 1)
 		if err := l.WaitDurable(lsn); err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func BenchmarkRotate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		for j := range recs {
-			recs[j] = Record{Op: OpPut, Key: layout.Key{Lo: uint64(j) + 1}, Value: uint64(i)}
+			recs[j] = Record{BatchOp: core.BatchOp{Kind: core.BatchPut, Key: layout.Key{Lo: uint64(j) + 1}, Value: uint64(i)}}
 		}
 		first := l.AppendBatch(recs)
 		if err := l.WaitDurable(first + uint64(len(recs)) - 1); err != nil {

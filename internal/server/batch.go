@@ -125,8 +125,7 @@ func newBatchState(s *Server) *batchState {
 		ba.committed = func(applied []int) {
 			recs := ba.recs[:0]
 			for _, i := range applied {
-				op := &ba.ops[i]
-				recs = append(recs, oplog.Record{Op: oplog.OpFor(op.Kind), Key: op.Key, Value: op.Value})
+				recs = append(recs, oplog.Record{BatchOp: ba.ops[i]})
 			}
 			first := s.cfg.Oplog.AppendBatch(recs)
 			for j, i := range applied {

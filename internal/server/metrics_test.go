@@ -1,7 +1,7 @@
 package server
 
 import (
-	"encoding/json"
+	"bytes"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -11,6 +11,7 @@ import (
 	"grouphash/internal/layout"
 	"grouphash/internal/oplog"
 	"grouphash/internal/stats"
+	"grouphash/internal/wire"
 )
 
 // TestMetricsExposition is the acceptance test for the scrape surface:
@@ -33,7 +34,8 @@ func TestMetricsExposition(t *testing.T) {
 	// server's own store is native-backed — the simulator is
 	// single-threaded by design, so its counters ride along from a
 	// sequential store that is idle at scrape time.)
-	reg := stats.NewRegistry()
+	s, addr := startServer(t, grouphash.Options{Capacity: 1 << 12},
+		Config{Oplog: lg, SnapshotPath: filepath.Join(dir, "store.pmfs")})
 	sim, err := grouphash.NewSimulated(grouphash.Options{Capacity: 1 << 10}, grouphash.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -44,10 +46,7 @@ func TestMetricsExposition(t *testing.T) {
 		}
 		sim.Get(layout.Key{Lo: i})
 	}
-	sim.RegisterSubstrateMetrics(reg, "sim")
-
-	s, addr := startServer(t, grouphash.Options{Capacity: 1 << 12},
-		Config{Oplog: lg, Registry: reg, SnapshotPath: filepath.Join(dir, "store.pmfs")})
+	sim.RegisterSubstrateMetrics(s.Registry(), "sim")
 	c := dial(t, addr)
 
 	// Load every opcode so each per-op histogram holds samples.
@@ -189,45 +188,30 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestStatsFormats pins the OpStats format selector: the previously
-// ignored request Value now chooses text (0), JSON (1) or Prometheus
-// (2), with unknown values falling back to text — so old clients that
-// sent garbage in Value keep getting what they always got.
+// TestStatsFormats pins that OpStats has one payload: whatever the
+// request's Value — 0, 1 and 2 once selected a text line, a JSON
+// document and the exposition, 7 never meant anything — the reply is
+// the registry's Prometheus exposition, counting the load so far.
 func TestStatsFormats(t *testing.T) {
 	_, addr := startServer(t, grouphash.Options{Capacity: 1 << 12}, Config{})
 	c := dial(t, addr)
 	if err := c.Put(layout.Key{Lo: 9}, 9); err != nil {
 		t.Fatal(err)
 	}
-
-	text, err := c.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, "reads=") {
-		t.Fatalf("text stats missing counters: %q", text)
-	}
-
-	js, err := c.ServerStatsJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Writes uint64 `json:"Writes"`
-		Items  uint64 `json:"Items"`
-	}
-	if err := json.Unmarshal([]byte(js), &doc); err != nil {
-		t.Fatalf("JSON stats do not parse: %v\n%s", err, js)
-	}
-	if doc.Writes < 1 || doc.Items < 1 {
-		t.Fatalf("JSON stats miscounted: %+v", doc)
-	}
-
-	prom, err := c.ServerMetrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stats.ValidateExposition(strings.NewReader(prom)); err != nil {
-		t.Fatalf("wire Prometheus stats fail conformance: %v", err)
+	for _, value := range []uint64{0, 1, 2, 7} {
+		resps, err := c.Do([]wire.Request{{Op: wire.OpStats, Value: value}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resps[0].Status != wire.StatusOK {
+			t.Fatalf("OpStats Value=%d: status %d", value, resps[0].Status)
+		}
+		fams, err := stats.ValidateExposition(bytes.NewReader(resps[0].Extra))
+		if err != nil {
+			t.Fatalf("OpStats Value=%d fails exposition conformance: %v\n%s", value, err, resps[0].Extra)
+		}
+		if v, ok := fams["gh_server_requests_total"].Sample(`class="write"`); !ok || v != 1 {
+			t.Errorf("OpStats Value=%d: write requests = %v (%v), want 1", value, v, ok)
+		}
 	}
 }

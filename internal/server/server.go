@@ -53,7 +53,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -87,12 +86,6 @@ type Config struct {
 	// (after replaying it into Engine) and the server takes ownership:
 	// Drain closes it. engine.Restart is the recovery sequence.
 	Oplog *oplog.Log
-	// Registry, when non-nil, is where the server registers its metrics
-	// (plus the store's and oplog's); nil means a fresh private registry,
-	// available via Server.Registry for mounting at /metrics. Each
-	// registry can hold at most one server — registering two panics on
-	// the duplicate metric names.
-	Registry *stats.Registry
 	// DisableTiming turns off the per-request instrumentation (latency
 	// histogram observation and byte accounting) so the overhead of the
 	// two time.Now calls per request can be measured; everything else —
@@ -197,10 +190,7 @@ func New(cfg Config) (*Server, error) {
 		conns:      make(map[net.Conn]struct{}),
 		stop:       make(chan struct{}),
 		acceptDone: make(chan struct{}),
-	}
-	s.registry = cfg.Registry
-	if s.registry == nil {
-		s.registry = stats.NewRegistry()
+		registry:   stats.NewRegistry(),
 	}
 	s.registerMetrics(s.registry)
 	cfg.Engine.RegisterMetrics(s.registry, "gh")
@@ -264,7 +254,9 @@ func (s *Server) registerMetrics(reg *stats.Registry) {
 func (s *Server) AckLatency() *stats.HistSnapshot { return s.ackLat.Snapshot() }
 
 // Registry returns the registry holding the server's (and its store's
-// and oplog's) metrics — mount it at /metrics.
+// and oplog's) metrics — mount it at /metrics, or register more series
+// into it (each series name once per registry). OpStats answers with
+// the same exposition.
 func (s *Server) Registry() *stats.Registry { return s.registry }
 
 // Draining reports whether a drain (graceful shutdown) has begun.
@@ -763,7 +755,7 @@ func (s *Server) dispatch(req wire.Request) wire.Response {
 		return wire.Response{Status: wire.StatusOK, Value: s.cfg.Engine.Len()}
 	case wire.OpStats:
 		s.others.Inc()
-		return wire.Response{Status: wire.StatusOK, Extra: s.statsExtra(req.Value)}
+		return wire.Response{Status: wire.StatusOK, Extra: s.exposition()}
 	default:
 		s.badreq.Inc()
 		return wire.Response{Status: wire.StatusBadRequest}
@@ -810,97 +802,18 @@ func (s *Server) Stats() Metrics {
 	return m
 }
 
-// Latency returns the merged request-latency distribution across all
-// opcodes, in nanoseconds.
-func (s *Server) Latency() *stats.HistSnapshot {
-	merged := &stats.HistSnapshot{}
-	for op := range s.opLat {
-		merged.Merge(s.opLat[op].Snapshot())
-	}
-	return merged
-}
-
-// statsExtra renders the OpStats payload in the requested format;
-// unknown format selectors fall back to the text dump.
-func (s *Server) statsExtra(format uint64) []byte {
-	switch format {
-	case wire.StatsFormatJSON:
-		return s.StatsJSON()
-	case wire.StatsFormatProm:
-		var buf bytes.Buffer
-		s.registry.WritePrometheus(&buf)
-		b := buf.Bytes()
-		if max := wire.MaxFrame - wire.RespFixedLen; len(b) > max {
-			// Truncate at a line boundary so what does fit still parses.
-			b = b[:max]
-			if i := bytes.LastIndexByte(b, '\n'); i >= 0 {
-				b = b[:i+1]
-			}
+// exposition renders the registry for OpStats: the bytes GET /metrics
+// serves, cut at a line boundary when they exceed the frame limit so
+// what does fit still parses.
+func (s *Server) exposition() []byte {
+	var buf bytes.Buffer
+	s.registry.WritePrometheus(&buf)
+	b := buf.Bytes()
+	if max := wire.MaxFrame - wire.RespFixedLen; len(b) > max {
+		b = b[:max]
+		if i := bytes.LastIndexByte(b, '\n'); i >= 0 {
+			b = b[:i+1]
 		}
-		return b
-	default:
-		return []byte(s.StatsText())
-	}
-}
-
-// StatsText renders the counters and request-latency quantiles as the
-// human-readable text OpStats returns by default.
-func (s *Server) StatsText() string {
-	m := s.Stats()
-	sample := s.Latency()
-	us := func(q float64) float64 { return sample.Quantile(q) / 1e3 }
-	return fmt.Sprintf(
-		"items=%d load=%.3f conns=%d/%d reads=%d writes=%d deletes=%d others=%d "+
-			"full=%d invalid=%d bad=%d drain_rejects=%d snapshots=%d oplog_lsn=%d/%d "+
-			"expansions=%d expanding=%v draining=%v "+
-			"latency_us{p50=%.1f p90=%.1f p99=%.1f max=%.1f n=%d}",
-		s.cfg.Engine.Len(), s.cfg.Engine.LoadFactor(),
-		m.ConnsActive, m.ConnsAccepted,
-		m.Reads, m.Writes, m.Deletes, m.Others,
-		m.Full, m.InvalidKey, m.BadRequest, m.DrainRejects, m.Snapshots,
-		m.OplogDurableLSN, m.OplogLastLSN,
-		m.Expansions, s.cfg.Engine.Expanding(), s.draining.Load(),
-		us(0.5), us(0.9), us(0.99), sample.Max()/1e3, sample.Count)
-}
-
-// statsDoc is the machine-readable OpStats JSON document: the Metrics
-// counters plus the store/drain state and latency quantiles the text
-// dump carries.
-type statsDoc struct {
-	Metrics
-	// Items and LoadFactor describe the store's occupancy.
-	Items      uint64  `json:"Items"`
-	LoadFactor float64 `json:"LoadFactor"`
-	// Expanding and Draining are the live state flags.
-	Expanding bool `json:"Expanding"`
-	Draining  bool `json:"Draining"`
-	// LatencyUs carries request-latency quantiles in microseconds over
-	// N observations.
-	LatencyUs struct {
-		P50, P90, P99, Max float64
-		N                  uint64
-	} `json:"LatencyUs"`
-}
-
-// StatsJSON renders the same counters as StatsText as a JSON document
-// (the OpStats StatsFormatJSON payload).
-func (s *Server) StatsJSON() []byte {
-	doc := statsDoc{
-		Metrics:    s.Stats(),
-		Items:      s.cfg.Engine.Len(),
-		LoadFactor: s.cfg.Engine.LoadFactor(),
-		Expanding:  s.cfg.Engine.Expanding(),
-		Draining:   s.draining.Load(),
-	}
-	sample := s.Latency()
-	doc.LatencyUs.P50 = sample.Quantile(0.5) / 1e3
-	doc.LatencyUs.P90 = sample.Quantile(0.9) / 1e3
-	doc.LatencyUs.P99 = sample.Quantile(0.99) / 1e3
-	doc.LatencyUs.Max = sample.Max() / 1e3
-	doc.LatencyUs.N = sample.Count
-	b, err := json.Marshal(doc)
-	if err != nil { // unreachable: the document is plain numbers
-		return []byte(`{}`)
 	}
 	return b
 }

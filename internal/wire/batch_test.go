@@ -70,8 +70,8 @@ func TestBatchRoundtrip(t *testing.T) {
 }
 
 // TestRequestReaderSingles checks the reader decodes a pipelined mix of
-// single frames and batch frames in order, matching ReadRequest's
-// conventions on the single path.
+// single frames and batch frames in order, with io.EOF at the clean
+// end of the stream.
 func TestRequestReaderSingles(t *testing.T) {
 	var frame []byte
 	frame = AppendRequest(frame, Request{Op: OpPut, Key: layout.Key{Lo: 1}, Value: 2})

@@ -47,10 +47,9 @@ const (
 	OpDelete
 	// OpLen returns the store's item count in the response value.
 	OpLen
-	// OpStats returns the server's counters and latency quantiles. The
-	// request's Value field selects the payload format (StatsFormatText
-	// and friends); unknown values fall back to text, so old clients
-	// keep working against new servers and vice versa.
+	// OpStats returns the server's metrics registry in Prometheus text
+	// exposition (the bytes GET /metrics serves), cut at a line boundary
+	// when it exceeds the frame limit. Value is ignored.
 	OpStats
 	// OpBatch carries N fixed-size sub-operations in ONE frame: the body
 	// is the OpBatch byte followed by N packed sub-request bodies (same
@@ -60,20 +59,6 @@ const (
 	// on the wire. Sub-operations may be OpPing/OpGet/OpPut/OpInsert/
 	// OpDelete/OpLen; OpStats and nested OpBatch answer StatusBadRequest.
 	OpBatch
-)
-
-// OpStats payload formats, carried in the request's Value field (which
-// OpStats previously ignored — old clients send 0 and get text).
-const (
-	// StatsFormatText selects the human-readable one-line text dump.
-	StatsFormatText = uint64(iota)
-	// StatsFormatJSON selects a machine-readable JSON document of the
-	// same counters and latency quantiles.
-	StatsFormatJSON
-	// StatsFormatProm selects the Prometheus text exposition of the
-	// server's metrics registry (the same bytes GET /metrics serves),
-	// truncated at a line boundary if it exceeds the frame limit.
-	StatsFormatProm
 )
 
 // Status codes carried in the first response byte.
@@ -157,30 +142,6 @@ func WriteRequest(w io.Writer, r Request) error {
 	return err
 }
 
-// ReadRequest reads one request frame from r. A clean EOF before the
-// first length byte returns io.EOF untouched, so callers can tell
-// "connection closed between requests" from a truncated frame
-// (io.ErrUnexpectedEOF).
-func ReadRequest(r io.Reader) (Request, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Request{}, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n != ReqBodyLen {
-		return Request{}, fmt.Errorf("%w: request body %d bytes, want %d", ErrFrame, n, ReqBodyLen)
-	}
-	var b [ReqBodyLen]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return Request{}, noEOF(err)
-	}
-	return Request{
-		Op:    b[0],
-		Key:   layout.Key{Lo: binary.LittleEndian.Uint64(b[1:9]), Hi: binary.LittleEndian.Uint64(b[9:17])},
-		Value: binary.LittleEndian.Uint64(b[17:25]),
-	}, nil
-}
-
 // WriteResponse writes one response frame to w.
 func WriteResponse(w io.Writer, resp Response) error {
 	if len(resp.Extra) > MaxFrame-RespFixedLen {
@@ -225,8 +186,10 @@ func WriteResponse(w io.Writer, resp Response) error {
 	return nil
 }
 
-// ReadResponse reads one response frame from r, with the same EOF
-// convention as ReadRequest. When r is a *bufio.Reader — every real
+// ReadResponse reads one response frame from r. A clean EOF before
+// the first length byte returns io.EOF untouched, so callers can tell
+// "connection closed between frames" from a truncated frame
+// (io.ErrUnexpectedEOF). When r is a *bufio.Reader — every real
 // client — the no-Extra case (every Get/Put/Insert/Delete on the hot
 // path) decodes straight out of the reader's own buffer via
 // Peek/Discard: zero allocations per response, pinned by
@@ -454,8 +417,8 @@ func NewRequestReader(r io.Reader) *RequestReader {
 // Next reads one frame. A single request returns (req, nil, nil); an
 // OpBatch frame returns (Request{Op: OpBatch}, subs, nil) where subs
 // holds the decoded sub-requests and is valid only until the next call.
-// EOF conventions match ReadRequest: a clean close between frames is
-// io.EOF, a mid-frame close io.ErrUnexpectedEOF.
+// A clean close between frames is io.EOF, a mid-frame close
+// io.ErrUnexpectedEOF.
 func (rr *RequestReader) Next() (Request, []Request, error) {
 	if _, err := io.ReadFull(rr.r, rr.scratch[:4]); err != nil {
 		return Request{}, nil, err

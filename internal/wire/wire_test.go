@@ -23,16 +23,17 @@ func TestRequestRoundtrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	rr := NewRequestReader(&buf)
 	for i, w := range want {
-		got, err := ReadRequest(&buf)
+		got, subs, err := rr.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != w {
-			t.Fatalf("request %d = %+v, want %+v", i, got, w)
+		if got != w || subs != nil {
+			t.Fatalf("request %d = %+v (subs %v), want %+v", i, got, subs, w)
 		}
 	}
-	if _, err := ReadRequest(&buf); err != io.EOF {
+	if _, _, err := rr.Next(); err != io.EOF {
 		t.Fatalf("empty stream read = %v, want io.EOF", err)
 	}
 }
@@ -61,19 +62,11 @@ func TestResponseRoundtrip(t *testing.T) {
 }
 
 // TestHostileFrames feeds both read paths the frames a desynchronised
-// or malicious peer would: zero and off-by-one length prefixes, a
-// prefix just past the frame cap, and streams truncated at every
-// possible byte boundary.
+// or malicious peer would: response length prefixes too small or past
+// the frame cap, and single frames truncated at every possible byte
+// boundary. TestBatchHostileFrames covers RequestReader's length
+// prefixes and batch frames.
 func TestHostileFrames(t *testing.T) {
-	// Request prefixes the fixed-body protocol must refuse. The bytes
-	// after the prefix are a plausible body so only the prefix is on
-	// trial.
-	for _, n := range []uint32{0, ReqBodyLen - 1, ReqBodyLen + 1, MaxFrame + 1} {
-		hdr := binary.LittleEndian.AppendUint32(nil, n)
-		if _, err := ReadRequest(bytes.NewReader(append(hdr, make([]byte, ReqBodyLen)...))); !errors.Is(err, ErrFrame) {
-			t.Errorf("request prefix %d = %v, want ErrFrame", n, err)
-		}
-	}
 	// Response prefixes: too small for the fixed part, and too big.
 	for _, n := range []uint32{0, RespFixedLen - 1, MaxFrame + 1} {
 		hdr := binary.LittleEndian.AppendUint32(nil, n)
@@ -90,7 +83,7 @@ func TestHostileFrames(t *testing.T) {
 		if cut == 0 {
 			want = io.EOF
 		}
-		if _, err := ReadRequest(bytes.NewReader(req[:cut])); err != want {
+		if _, _, err := NewRequestReader(bytes.NewReader(req[:cut])).Next(); err != want {
 			t.Errorf("request cut at %d = %v, want %v", cut, err, want)
 		}
 	}
@@ -111,18 +104,14 @@ func TestHostileFrames(t *testing.T) {
 }
 
 func TestMalformedFrames(t *testing.T) {
-	// Wrong request length prefix.
-	if _, err := ReadRequest(bytes.NewReader([]byte{200, 0, 0, 0})); !errors.Is(err, ErrFrame) {
-		t.Fatalf("oversized request = %v, want ErrFrame", err)
+	// A request length prefix that is neither a single request nor a
+	// whole number of batch sub-ops, with no body behind it.
+	if _, _, err := NewRequestReader(bytes.NewReader([]byte{200, 0, 0, 0})).Next(); !errors.Is(err, ErrFrame) {
+		t.Fatalf("200-byte request prefix = %v, want ErrFrame", err)
 	}
 	// Oversized response length prefix.
 	if _, err := ReadResponse(bytes.NewReader([]byte{0, 0, 2, 0})); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversized response = %v, want ErrFrame", err)
-	}
-	// Truncated mid-frame: must NOT look like a clean close.
-	frame := AppendRequest(nil, Request{Op: OpGet, Key: layout.Key{Lo: 5}})
-	if _, err := ReadRequest(bytes.NewReader(frame[:10])); err != io.ErrUnexpectedEOF {
-		t.Fatalf("truncated request = %v, want ErrUnexpectedEOF", err)
 	}
 	// Oversized outgoing extra payload is rejected before writing.
 	if err := WriteResponse(io.Discard, Response{Extra: make([]byte, MaxFrame)}); !errors.Is(err, ErrFrame) {

@@ -60,7 +60,7 @@ func TestReplayFullTableChurn(t *testing.T) {
 		out := make([]BatchResult, 1)
 		live.ApplyBatch(ops, out, nil, func(applied []int) {
 			for _, i := range applied {
-				lg.AppendBatch([]oplog.Record{{Op: oplog.OpFor(ops[i].Kind), Key: ops[i].Key, Value: ops[i].Value}})
+				lg.AppendBatch([]oplog.Record{{BatchOp: ops[i]}})
 			}
 		})
 		return out[0].Err
