@@ -207,7 +207,7 @@ func (t *Table) rehashInto(vw, nvw *view) bool {
 func (t *Table) rehashGroups(vw, nvw *view, gLo, gHi uint64) bool {
 	if t.two {
 		lo, hi := gLo*t.gsz, gHi*t.gsz
-		for _, cells := range [2]hashtab.Cells{vw.tab1, vw.tab2} {
+		for _, cells := range [2]*hashtab.Cells{&vw.tab1, &vw.tab2} {
 			for i := lo; i < hi; i++ {
 				if cells.Occupied(i) {
 					if !t.placeIn(nvw, cells.Key(i), cells.Value(i)) {
@@ -226,7 +226,7 @@ func (t *Table) rehashGroups(vw, nvw *view, gLo, gHi uint64) bool {
 		}
 		winBase := g * mult // first destination group of old group g
 		lo, hi := g*t.gsz, (g+1)*t.gsz
-		for _, cells := range [2]hashtab.Cells{vw.tab1, vw.tab2} {
+		for _, cells := range [2]*hashtab.Cells{&vw.tab1, &vw.tab2} {
 			for i := lo; i < hi; i++ {
 				if cells.Occupied(i) {
 					if !t.placeRehash(nvw, cells.Key(i), cells.Value(i), winBase, cur) {
@@ -299,7 +299,7 @@ func (t *Table) commitRoots(nvw *view) {
 // retire frees a view's cell arrays on reclaiming backends.
 func (t *Table) retire(vw *view) {
 	if rec, ok := t.mem.(hashtab.Reclaimer); ok {
-		for _, cells := range [2]hashtab.Cells{vw.tab1, vw.tab2} {
+		for _, cells := range [2]*hashtab.Cells{&vw.tab1, &vw.tab2} {
 			rec.Free(cells.Base, cells.N*t.l.CellSize())
 		}
 	}

@@ -320,7 +320,7 @@ func (c *Concurrent) fallbackRebuild(e *expState) {
 			vw, mul = e.nvw, 2
 		}
 		lo, hi := uint64(si)*per*mul*t.gsz, (uint64(si)+1)*per*mul*t.gsz
-		for _, cells := range [2]hashtab.Cells{vw.tab1, vw.tab2} {
+		for _, cells := range [2]*hashtab.Cells{&vw.tab1, &vw.tab2} {
 			for i := lo; i < hi; i++ {
 				if cells.Occupied(i) {
 					items = append(items, Item{Key: cells.Key(i), Value: cells.Value(i)})

@@ -161,23 +161,23 @@ func (t *Table) updateIn(vw *view, k layout.Key, v uint64) bool {
 }
 
 // locateIn finds the cell currently holding k under vw.
-func (t *Table) locateIn(vw *view, k layout.Key) (hashtab.Cells, uint64, bool) {
+func (t *Table) locateIn(vw *view, k layout.Key) (*hashtab.Cells, uint64, bool) {
 	i1, i2, n := t.homesIn(vw, k)
 	if vw.tab1.Matches(i1, k) {
-		return vw.tab1, i1, true
+		return &vw.tab1, i1, true
 	}
 	if n == 2 && vw.tab1.Matches(i2, k) {
-		return vw.tab1, i2, true
+		return &vw.tab1, i2, true
 	}
 	for _, j := range [2]uint64{t.groupStart(i1), t.groupStart(i2)} {
 		if i, ok := t.findInGroup(vw, j, k); ok {
-			return vw.tab2, i, true
+			return &vw.tab2, i, true
 		}
 		if n != 2 || t.groupStart(i2) == t.groupStart(i1) {
 			break
 		}
 	}
-	return hashtab.Cells{}, 0, false
+	return nil, 0, false
 }
 
 // Range calls fn for every stored item until fn returns false. Order is
@@ -185,7 +185,7 @@ func (t *Table) locateIn(vw *view, k layout.Key) (hashtab.Cells, uint64, bool) {
 // verification tooling.)
 func (t *Table) Range(fn func(k layout.Key, v uint64) bool) {
 	vw := t.cur()
-	for _, cells := range [2]hashtab.Cells{vw.tab1, vw.tab2} {
+	for _, cells := range [2]*hashtab.Cells{&vw.tab1, &vw.tab2} {
 		for i := uint64(0); i < cells.N; i++ {
 			if cells.Occupied(i) {
 				if !fn(cells.Key(i), cells.Value(i)) {

@@ -22,7 +22,7 @@ func (t *Table) Recover() (hashtab.RecoveryReport, error) {
 	var rep hashtab.RecoveryReport
 	vw := t.cur()
 	count := uint64(0)
-	for _, cells := range [2]hashtab.Cells{vw.tab1, vw.tab2} {
+	for _, cells := range [2]*hashtab.Cells{&vw.tab1, &vw.tab2} {
 		for i := uint64(0); i < cells.N; i++ {
 			rep.CellsScanned++
 			if cells.Occupied(i) {

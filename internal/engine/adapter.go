@@ -250,13 +250,6 @@ func (e *tableEngine) Quiesce(fn func()) {
 	fn()
 }
 
-// Recover runs the scheme's crash-recovery pass under the writer lock.
-func (e *tableEngine) Recover() (hashtab.RecoveryReport, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.tab.Recover()
-}
-
 // CheckConsistency runs the scheme's structural audit under the
 // writer lock, so it sees no half-applied mutation.
 func (e *tableEngine) CheckConsistency() []string {

@@ -22,7 +22,8 @@
 // (Algorithm-1 semantics), a BatchDelete of an absent key reports
 // Found=false without touching the persisted count, the load_factor
 // gauge never divides by zero, snapshots round-trip, an oplog replays
-// to the state its ops produced live, and recovery is idempotent.
+// to the state its ops produced live, and the crash recovery of the
+// table behind each engine is idempotent.
 // Where a scheme historically disagreed with the façade, the scheme
 // was fixed — not the suite.
 //
@@ -38,7 +39,6 @@ import (
 
 	"grouphash"
 	"grouphash/internal/core"
-	"grouphash/internal/hashtab"
 	"grouphash/internal/layout"
 	"grouphash/internal/oplog"
 	"grouphash/internal/stats"
@@ -78,8 +78,6 @@ type Engine interface {
 	// Quiesce runs fn with every writer excluded. fn must not call
 	// back into the engine.
 	Quiesce(fn func())
-	// Recover runs the scheme's crash-recovery procedure.
-	Recover() (hashtab.RecoveryReport, error)
 	// CheckConsistency audits the structural invariants without
 	// repairing, returning human-readable violations (empty = clean).
 	CheckConsistency() []string

@@ -122,7 +122,7 @@ func (t *Table) LoadFactor() float64 {
 	return float64(t.Len()) / float64(t.Capacity())
 }
 
-func (t *Table) logCell(c hashtab.Cells, i uint64) {
+func (t *Table) logCell(c *hashtab.Cells, i uint64) {
 	if t.log == nil {
 		return
 	}
@@ -138,8 +138,8 @@ func (t *Table) commit() {
 
 // pathCell returns the cells array and index of level d on the path
 // rooted at top-level position p.
-func (t *Table) pathCell(p uint64, d int) (hashtab.Cells, uint64) {
-	return t.levels[d], p >> uint(d)
+func (t *Table) pathCell(p uint64, d int) (*hashtab.Cells, uint64) {
+	return &t.levels[d], p >> uint(d)
 }
 
 // Insert walks the two paths level by level (shallowest first,
@@ -226,7 +226,8 @@ func (t *Table) Recover() (hashtab.RecoveryReport, error) {
 		rep.UndoneOps = t.log.Recover()
 	}
 	n := uint64(0)
-	for _, c := range t.levels {
+	for d := range t.levels {
+		c := &t.levels[d]
 		for i := uint64(0); i < c.N; i++ {
 			rep.CellsScanned++
 			if c.Occupied(i) {
@@ -252,7 +253,8 @@ func (t *Table) Recover() (hashtab.RecoveryReport, error) {
 func (t *Table) CheckConsistency() []string {
 	var bad []string
 	n := uint64(0)
-	for d, c := range t.levels {
+	for d := range t.levels {
+		c := &t.levels[d]
 		for i := uint64(0); i < c.N; i++ {
 			if !c.Occupied(i) {
 				if !c.PayloadZero(i) {

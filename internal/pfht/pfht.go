@@ -113,7 +113,7 @@ func (t *Table) LoadFactor() float64 {
 // StashLen returns the number of items currently in the stash.
 func (t *Table) StashLen() uint64 { return t.stashed.Get() }
 
-func (t *Table) logCell(c hashtab.Cells, i uint64) {
+func (t *Table) logCell(c *hashtab.Cells, i uint64) {
 	if t.log == nil {
 		return
 	}
@@ -143,7 +143,7 @@ func (t *Table) emptySlot(b uint64) int {
 // insertIntoBucket runs the commit protocol for slot s of bucket b.
 func (t *Table) insertIntoBucket(b uint64, s int, k layout.Key, v uint64) {
 	i := bucketCell(b, s)
-	t.logCell(t.cells, i)
+	t.logCell(&t.cells, i)
 	t.cells.InsertAt(i, k, v)
 	t.count.Inc()
 	t.commit()
@@ -185,9 +185,9 @@ func (t *Table) Insert(k layout.Key, v uint64) error {
 			vi := t.cells.Value(i)
 			ai := bucketCell(alt, as)
 			// Move i -> ai, then overwrite i with the new item.
-			t.logCell(t.cells, ai)
+			t.logCell(&t.cells, ai)
 			t.cells.InsertAt(ai, ki, vi)
-			t.logCell(t.cells, i)
+			t.logCell(&t.cells, i)
 			t.cells.WritePayload(i, k, v)
 			t.cells.PersistPayload(i)
 			t.cells.CommitOccupied(i, k)
@@ -199,7 +199,7 @@ func (t *Table) Insert(k layout.Key, v uint64) error {
 	// Stash.
 	for i := uint64(0); i < t.stash.N; i++ {
 		if !t.stash.Occupied(i) {
-			t.logCell(t.stash, i)
+			t.logCell(&t.stash, i)
 			t.stash.InsertAt(i, k, v)
 			t.count.Inc()
 			t.stashed.Inc()
@@ -249,7 +249,7 @@ func (t *Table) Lookup(k layout.Key) (uint64, bool) {
 
 // Update overwrites the value of an existing key in place.
 func (t *Table) Update(k layout.Key, v uint64) bool {
-	set := func(c hashtab.Cells, i uint64) bool {
+	set := func(c *hashtab.Cells, i uint64) bool {
 		addr := t.l.ValOff(c.Addr(i))
 		t.mem.AtomicWrite8(addr, v)
 		t.mem.Persist(addr, layout.WordSize)
@@ -258,7 +258,7 @@ func (t *Table) Update(k layout.Key, v uint64) bool {
 	for _, b := range [2]uint64{t.h1.Index(k.Lo, k.Hi), t.h2.Index(k.Lo, k.Hi)} {
 		for s := 0; s < BucketSize; s++ {
 			if i := bucketCell(b, s); t.cells.Matches(i, k) {
-				return set(t.cells, i)
+				return set(&t.cells, i)
 			}
 		}
 	}
@@ -268,7 +268,7 @@ func (t *Table) Update(k layout.Key, v uint64) bool {
 			continue
 		}
 		if t.stash.Matches(i, k) {
-			return set(t.stash, i)
+			return set(&t.stash, i)
 		}
 		remaining--
 	}
@@ -281,7 +281,7 @@ func (t *Table) Delete(k layout.Key) bool {
 		for s := 0; s < BucketSize; s++ {
 			i := bucketCell(b, s)
 			if t.cells.Matches(i, k) {
-				t.logCell(t.cells, i)
+				t.logCell(&t.cells, i)
 				t.cells.DeleteAt(i)
 				t.count.Dec()
 				t.commit()
@@ -295,7 +295,7 @@ func (t *Table) Delete(k layout.Key) bool {
 			continue
 		}
 		if t.stash.Matches(i, k) {
-			t.logCell(t.stash, i)
+			t.logCell(&t.stash, i)
 			t.stash.DeleteAt(i)
 			t.count.Dec()
 			t.stashed.Dec()
