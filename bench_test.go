@@ -378,12 +378,13 @@ func BenchmarkWear(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBatchInsert compares single inserts against the
-// batched variant that amortises the hot count-word persist.
+// BenchmarkAblationBatchInsert compares per-op inserts against one
+// ApplyBatch, which persists the hot count word once per stripe-run
+// instead of once per insert. A one-stripe Concurrent over the
+// simulated machine makes the whole batch a single run.
 func BenchmarkAblationBatchInsert(b *testing.B) {
 	s := benchScale()
 	for _, batch := range []bool{false, true} {
-		batch := batch
 		name := "single"
 		if batch {
 			name = "batched"
@@ -401,46 +402,47 @@ func BenchmarkAblationBatchInsert(b *testing.B) {
 func runBatchInsertTrial(batch bool, s harness.Scale) float64 {
 	cfg := harness.BuildConfig{Kind: harness.Group, TotalCells: s.RandomNumCells, KeyBytes: 8, Seed: 1}
 	mem := memsim.New(memsim.Config{Size: harness.RegionBytes(cfg), Seed: 1})
-	tab := harness.Build(mem, cfg).(*core.Table)
+	c := core.NewConcurrent(harness.Build(mem, cfg).(*core.Table), 1)
 	n := s.Ops * 5
-	items := make([]core.Item, n)
+	ops := make([]core.BatchOp, n)
 	tr := trace.NewRandomNum(1)
-	for i := range items {
+	for i := range ops {
 		it := tr.Next()
-		items[i] = core.Item{Key: it.Key, Value: it.Value}
+		ops[i] = core.BatchOp{Kind: core.BatchInsert, Key: it.Key, Value: it.Value}
 	}
 	t0 := mem.Clock()
 	if batch {
-		tab.InsertBatch(items)
+		c.ApplyBatch(ops, make([]core.BatchResult, n), nil, nil)
 	} else {
-		for _, it := range items {
-			tab.Insert(it.Key, it.Value)
+		for _, op := range ops {
+			c.Apply(op)
 		}
 	}
 	return (mem.Clock() - t0) / float64(n)
 }
 
-// BenchmarkAblationGroupIndex measures the volatile occupancy index's
-// effect on absent-key lookups (the worst case of Algorithm 2's
-// full-group scan).
-func BenchmarkAblationGroupIndex(b *testing.B) {
-	for _, indexed := range []bool{false, true} {
-		indexed := indexed
+// BenchmarkAblationFingerprints measures the DRAM fingerprint
+// sidecar's effect on absent-key lookups (the worst case of Algorithm
+// 2's full-group scan). The simulated machine leaves the sidecar off so
+// the figures measure the paper's probe sequence; EnableFingerprints
+// arms it.
+func BenchmarkAblationFingerprints(b *testing.B) {
+	for _, filtered := range []bool{false, true} {
 		name := "full-scan"
-		if indexed {
-			name = "indexed"
+		if filtered {
+			name = "fingerprints"
 		}
 		b.Run(name, func(b *testing.B) {
 			var perOp float64
 			for i := 0; i < b.N; i++ {
-				perOp = runAbsentLookups(indexed)
+				perOp = runAbsentLookups(b, filtered)
 			}
 			b.ReportMetric(perOp, "sim-ns/op")
 		})
 	}
 }
 
-func runAbsentLookups(indexed bool) float64 {
+func runAbsentLookups(b *testing.B, filtered bool) float64 {
 	s := benchScale()
 	cfg := harness.BuildConfig{Kind: harness.Group, TotalCells: s.RandomNumCells, KeyBytes: 8, Seed: 1}
 	mem := memsim.New(memsim.Config{Size: harness.RegionBytes(cfg), Seed: 1})
@@ -452,8 +454,8 @@ func runAbsentLookups(indexed bool) float64 {
 			break
 		}
 	}
-	if indexed {
-		tab.EnableGroupIndex()
+	if filtered && !tab.EnableFingerprints() {
+		b.Fatal("fingerprint sidecar unsupported at this group size")
 	}
 	n := s.Ops
 	t0 := mem.Clock()

@@ -61,8 +61,8 @@ func (s *sample) primaryUnit() string {
 //	BenchmarkName[/sub...]-P  <iters>  <value> <unit> [<value> <unit>...]
 //
 // Everything else (PASS, ok, --- BENCH log sections, b.Logf output) is
-// ignored. The -P GOMAXPROCS suffix stays in the name: cpu-sweep rows
-// are distinct benchmarks.
+// ignored. The -P GOMAXPROCS suffix stays in the name; run decides
+// whether rows match with or without it.
 func parseBench(path string) (map[string]*sample, []string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -242,10 +242,31 @@ func gate(floorsPath, benchPath string, w io.Writer) (bool, error) {
 	return ok, nil
 }
 
+// stripsUniquely reports whether no two names collide once their
+// -GOMAXPROCS suffixes are stripped, i.e. the file is no -cpu sweep.
+func stripsUniquely(names []string) bool {
+	seen := make(map[string]bool, len(names))
+	for _, n := range names {
+		k := stripProcSuffix(n)
+		if seen[k] {
+			return false
+		}
+		seen[k] = true
+	}
+	return true
+}
+
 // run is the whole comparison: parse both files, print the aligned
 // table and per-unit geomeans to w. Split from main so the degenerate
 // baselines (zero means, empty samples) are testable without a
 // subprocess.
+//
+// Rows match by name with the -GOMAXPROCS suffix stripped, as -gate
+// matches them, so a baseline recorded on another core count still
+// pairs row for row. When stripping would merge two rows of either
+// file (a -cpu sweep), rows match by their full names instead. Each
+// row is labelled with its name in the old file, or in the new file
+// when the old one lacks it.
 func run(oldPath, newPath string, w io.Writer) error {
 	old, oldOrder, err := parseBench(oldPath)
 	if err != nil {
@@ -255,20 +276,37 @@ func run(oldPath, newPath string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	key := func(name string) string { return name }
+	if stripsUniquely(oldOrder) && stripsUniquely(curOrder) {
+		key = stripProcSuffix
+	}
+	curByKey := make(map[string]*sample, len(curOrder))
+	for _, n := range curOrder {
+		curByKey[key(n)] = cur[n]
+	}
 
 	// Old file dictates row order; new-only benchmarks append after.
-	names := append([]string{}, oldOrder...)
+	type row struct {
+		name string
+		o, c *sample
+	}
+	var rows []row
+	inOld := make(map[string]bool, len(oldOrder))
+	for _, n := range oldOrder {
+		inOld[key(n)] = true
+		rows = append(rows, row{n, old[n], curByKey[key(n)]})
+	}
 	for _, n := range curOrder {
-		if _, ok := old[n]; !ok {
-			names = append(names, n)
+		if !inOld[key(n)] {
+			rows = append(rows, row{n, nil, cur[n]})
 		}
 	}
 
 	fmt.Fprintf(w, "%-52s %16s %16s %9s\n", "name", "old", "new", "delta")
 	byUnit := map[string][]float64{} // per-unit delta ratios for the geomean
-	for _, name := range names {
-		o, c := old[name], cur[name]
-		short := strings.TrimPrefix(name, "Benchmark")
+	for _, r := range rows {
+		o, c := r.o, r.c
+		short := strings.TrimPrefix(r.name, "Benchmark")
 		switch {
 		case c == nil:
 			fmt.Fprintf(w, "%-52s %16s %16s %9s\n", short, fmtMean(o, o.primaryUnit()), "—", "deleted")

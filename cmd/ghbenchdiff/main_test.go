@@ -178,3 +178,76 @@ func TestNewAndDeletedRows(t *testing.T) {
 		t.Fatalf("status columns missing:\n%s", out)
 	}
 }
+
+// statusOf returns the last column of every table row whose name
+// column is name, skipping the header and geomean lines.
+func statusOf(out, name string) []string {
+	var got []string
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) > 1 && f[0] == name {
+			got = append(got, f[len(f)-1])
+		}
+	}
+	return got
+}
+
+// TestDiffPairsAcrossProcCounts: a baseline recorded at GOMAXPROCS 1
+// against a run at 2 pairs every row by the stripped name, so none
+// reads "deleted" or "new" and each gets its delta.
+func TestDiffPairsAcrossProcCounts(t *testing.T) {
+	oldP := writeTemp(t, "old.txt", `
+BenchmarkSubstrateCacheHit-1        1000  4.0 ns/op
+BenchmarkAckedWrite/nolog-1         1000  100.0 ns/op
+BenchmarkAdaptive-1ms-1             1000  50.0 ns/op
+`)
+	newP := writeTemp(t, "new.txt", `
+BenchmarkSubstrateCacheHit-2        1000  2.0 ns/op
+BenchmarkAckedWrite/nolog-2         1000  150.0 ns/op
+BenchmarkAdaptive-1ms-2             1000  50.0 ns/op
+`)
+	var b strings.Builder
+	if err := run(oldP, newP, &b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for name, want := range map[string]string{
+		"SubstrateCacheHit-1": "-50.00%",
+		"AckedWrite/nolog-1":  "+50.00%",
+		"Adaptive-1ms-1":      "+0.00%",
+	} {
+		if got := statusOf(out, name); len(got) != 1 || got[0] != want {
+			t.Errorf("row %s: delta %v, want [%s]", name, got, want)
+		}
+	}
+	if strings.Contains(out, "deleted") || len(statusOf(out, "SubstrateCacheHit-2")) != 0 {
+		t.Fatalf("rows of a -1 baseline did not pair with a -2 run:\n%s", out)
+	}
+}
+
+// TestDiffKeepsCPUSweepRows: a -cpu 1,2 sweep names each benchmark
+// twice, and stripping would merge them, so rows match by full name and
+// each GOMAXPROCS keeps its own row and delta.
+func TestDiffKeepsCPUSweepRows(t *testing.T) {
+	oldP := writeTemp(t, "old.txt", `
+BenchmarkConcurrentMixedParallel-1  1000  100.0 ns/op
+BenchmarkConcurrentMixedParallel-2  1000  200.0 ns/op
+`)
+	newP := writeTemp(t, "new.txt", `
+BenchmarkConcurrentMixedParallel-1  1000  110.0 ns/op
+BenchmarkConcurrentMixedParallel-2  1000  100.0 ns/op
+`)
+	var b strings.Builder
+	if err := run(oldP, newP, &b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for name, want := range map[string]string{
+		"ConcurrentMixedParallel-1": "+10.00%",
+		"ConcurrentMixedParallel-2": "-50.00%",
+	} {
+		if got := statusOf(out, name); len(got) != 1 || got[0] != want {
+			t.Errorf("row %s: delta %v, want [%s]\n%s", name, got, want, out)
+		}
+	}
+}

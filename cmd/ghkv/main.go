@@ -182,7 +182,7 @@ func main() {
 				fmt.Println("usage: save <path>")
 				continue
 			}
-			if err := sim.SaveImage(args[0]); err != nil {
+			if err := sim.Snapshot(args[0]); err != nil {
 				fmt.Println("error:", err)
 				continue
 			}

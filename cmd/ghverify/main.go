@@ -1,5 +1,5 @@
 // Command ghverify inspects a saved NVM image (written by ghkv's `save`
-// or grouphash.Sim.SaveImage): it opens the group-hash table at the
+// or a simulated store's Snapshot): it opens the group-hash table at the
 // image's root, checks every consistency invariant, and optionally
 // repairs the table with the Algorithm-4 recovery scan and writes the
 // repaired image back.
@@ -70,7 +70,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ghverify: STILL INCONSISTENT after recovery: %v\n", after)
 		os.Exit(1)
 	}
-	if err := pmfs.Save(*image, mem, root); err != nil {
+	if err := store.Snapshot(*image); err != nil {
 		fmt.Fprintf(os.Stderr, "ghverify: saving repaired image: %v\n", err)
 		os.Exit(2)
 	}

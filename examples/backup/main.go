@@ -51,7 +51,7 @@ func main() {
 	fmt.Printf("process 1: crashed mid-insert, recovered (scrubbed %d cells, count corrected %v)\n",
 		rep.CellsCleared, rep.CountCorrected)
 
-	if err := sim.SaveImage(image); err != nil {
+	if err := sim.Snapshot(image); err != nil {
 		log.Fatal(err)
 	}
 	info, _ := os.Stat(image)

@@ -280,10 +280,15 @@ func (s *Store) ApplyBatch(ops []BatchOp, out []BatchResult, sc *BatchScratch, c
 // apply runs one mutation: on a concurrent store through the table's
 // one mutating critical section (core.Concurrent.Apply), on a
 // sequential one through the op switch below, which a full table grows
-// through unless expansion is disabled.
+// through unless expansion is disabled. Both refuse an invalid key
+// before looking at the kind, so a zero-key delete reports
+// ErrInvalidKey in either mode.
 func (s *Store) apply(op BatchOp) BatchResult {
 	if s.conc != nil {
 		return s.conc.Apply(op)
+	}
+	if !s.tab.ValidKey(op.Key) {
+		return BatchResult{Err: ErrInvalidKey}
 	}
 	switch op.Kind {
 	case BatchPut:
@@ -417,9 +422,10 @@ func (s *Store) Quiesce(fn func()) {
 // pmfs image file at path, with oplog mark 0: writers are quiesced,
 // the live pages are copied, and the copy is written crash-safely
 // (temp file + fsync + rename + directory fsync). The resulting file
-// reopens with LoadSnapshot. Supported for native-backed stores (the
-// default) and simulated stores; other Memory implementations return
-// an error.
+// reopens with LoadSnapshot, or with LoadImage as a simulated store.
+// Supported for native-backed stores (the default) and simulated
+// stores, whose machine is cleanly shut down first; other Memory
+// implementations return an error.
 //
 // The pause is O(live bytes) for the in-memory copy only — pages that
 // expansion freed are skipped, and the checksum and file I/O happen

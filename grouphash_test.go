@@ -55,6 +55,35 @@ func TestStoreRejectsZeroKey(t *testing.T) {
 	}
 }
 
+// TestApplyBatchZeroKeyBothModes pins one answer to a zero key across
+// the sequential and concurrent stores: every kind, BatchDelete
+// included, reports ErrInvalidKey, and none reaches the commit hook.
+func TestApplyBatchZeroKeyBothModes(t *testing.T) {
+	for _, concurrent := range []bool{false, true} {
+		st, err := New(Options{Capacity: 1 << 10, Concurrent: concurrent})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := []BatchOp{
+			{Kind: BatchPut, Key: Key{}, Value: 1},
+			{Kind: BatchInsert, Key: Key{}, Value: 2},
+			{Kind: BatchDelete, Key: Key{}},
+		}
+		out := make([]BatchResult, len(ops))
+		st.ApplyBatch(ops, out, nil, func(applied []int) {
+			t.Errorf("concurrent=%v: ops %v reached the commit hook", concurrent, applied)
+		})
+		for i, r := range out {
+			if !errors.Is(r.Err, ErrInvalidKey) || r.Found {
+				t.Errorf("concurrent=%v: op %d (kind %d) = %+v, want ErrInvalidKey", concurrent, i, ops[i].Kind, r)
+			}
+		}
+		if st.Len() != 0 {
+			t.Errorf("concurrent=%v: Len = %d after a batch of invalid keys", concurrent, st.Len())
+		}
+	}
+}
+
 func TestStoreAutoExpands(t *testing.T) {
 	st, err := New(Options{Capacity: 256})
 	if err != nil {
@@ -411,7 +440,7 @@ func TestSimScheduledCrashAndImage(t *testing.T) {
 	}
 
 	// Save and reload via the PMFS-image path.
-	if err := sim.SaveImage(img); err != nil {
+	if err := sim.Snapshot(img); err != nil {
 		t.Fatal(err)
 	}
 	re, err := LoadImage(img, SimOptions{Seed: 4}, false)

@@ -5,20 +5,19 @@ import (
 	"grouphash/internal/layout"
 )
 
-// This file extends InsertBatch's one-count-persist contract to the
-// concurrent store: ApplyBatch applies a burst of mutations with one
-// stripe-lock acquisition, one count persist, and one commit-hook call
-// per STRIPE-RUN (a maximal run of same-stripe ops after a stable sort)
+// ApplyBatch applies a burst of mutations with one stripe-lock
+// acquisition, one count persist, and one commit-hook call per
+// STRIPE-RUN (a maximal run of same-stripe ops after a stable sort)
 // instead of one of each per key. The server's reader funnels both
 // explicit OpBatch frames and coalesced pipelined bursts through here.
 //
-// Crash semantics are InsertBatch's, per stripe-run: each cell commit
-// is individually failure atomic, so a crash mid-run leaves a prefix of
-// the run committed and the count word stale — exactly the state
-// Algorithm 4's recovery (Recover) already repairs by recomputing the
-// count from the bitmaps. Nothing in a run is acked before the commit
-// hook has made it durable, so the committed prefix is always a prefix
-// of what was logged.
+// Crash semantics, per stripe-run: each cell commit is individually
+// failure atomic, as in Insert, so a crash mid-run leaves a
+// prefix of the run committed and the count word stale — exactly the
+// state Algorithm 4's recovery (Recover) already repairs by recomputing
+// the count from the bitmaps. Nothing in a run is acked before the
+// commit hook has made it durable, so the committed prefix is always a
+// prefix of what was logged.
 
 // BatchKind selects the mutation a BatchOp performs.
 type BatchKind uint8
@@ -233,8 +232,8 @@ func (c *Concurrent) applyRun(ops []BatchOp, out []BatchResult, sc *BatchScratch
 			c.hookBatchRunCommitted(si)
 		}
 		if full {
-			// The committed prefix stays committed (exactly InsertBatch's
-			// contract); wait for room and resume the run where it stopped.
+			// The committed prefix stays committed; wait for room and
+			// resume the run where it stopped.
 			if err := c.awaitRoom(si); err != nil {
 				noRoom = true
 			}

@@ -92,6 +92,97 @@ func TestApplyBatchBasic(t *testing.T) {
 	}
 }
 
+// TestApplyBatchCheaperThanSingles prices the amortised count persist
+// on the simulated machine, which charges every persist barrier: with
+// one stripe, 1000 inserts in one batch form a single stripe-run and
+// persist the count once, so they must cost at most 0.85× the same
+// inserts applied one at a time (the saving is roughly the count
+// persist, about a third of an insert).
+func TestApplyBatchCheaperThanSingles(t *testing.T) {
+	run := func(batch bool) float64 {
+		mem := simMem(81)
+		c := NewConcurrent(mustCreate(t, mem, Options{Cells: 4096, GroupSize: 64, Seed: 5}), 1)
+		ops := make([]BatchOp, 1000)
+		for i := range ops {
+			ops[i] = BatchOp{Kind: BatchInsert, Key: layout.Key{Lo: uint64(i) + 1}, Value: 1}
+		}
+		out := make([]BatchResult, len(ops))
+		t0 := mem.Clock()
+		if batch {
+			c.ApplyBatch(ops, out, nil, nil)
+		} else {
+			for i := range ops {
+				out[i] = c.Apply(ops[i])
+			}
+		}
+		cost := mem.Clock() - t0
+		for i := range out {
+			if out[i].Err != nil {
+				t.Fatalf("batch=%v: op %d: %v", batch, i, out[i].Err)
+			}
+		}
+		if got := c.Len(); got != uint64(len(ops)) {
+			t.Fatalf("batch=%v: Len = %d, want %d", batch, got, len(ops))
+		}
+		return cost
+	}
+	single, batched := run(false), run(true)
+	t.Logf("1000 inserts: %.0f sim-ns as singles, %.0f as one batch (%.2f×)", single, batched, batched/single)
+	if batched > single*0.85 {
+		t.Fatalf("batch costs %.0f sim-ns against %.0f for singles, want at most 0.85×", batched, single)
+	}
+}
+
+// TestApplyBatchCrashMidRunRecovers crashes INSIDE a stripe-run, where
+// TestApplyBatchCrashAtRunBoundaries only captures between runs: a
+// shadow power failure lands among the run's cell commits, before its
+// one count persist. The crash image holds a committed prefix of the
+// run behind a stale count; Recover must leave a consistent table whose
+// count equals its occupied cells, and those cells must be exactly that
+// prefix.
+func TestApplyBatchCrashMidRunRecovers(t *testing.T) {
+	mem := simMem(82)
+	tab := mustCreate(t, mem, Options{Cells: 512, GroupSize: 32, Seed: 5})
+	c := NewConcurrent(tab, 1)
+	const n = 200
+	ops := make([]BatchOp, n)
+	for i := range ops {
+		ops[i] = BatchOp{Kind: BatchInsert, Key: layout.Key{Lo: uint64(i) + 1}, Value: uint64(i) + 1}
+	}
+	mem.ScheduleShadowCrash(mem.Counters().Accesses+500, 0.5)
+	c.ApplyBatch(ops, make([]BatchResult, n), nil, nil)
+	if !mem.AdoptShadowCrash() {
+		t.Fatal("the crash point fell past the batch")
+	}
+	if got := tab.Len(); got != 0 {
+		t.Fatalf("count %d in the crash image: the crash missed the run's cell commits", got)
+	}
+	if _, err := tab.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if bad := tab.CheckConsistency(); len(bad) != 0 {
+		t.Fatalf("inconsistencies: %v", bad)
+	}
+	occupied := uint64(0)
+	tab.Range(func(layout.Key, uint64) bool {
+		occupied++
+		return true
+	})
+	if tab.Len() != occupied {
+		t.Fatalf("count %d != %d occupied cells", tab.Len(), occupied)
+	}
+	t.Logf("%d of %d inserts survived the crash", occupied, n)
+	if occupied == 0 || occupied == n {
+		t.Fatalf("%d of %d inserts survived: the crash did not land inside the run", occupied, n)
+	}
+	for i := uint64(1); i <= n; i++ {
+		v, ok := tab.Lookup(layout.Key{Lo: i})
+		if want := i <= occupied; ok != want || ok && v != i {
+			t.Fatalf("key %d = (%d, %v) with %d cells recovered: not a committed prefix", i, v, ok, occupied)
+		}
+	}
+}
+
 // TestApplyBatchAllocs pins the zero-steady-state-allocation contract
 // with a reused scratch (no expansion in flight).
 func TestApplyBatchAllocs(t *testing.T) {

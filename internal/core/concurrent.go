@@ -46,9 +46,8 @@ type Concurrent struct {
 	stripes []stripe
 	countMu sync.Mutex
 	// optimistic enables the lock-free read path: the backend has
-	// atomic word reads (hashtab.ConcurrentReader) and the table has no
-	// volatile group-occupancy index (whose counters are written
-	// without atomics). Fixed at construction.
+	// atomic word reads (hashtab.ConcurrentReader). Fixed at
+	// construction.
 	optimistic bool
 
 	// Online-expansion state; see expand_online.go.
@@ -117,11 +116,11 @@ func NewConcurrent(t *Table, stripes int) *Concurrent {
 	if n > groups {
 		n = groups // stripe coverage must be ≥ 1 group
 	}
-	_, atomicMem := t.mem.(hashtab.ConcurrentReader)
+	_, optimistic := t.mem.(hashtab.ConcurrentReader)
 	return &Concurrent{
 		t:          t,
 		stripes:    make([]stripe, n),
-		optimistic: atomicMem && t.cur().occ == nil,
+		optimistic: optimistic,
 	}
 }
 

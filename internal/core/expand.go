@@ -260,7 +260,6 @@ func (t *Table) placeRehash(nvw *view, k layout.Key, v uint64, winBase uint64, c
 	if nvw.fp != nil {
 		nvw.fpStore(j, t.fpTag(k))
 	}
-	nvw.noteL2Insert((winBase+g)*t.gsz, t.gsz)
 	cur[g] = c + 1
 	return true
 }
@@ -289,9 +288,6 @@ func (t *Table) commitRoots(nvw *view) {
 	t.mem.Persist(t.hdr+base*layout.WordSize, 3*layout.WordSize)
 	t.mem.AtomicWrite8(slotAddr, next)
 	t.mem.Persist(slotAddr, layout.WordSize)
-	if old.occ != nil {
-		nvw.buildOcc(t.gsz) // rebuild the volatile index for the new arrays
-	}
 	t.vp.Store(nvw)
 	t.retire(old)
 }

@@ -313,7 +313,11 @@ func (c *Concurrent) fallbackRebuild(e *expState) {
 	t := c.t
 	groups := e.old.tab1.N / t.gsz
 	per := groups / uint64(len(c.stripes))
-	var items []Item
+	type item struct {
+		k layout.Key
+		v uint64
+	}
+	var items []item
 	for si := range c.stripes {
 		vw, mul := e.old, uint64(1)
 		if e.migrated[si].Load() {
@@ -323,7 +327,7 @@ func (c *Concurrent) fallbackRebuild(e *expState) {
 		for _, cells := range [2]*hashtab.Cells{&vw.tab1, &vw.tab2} {
 			for i := lo; i < hi; i++ {
 				if cells.Occupied(i) {
-					items = append(items, Item{Key: cells.Key(i), Value: cells.Value(i)})
+					items = append(items, item{cells.Key(i), cells.Value(i)})
 				}
 			}
 		}
@@ -331,7 +335,7 @@ func (c *Concurrent) fallbackRebuild(e *expState) {
 	t.retire(e.nvw)
 	if !t.rebuild(e.nvw.tab1.N*2, func(nvw *view) bool {
 		for _, it := range items {
-			if !t.placeIn(nvw, it.Key, it.Value) {
+			if !t.placeIn(nvw, it.k, it.v) {
 				return false
 			}
 		}

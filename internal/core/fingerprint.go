@@ -11,13 +11,12 @@ package core
 // word loads instead of up to 256 commit-word reads, and a present-key
 // scan jumps straight to its candidate cell.
 //
-// Like the group-occupancy index (groupindex.go), the sidecar is pure
-// derived state: a function of the cell bitmaps and keys the recovery
-// scan already reads. It therefore lives in DRAM, costs no persist
-// barriers, is maintained alongside every level-2 cell commit, and is
-// rebuilt from the authoritative cells on Open, after Recover, and on
-// snapshot load. Level-1 cells need no tags — they are addressed
-// directly by the hash, never scanned.
+// The sidecar is pure derived state: a function of the cell bitmaps and
+// keys the recovery scan already reads. It therefore lives in DRAM,
+// costs no persist barriers, is maintained alongside every level-2 cell
+// commit, and is rebuilt from the authoritative cells on Open, after
+// Recover, and on snapshot load. Level-1 cells need no tags — they are
+// addressed directly by the hash, never scanned.
 //
 // Concurrency. Tag words are read with atomic loads and written with
 // atomic stores, so the seqlock-optimistic Concurrent.Lookup can probe
@@ -157,12 +156,6 @@ func (t *Table) FingerprintStats() (hits, skips uint64) {
 // in ascending cell order (preserving the unfiltered scan's first-match
 // semantics for duplicate keys). Returns the matching cell index.
 func (t *Table) findInGroupFP(vw *view, j uint64, k layout.Key) (uint64, bool) {
-	if vw.occupancy(j, t.gsz) == 0 {
-		// The occupancy index proves the group empty; skip the word scan
-		// entirely (the one case where the unfiltered bounded scan would
-		// be cheaper than 32 word loads).
-		return 0, false
-	}
 	pat := fpBroadcast(t.fpTag(k))
 	var derefs uint64
 	for w, end := j>>3, (j+t.gsz)>>3; w < end; w++ {
@@ -193,7 +186,6 @@ func (t *Table) placeInGroupFP(vw *view, j uint64, k layout.Key, v uint64) bool 
 			i := w<<3 + uint64(bits.TrailingZeros64(m)>>3)
 			vw.tab2.InsertAt(i, k, v)
 			vw.fpStore(i, t.fpTag(k))
-			vw.noteL2Insert(j, t.gsz)
 			return true
 		}
 	}

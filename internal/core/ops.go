@@ -33,6 +33,44 @@ func (t *Table) Insert(k layout.Key, v uint64) error {
 	return nil
 }
 
+// placeIn runs the cell commit protocol against one view, without the
+// count update, reporting whether the item was placed. Every insert
+// path — sequential, concurrent, and the migration of an online
+// expansion (which places into the new view before it is current) —
+// funnels through here, so the commit protocol cannot drift between
+// them.
+func (t *Table) placeIn(vw *view, k layout.Key, v uint64) bool {
+	i1, i2, n := t.homesIn(vw, k)
+	if !vw.tab1.Occupied(i1) {
+		vw.tab1.InsertAt(i1, k, v)
+		return true
+	}
+	if n == 2 && !vw.tab1.Occupied(i2) {
+		vw.tab1.InsertAt(i2, k, v)
+		return true
+	}
+	if t.placeInGroup(vw, t.groupStart(i1), k, v) {
+		return true
+	}
+	if n == 2 && t.groupStart(i2) != t.groupStart(i1) {
+		return t.placeInGroup(vw, t.groupStart(i2), k, v)
+	}
+	return false
+}
+
+func (t *Table) placeInGroup(vw *view, j uint64, k layout.Key, v uint64) bool {
+	if vw.fp != nil {
+		return t.placeInGroupFP(vw, j, k, v)
+	}
+	for i := j; i < j+t.gsz; i++ {
+		if !vw.tab2.Occupied(i) {
+			vw.tab2.InsertAt(i, k, v)
+			return true
+		}
+	}
+	return false
+}
+
 // Lookup returns the value stored under k, following Algorithm 2:
 // check the level-1 cell, then scan the matching level-2 group. The
 // level-2 scan runs even when the level-1 cell is empty, because an
@@ -72,21 +110,16 @@ func (t *Table) lookupInGroup(vw *view, j uint64, k layout.Key) (uint64, bool) {
 // findInGroup locates the first cell of the level-2 group starting at j
 // that holds k. With the fingerprint sidecar active it screens the
 // group's tag words first and dereferences only candidate cells;
-// otherwise it runs the paper's scan, bounded by the occupancy index
-// when that is on. All group probes — lookup, delete, in-place update —
-// funnel through here, so the two probe strategies cannot drift.
+// otherwise it runs the paper's full-group scan. All group probes —
+// lookup, delete, in-place update — funnel through here, so the two
+// probe strategies cannot drift.
 func (t *Table) findInGroup(vw *view, j uint64, k layout.Key) (uint64, bool) {
 	if vw.fp != nil {
 		return t.findInGroupFP(vw, j, k)
 	}
-	remaining := vw.occupancy(j, t.gsz)
-	for i := uint64(0); i < t.gsz && remaining > 0; i++ {
-		match, occupied := vw.tab2.Probe(j+i, k)
-		if match {
-			return j + i, true
-		}
-		if occupied {
-			remaining--
+	for i := j; i < j+t.gsz; i++ {
+		if vw.tab2.Matches(i, k) {
+			return i, true
 		}
 	}
 	return 0, false
@@ -136,7 +169,6 @@ func (t *Table) removeInGroup(vw *view, j uint64, k layout.Key) bool {
 	}
 	vw.tab2.DeleteAt(i)
 	vw.fpStore(i, 0)
-	vw.noteL2Delete(j, t.gsz)
 	return true
 }
 

@@ -41,14 +41,10 @@ func (t *Table) Recover() (hashtab.RecoveryReport, error) {
 	// Always rewrite the count, like Algorithm 4 (line 19): the scan
 	// result is authoritative.
 	t.setCount(count)
-	if vw.occ != nil {
-		// The crash may have changed which cells are durably occupied;
-		// derived state is rebuilt from the authoritative bitmaps.
-		vw.buildOcc(t.gsz)
-	}
 	if vw.fp != nil {
-		// Same for the fingerprint sidecar: rederive the tags from the
-		// cells the scan just certified.
+		// The crash may have changed which cells are durably occupied;
+		// rederive the sidecar's tags from the cells the scan just
+		// certified.
 		vw.buildFp(t.l)
 	}
 	return rep, nil

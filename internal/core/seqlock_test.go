@@ -30,25 +30,17 @@ func TestConcurrentOptimisticModeSelection(t *testing.T) {
 		t.Fatal("native backend should enable optimistic reads")
 	}
 
-	// Group-occupancy index: its volatile counters are written without
-	// atomics, so optimistic probing must be off.
-	tab2 := mustCreate(t, native.New(1<<20), Options{Cells: 256, GroupSize: 16})
-	tab2.EnableGroupIndex()
-	if c := NewConcurrent(tab2, 0); c.OptimisticReads() {
-		t.Fatal("group index must force the locked read path")
-	}
-
 	// Simulated backend: every read mutates the cache model and clock,
 	// so unlocked reads are never allowed.
 	mem := memsim.New(memsim.Config{Size: 1 << 20, Seed: 1, Geoms: cache.SmallGeometry()})
-	tab3 := mustCreate(t, mem, Options{Cells: 256, GroupSize: 16})
-	if c := NewConcurrent(tab3, 0); c.OptimisticReads() {
+	tab2 := mustCreate(t, mem, Options{Cells: 256, GroupSize: 16})
+	if c := NewConcurrent(tab2, 0); c.OptimisticReads() {
 		t.Fatal("memsim backend must not enable optimistic reads")
 	}
 
 	// Backend without the marker interface: locked path.
-	tab4 := mustCreate(t, lockedOnlyMem{native.New(1 << 20)}, Options{Cells: 256, GroupSize: 16})
-	if c := NewConcurrent(tab4, 0); c.OptimisticReads() {
+	tab3 := mustCreate(t, lockedOnlyMem{native.New(1 << 20)}, Options{Cells: 256, GroupSize: 16})
+	if c := NewConcurrent(tab3, 0); c.OptimisticReads() {
 		t.Fatal("marker-less backend must not enable optimistic reads")
 	}
 }

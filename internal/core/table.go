@@ -111,8 +111,7 @@ const HeaderBytes = hdrWords * layout.WordSize
 
 // view bundles one generation of the table's roots: the cell arrays
 // and the hash functions addressing them, plus the volatile per-view
-// derived state — the per-group occupancy index (occ, nil = off; see
-// groupindex.go) and the 1-byte-per-cell fingerprint sidecar (fp,
+// derived state — the 1-byte-per-cell fingerprint sidecar (fp,
 // nil = off; see fingerprint.go). Expansion builds a complete new view
 // and publishes it with a single atomic pointer swap (mirroring the
 // persistent header-slot flip), so readers always see a matched
@@ -121,7 +120,6 @@ const HeaderBytes = hdrWords * layout.WordSize
 type view struct {
 	h, h2      xhash.Func
 	tab1, tab2 hashtab.Cells
-	occ        []uint32
 	fp         []uint64
 }
 
@@ -155,8 +153,8 @@ type Table struct {
 	// tripling-retry/reclaim path).
 	expandFailures int
 	// countPersists counts setCount calls — persist barriers on the
-	// count word, the hottest word in the table. Batch paths amortise
-	// these (one per batch/stripe-run instead of one per mutation); the
+	// count word, the hottest word in the table. ApplyBatch amortises
+	// these (one per stripe-run instead of one per mutation); the
 	// counter makes the amortisation measurable, since the native
 	// backend's Persist is a hardware no-op the bench could not observe.
 	countPersists atomic.Uint64
@@ -283,7 +281,7 @@ func Open(mem hashtab.Mem, hdr uint64) (*Table, error) {
 	}
 	if t.fpOn = defaultFpOn(mem, t.gsz); t.fpOn {
 		// The sidecar is derived state: rebuild it from the persistent
-		// cells, exactly as the occupancy index is rebuilt on open.
+		// cells.
 		vw.buildFp(l)
 	}
 	t.vp.Store(vw)
@@ -303,6 +301,9 @@ func (t *Table) Name() string {
 
 // TwoChoice reports whether the second hash function is active.
 func (t *Table) TwoChoice() bool { return t.two }
+
+// ValidKey reports whether the table's cell layout can store k.
+func (t *Table) ValidKey(k layout.Key) bool { return t.l.ValidKey(k) }
 
 // homesIn returns the candidate level-1 cells of k under vw: one under
 // the paper's default, two in two-choice mode (§4.4).
@@ -349,7 +350,7 @@ func (t *Table) setCount(n uint64) {
 
 // CountPersists returns the number of count-word persist barriers
 // issued so far (setCount calls). Mutations÷CountPersists is the
-// amortisation the batch paths achieve.
+// amortisation ApplyBatch achieves.
 func (t *Table) CountPersists() uint64 { return t.countPersists.Load() }
 
 // groupStart returns the first cell index of the group containing

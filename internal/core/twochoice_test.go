@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"grouphash/internal/hashtab"
 	"grouphash/internal/layout"
 	"grouphash/internal/native"
 )
@@ -178,216 +177,4 @@ func TestTwoChoiceConcurrentRejected(t *testing.T) {
 		}
 	}()
 	NewConcurrent(tab, 0)
-}
-
-func TestInsertBatch(t *testing.T) {
-	mem := native.New(8 << 20)
-	tab := mustCreate(t, mem, Options{Cells: 512, GroupSize: 32, Seed: 1})
-	items := make([]Item, 300)
-	for i := range items {
-		items[i] = Item{Key: layout.Key{Lo: uint64(i) + 1}, Value: uint64(i) * 2}
-	}
-	placed, err := tab.InsertBatch(items)
-	if err != nil || placed != 300 {
-		t.Fatalf("placed %d, err %v", placed, err)
-	}
-	if tab.Len() != 300 {
-		t.Fatalf("Len = %d", tab.Len())
-	}
-	for i := range items {
-		if v, ok := tab.Lookup(items[i].Key); !ok || v != items[i].Value {
-			t.Fatalf("item %d = (%d, %v)", i, v, ok)
-		}
-	}
-	if bad := tab.CheckConsistency(); len(bad) != 0 {
-		t.Fatalf("inconsistencies: %v", bad)
-	}
-}
-
-func TestInsertBatchZeroKeyStops(t *testing.T) {
-	mem := native.New(1 << 20)
-	tab := mustCreate(t, mem, Options{Cells: 64, GroupSize: 8})
-	placed, err := tab.InsertBatch([]Item{
-		{Key: layout.Key{Lo: 1}, Value: 1},
-		{Key: layout.Key{Lo: 0}, Value: 2}, // invalid
-		{Key: layout.Key{Lo: 3}, Value: 3},
-	})
-	if placed != 1 || err != hashtab.ErrInvalidKey {
-		t.Fatalf("placed %d, err %v", placed, err)
-	}
-	if tab.Len() != 1 {
-		t.Fatalf("Len = %d", tab.Len())
-	}
-}
-
-func TestInsertBatchCheaperThanSingles(t *testing.T) {
-	run := func(batch bool) float64 {
-		mem := simMem(81)
-		tab, err := Create(mem, Options{Cells: 4096, GroupSize: 64, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		items := make([]Item, 1000)
-		for i := range items {
-			items[i] = Item{Key: layout.Key{Lo: uint64(i) + 1}, Value: 1}
-		}
-		t0 := mem.Clock()
-		if batch {
-			if n, err := tab.InsertBatch(items); err != nil || n != 1000 {
-				t.Fatalf("batch: %d, %v", n, err)
-			}
-		} else {
-			for _, it := range items {
-				if err := tab.Insert(it.Key, it.Value); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		return mem.Clock() - t0
-	}
-	single := run(false)
-	batched := run(true)
-	if batched >= single {
-		t.Fatalf("batch (%.0f ns) not cheaper than singles (%.0f ns)", batched, single)
-	}
-	// The saving should be roughly the count persist: ~1/3 of insert cost.
-	if batched > single*0.85 {
-		t.Fatalf("batch saving too small: %.0f vs %.0f", batched, single)
-	}
-}
-
-func TestInsertBatchCrashRecovers(t *testing.T) {
-	mem := simMem(82)
-	tab := mustCreate(t, mem, Options{Cells: 512, GroupSize: 32, Seed: 5})
-	items := make([]Item, 200)
-	for i := range items {
-		items[i] = Item{Key: layout.Key{Lo: uint64(i) + 1}, Value: 1}
-	}
-	// Crash mid-batch: count never updated for the committed prefix.
-	mem.ScheduleShadowCrash(mem.Counters().Accesses+500, 0.5)
-	tab.InsertBatch(items)
-	if !mem.AdoptShadowCrash() {
-		t.Skip("batch too short to reach the crash point")
-	}
-	if _, err := tab.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if bad := tab.CheckConsistency(); len(bad) != 0 {
-		t.Fatalf("inconsistencies: %v", bad)
-	}
-}
-
-func TestGroupIndexCorrectness(t *testing.T) {
-	// Identical op stream with and without the volatile index must
-	// produce identical results.
-	run := func(indexed bool) map[uint64]uint64 {
-		mem := native.New(16 << 20)
-		tab := mustCreate(t, mem, Options{Cells: 1024, GroupSize: 32, Seed: 3})
-		if indexed {
-			tab.EnableGroupIndex()
-			if !tab.GroupIndexEnabled() {
-				t.Fatal("index not enabled")
-			}
-		}
-		rng := rand.New(rand.NewSource(55))
-		state := make(map[uint64]uint64)
-		for op := 0; op < 20000; op++ {
-			key := uint64(rng.Intn(1200)) + 1
-			k := layout.Key{Lo: key}
-			switch rng.Intn(3) {
-			case 0:
-				if _, e := state[key]; !e {
-					if tab.Insert(k, key) == nil {
-						state[key] = key
-					}
-				}
-			case 1:
-				v, ok := tab.Lookup(k)
-				sv, sok := state[key]
-				if ok != sok || (ok && v != sv) {
-					t.Fatalf("indexed=%v op %d: lookup(%d) = (%d,%v) want (%d,%v)",
-						indexed, op, key, v, ok, sv, sok)
-				}
-			case 2:
-				if got := tab.Delete(k); got != (func() bool { _, e := state[key]; return e })() {
-					t.Fatalf("indexed=%v op %d: delete(%d) mismatch", indexed, op, key)
-				}
-				delete(state, key)
-			}
-		}
-		if bad := tab.CheckConsistency(); len(bad) != 0 {
-			t.Fatalf("indexed=%v: %v", indexed, bad)
-		}
-		return state
-	}
-	plain := run(false)
-	indexed := run(true)
-	if len(plain) != len(indexed) {
-		t.Fatalf("final states diverge: %d vs %d items", len(plain), len(indexed))
-	}
-}
-
-func TestGroupIndexSurvivesRecoveryAndExpansion(t *testing.T) {
-	mem := simMem(71)
-	tab := mustCreate(t, mem, Options{Cells: 256, GroupSize: 16, Seed: 4})
-	tab.EnableGroupIndex()
-	for i := uint64(1); i <= 150; i++ {
-		tab.Insert(layout.Key{Lo: i}, i)
-	}
-	mem.Crash(0.5)
-	if _, err := tab.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if !tab.GroupIndexEnabled() {
-		t.Fatal("index dropped by recovery")
-	}
-	for i := uint64(1); i <= 150; i++ {
-		if v, ok := tab.Lookup(layout.Key{Lo: i}); !ok || v != i {
-			t.Fatalf("key %d after recovery: (%d, %v)", i, v, ok)
-		}
-	}
-	if err := tab.Expand(); err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(1); i <= 150; i++ {
-		if _, ok := tab.Lookup(layout.Key{Lo: i}); !ok {
-			t.Fatalf("key %d lost after expansion with index", i)
-		}
-	}
-	// Absent lookups remain correct after all transitions.
-	if _, ok := tab.Lookup(layout.Key{Lo: 99999}); ok {
-		t.Fatal("phantom key")
-	}
-	tab.DisableGroupIndex()
-	if tab.GroupIndexEnabled() {
-		t.Fatal("index not disabled")
-	}
-}
-
-func TestGroupIndexSpeedsUpAbsentLookups(t *testing.T) {
-	// The point of the index: absent-key lookups at high fill stop
-	// after the occupied count instead of scanning the whole group.
-	run := func(indexed bool) float64 {
-		mem := simMem(72)
-		tab, err := Create(mem, Options{Cells: 4096, GroupSize: 256, Seed: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := uint64(1); tab.LoadFactor() < 0.3; i++ {
-			tab.Insert(layout.Key{Lo: i * 7}, i)
-		}
-		if indexed {
-			tab.EnableGroupIndex()
-		}
-		t0 := mem.Clock()
-		for i := uint64(0); i < 500; i++ {
-			tab.Lookup(layout.Key{Lo: 1<<40 + i}) // absent
-		}
-		return mem.Clock() - t0
-	}
-	plain := run(false)
-	indexed := run(true)
-	if indexed >= plain {
-		t.Fatalf("index did not speed up absent lookups: %.0f vs %.0f", indexed, plain)
-	}
 }

@@ -71,24 +71,6 @@ func (c *Cells) Matches(i uint64, k layout.Key) bool {
 	return c.Key(i) == c.L.Canon(k)
 }
 
-// Probe reads cell i's commit word ONCE and classifies it against k:
-// whether the cell holds k, and whether it is occupied at all. Scans
-// that need both answers (bounded group scans) use this instead of
-// Occupied+Matches, which would read the commit word twice.
-func (c *Cells) Probe(i uint64, k layout.Key) (match, occupied bool) {
-	commit := c.Commit(i)
-	if !c.L.Occupied(commit) {
-		return false, false
-	}
-	if !c.L.CommitMatches(commit, k) {
-		return false, true
-	}
-	if c.L.Compact() {
-		return true, true
-	}
-	return c.Key(i) == c.L.Canon(k), true
-}
-
 // WritePayload stores the non-commit words of cell i: the value (and,
 // under the meta layout, the key words). Nothing is published yet.
 func (c *Cells) WritePayload(i uint64, k layout.Key, v uint64) {

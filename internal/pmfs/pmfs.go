@@ -38,10 +38,10 @@
 // guarantee holds either way, but only because the temp file was
 // fully synced BEFORE the rename).
 //
-// The same image format serves both memory backends: Save/Load wrap
-// the simulated machine (cache write-back, latency model), while
-// SaveImage/LoadImage move an Image for callers that manage their own
-// memory — the native backend captures and restores one directly.
+// The same image format serves both memory backends: Capture/Load wrap
+// the simulated machine (cache write-back, latency model), while the
+// native backend captures and restores an Image directly;
+// SaveImage/LoadImage move an Image between memory and a file.
 package pmfs
 
 import (
@@ -247,15 +247,6 @@ func Capture(mem *memsim.Memory) *Image {
 		img.Pages = append(img.Pages, getPage(body[off:min(size, off+PageBytes)]))
 	}
 	return img
-}
-
-// Save writes mem's durable image to path, recording root (the
-// application's persistent root address, e.g. the table header) in the
-// image header.
-func Save(path string, mem *memsim.Memory, root uint64) error {
-	img := Capture(mem)
-	img.Root = root
-	return SaveImage(path, img)
 }
 
 // SaveImage crash-safely writes img to path in format version 3: temp

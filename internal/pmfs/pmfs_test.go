@@ -29,7 +29,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := Save(path, mem, tab.Header()); err != nil {
+	img := Capture(mem)
+	img.Root = tab.Header()
+	if err := SaveImage(path, img); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,7 +71,7 @@ func TestSavePersistsDirtyState(t *testing.T) {
 	path := filepath.Join(dir, "dirty.img")
 	mem := memsim.New(memsim.Config{Size: 1 << 16, Seed: 1, Geoms: cache.SmallGeometry()})
 	mem.Write8(0, 99) // dirty, never explicitly persisted
-	if err := Save(path, mem, 0); err != nil {
+	if err := SaveImage(path, Capture(mem)); err != nil {
 		t.Fatal(err)
 	}
 	mem2, _, err := Load(path, memsim.Config{Seed: 1, Geoms: cache.SmallGeometry()})
@@ -77,7 +79,7 @@ func TestSavePersistsDirtyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if mem2.Read8(0) != 99 {
-		t.Fatal("Save must clean-shutdown first")
+		t.Fatal("Capture must clean-shutdown first")
 	}
 }
 
@@ -123,13 +125,13 @@ func TestSaveIsAtomic(t *testing.T) {
 	path := filepath.Join(dir, "atomic.img")
 	mem := memsim.New(memsim.Config{Size: 1 << 16, Seed: 1, Geoms: cache.SmallGeometry()})
 	mem.Write8(0, 1)
-	if err := Save(path, mem, 0); err != nil {
+	if err := SaveImage(path, Capture(mem)); err != nil {
 		t.Fatal(err)
 	}
 	// A second save over the same path succeeds and leaves no temp
 	// droppings.
 	mem.Write8(0, 2)
-	if err := Save(path, mem, 0); err != nil {
+	if err := SaveImage(path, Capture(mem)); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)

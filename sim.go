@@ -102,17 +102,12 @@ func (s *Sim) CompleteCrash() bool { return s.mem.AdoptShadowCrash() }
 // L3Geometry reports the simulated last-level cache size in bytes.
 func (s *Sim) L3Geometry() uint64 { return s.mem.Hierarchy().Last().Capacity() }
 
-// SaveImage persists the simulated NVM contents to an image file (the
-// PMFS-file analogue; see internal/pmfs). The machine is cleanly shut
-// down first. LoadImage restores the store in a new process.
-func (s *Sim) SaveImage(path string) error {
-	return pmfs.Save(path, s.mem, s.Header())
-}
-
 // LoadImage rebuilds a simulated store from an image file written by
-// SaveImage. The returned store has already been reopened from its
-// persistent root; run Recover if the image could predate a crash
-// (images written by SaveImage are always clean).
+// Snapshot (the PMFS-file analogue; see internal/pmfs), which cleanly
+// shuts the simulated machine down before it copies the region. The
+// returned store has already been reopened from its persistent root;
+// run Recover if the image could predate a crash (images written by
+// Snapshot are always clean).
 func LoadImage(path string, sim SimOptions, concurrent bool) (*Sim, error) {
 	lat := memsim.DefaultLatency()
 	if sim.WriteLatencyNs != 0 {
