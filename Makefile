@@ -118,8 +118,9 @@ bench-workload:
 	$(GO) run ./cmd/ghbench -exp workload -scale default -json BENCH_PR10.json
 
 # The Go-benchmark set bench-baseline/bench-diff track: the substrate
-# microbenchmarks, a random cell access against the bare word read it
-# wraps, the fingerprint-sensitive lookup benchmarks, the
+# microbenchmarks, oplog replay into a growing concurrent store (restart
+# time, in ns/record), a random cell access against the bare word read
+# it wraps, the fingerprint-sensitive lookup benchmarks, the
 # allocation-pinned wire codecs, and the end-to-end acked-write path
 # through the server (no log, a zero-length commit window, the
 # 100µs/64KiB default) plus the batch-frame serving loop. -count 5 so
@@ -127,6 +128,7 @@ bench-workload:
 # allocs/op is tracked alongside ns/op.
 BENCH_TRACKED = { \
 	$(GO) test -run XXX -bench 'BenchmarkSubstrate' -benchtime 0.3s -benchmem -count 5 . && \
+	$(GO) test -run XXX -bench 'BenchmarkReplayOplog' -benchtime 3x -benchmem -count 5 . && \
 	$(GO) test -run XXX -bench 'BenchmarkCellsCommitRandom' -benchtime 0.3s -benchmem -count 5 ./internal/hashtab && \
 	$(GO) test -run XXX -bench 'BenchmarkLookup(Hit|Miss)' -benchtime 0.3s -benchmem -count 5 ./internal/core && \
 	$(GO) test -run XXX -bench 'Benchmark(ReadResponseFixed|WriteResponseFixed|WriteBatchResponses|RequestReaderBatch)' -benchtime 0.3s -benchmem -count 5 ./internal/wire && \

@@ -16,13 +16,17 @@ package grouphash_test
 
 import (
 	"fmt"
+	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"grouphash"
 	"grouphash/internal/core"
 	"grouphash/internal/harness"
 	"grouphash/internal/layout"
 	"grouphash/internal/memsim"
+	"grouphash/internal/oplog"
 	"grouphash/internal/trace"
 	"grouphash/internal/wal"
 )
@@ -463,6 +467,55 @@ func runAbsentLookups(b *testing.B, filtered bool) float64 {
 		tab.Lookup(layout.Key{Lo: 1<<40 + uint64(i)})
 	}
 	return (mem.Clock() - t0) / float64(n)
+}
+
+// BenchmarkReplayOplog measures restart time: replaying an operation
+// log into an empty concurrent store, which grows by online expansion
+// as it goes. The log is 2^20 fresh-key puts shaped as a batch-insert
+// server writes them — two tenants' keys, appended 256 records at a
+// time — and each iteration replays it into a fresh store of capacity
+// 2^16 on a collected heap, then settles it with an empty Quiesce.
+func BenchmarkReplayOplog(b *testing.B) {
+	const records, batch = 1 << 20, 256
+	base := filepath.Join(b.TempDir(), "oplog")
+	lg, err := oplog.OpenConfig(base, 1, oplog.Config{SyncEvery: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := make([]oplog.Record, batch)
+	for n := 0; n < records; n += batch {
+		tenant, id := n/batch%2, uint64(n/batch/2*batch+1)
+		for i := range recs {
+			k := trace.MixKey(tenant, id+uint64(i), 0)
+			recs[i] = oplog.Record{BatchOp: grouphash.BatchOp{Kind: grouphash.BatchPut, Key: k, Value: k.Lo}}
+		}
+		lg.AppendBatch(recs)
+	}
+	if err := lg.WaitDurable(lg.LastLSN()); err != nil {
+		b.Fatal(err)
+	}
+	if err := lg.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		st, err := grouphash.New(grouphash.Options{Capacity: 1 << 16, Concurrent: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		applied, _, err := st.ReplayOplog(base, 0)
+		if err != nil || applied != records {
+			b.Fatalf("replayed %d of %d records: %v", applied, records, err)
+		}
+		st.Quiesce(func() {})
+		if st.Len() != records {
+			b.Fatalf("replayed store holds %d items, want %d", st.Len(), records)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 }
 
 // BenchmarkNativeStore measures real Go-level throughput of the public

@@ -322,7 +322,7 @@ func crashMidReplay(spec engine.Spec, img, base string, logf func(string, ...any
 	if err != nil {
 		return fmt.Errorf("loading image: %w", err)
 	}
-	_, total, err := oplog.Scan(base, rec.Mark, func(oplog.Record) error { return nil })
+	_, total, err := oplog.Scan(base, rec.Mark, func(*oplog.Record) error { return nil })
 	if err != nil || total < 2 {
 		return err
 	}

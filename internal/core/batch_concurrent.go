@@ -172,10 +172,13 @@ func (c *Concurrent) Apply(op BatchOp) BatchResult {
 // lock, the route to the migrated or current view, the cell commits,
 // one count persist and the commit hook. The indices handed to
 // committed are gathered in sc, which may be nil when committed is.
+// The run's filtered probes are tallied on the stack and published
+// once, after the last unlock.
 func (c *Concurrent) applyRun(ops []BatchOp, out []BatchResult, sc *BatchScratch, si int, run []int32, committed func(applied []int)) {
 	s := &c.stripes[si]
 	noRoom := false // a failed awaitRoom: full-group ops now fail for good
 	placed := false // some op inserted: the load factor may have crossed
+	var tl fpTally
 	i := 0
 	for i < len(run) {
 		s.lock()
@@ -191,7 +194,7 @@ func (c *Concurrent) applyRun(ops []BatchOp, out []BatchResult, sc *BatchScratch
 			op := &ops[idx]
 			switch op.Kind {
 			case BatchPut:
-				if c.t.updateIn(vw, op.Key, op.Value) {
+				if c.t.updateIn(vw, op.Key, op.Value, &tl) {
 					out[idx].Found = true
 					break
 				}
@@ -209,7 +212,7 @@ func (c *Concurrent) applyRun(ops []BatchOp, out []BatchResult, sc *BatchScratch
 				delta++
 				placed = true
 			case BatchDelete:
-				if !c.t.removeIn(vw, op.Key) {
+				if !c.t.removeIn(vw, op.Key, &tl) {
 					continue // absent: nothing applied
 				}
 				out[idx].Found = true
@@ -239,6 +242,7 @@ func (c *Concurrent) applyRun(ops []BatchOp, out []BatchResult, sc *BatchScratch
 			}
 		}
 	}
+	c.t.publishTally(&tl)
 	if placed {
 		c.maybeTriggerExpand()
 	}

@@ -185,8 +185,12 @@ func (s *stripe) unlock() {
 // stripe under its lock and the root flip happens with every stripe
 // held, so any probe that raced either one fails version validation
 // and retries.
+//
+// The filter counters see every attempt's group scans, retries
+// included, published once when the lookup returns.
 func (c *Concurrent) Lookup(k layout.Key) (uint64, bool) {
 	s, si := c.stripeFor(k)
+	var tl fpTally
 	if c.optimistic {
 		for try := 0; try < seqlockRetries; try++ {
 			v1 := s.seq.Load()
@@ -195,15 +199,18 @@ func (c *Concurrent) Lookup(k layout.Key) (uint64, bool) {
 				runtime.Gosched()
 				continue
 			}
-			v, ok := c.t.lookupIn(c.routeView(si), k)
+			v, ok := c.t.lookupIn(c.routeView(si), k, &tl)
 			if s.seq.Load() == v1 {
+				c.t.publishTally(&tl)
 				return v, ok
 			}
 		}
 	}
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return c.t.lookupIn(c.routeView(si), k)
+	v, ok := c.t.lookupIn(c.routeView(si), k, &tl)
+	s.mu.RUnlock()
+	c.t.publishTally(&tl)
+	return v, ok
 }
 
 func (c *Concurrent) bumpCount(delta int64) {

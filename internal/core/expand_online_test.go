@@ -551,7 +551,7 @@ func TestOnlineExpansionStaleViewReadsZeros(t *testing.T) {
 		t.Fatal("expansion did not replace the view")
 	}
 	for i := uint64(1); i <= n; i++ {
-		if v, ok := tab.lookupIn(stale, layout.Key{Lo: i}); ok {
+		if v, ok := tab.lookupIn(stale, layout.Key{Lo: i}, &fpTally{}); ok {
 			t.Fatalf("stale view still finds key %d (value %d) after the flip freed it", i, v)
 		}
 		if v, ok := c.Lookup(layout.Key{Lo: i}); !ok || v != i {

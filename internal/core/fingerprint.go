@@ -146,16 +146,37 @@ func (t *Table) FingerprintsEnabled() bool { return t.cur().fp != nil }
 // the probe key (true match or 1-in-255 false positive), skips the
 // number of cells the filter screened out without touching persistent
 // memory. Both accumulate across every filtered group scan — lookups,
-// deletes and in-place updates.
+// deletes and in-place updates. A scan's cells are counted once its
+// caller publishes (see fpTally).
 func (t *Table) FingerprintStats() (hits, skips uint64) {
 	return t.fpHits.Load(), t.fpSkips.Load()
+}
+
+// fpTally is one caller's share of the filter counters: the cells its
+// filtered group scans dereferenced and screened out. A probe adds to
+// a tally on its caller's stack, and the caller publishes it once —
+// per sequential call, per concurrent lookup (retries included), per
+// stripe-run — so a probe writes no cache line another core reads.
+type fpTally struct{ hits, skips uint64 }
+
+// publishTally adds tl to the table's counters. A zero tally, what a
+// level-1 hit or an unfiltered table leaves, writes nothing.
+func (t *Table) publishTally(tl *fpTally) {
+	if tl.hits != 0 {
+		t.fpHits.Add(tl.hits)
+	}
+	if tl.skips != 0 {
+		t.fpSkips.Add(tl.skips)
+	}
 }
 
 // findInGroupFP is the filtered group scan: screen the group's tag
 // words against k's broadcast tag and dereference only agreeing cells,
 // in ascending cell order (preserving the unfiltered scan's first-match
-// semantics for duplicate keys). Returns the matching cell index.
-func (t *Table) findInGroupFP(vw *view, j uint64, k layout.Key) (uint64, bool) {
+// semantics for duplicate keys). Returns the matching cell index, and
+// adds the cells it dereferenced and screened out up to the match (or
+// across the whole group) to tl.
+func (t *Table) findInGroupFP(vw *view, j uint64, k layout.Key, tl *fpTally) (uint64, bool) {
 	pat := fpBroadcast(t.fpTag(k))
 	var derefs uint64
 	for w, end := j>>3, (j+t.gsz)>>3; w < end; w++ {
@@ -164,15 +185,14 @@ func (t *Table) findInGroupFP(vw *view, j uint64, k layout.Key) (uint64, bool) {
 			i := w<<3 + uint64(bits.TrailingZeros64(m)>>3)
 			derefs++
 			if vw.tab2.Matches(i, k) {
-				scanned := i - j + 1
-				t.fpHits.Add(derefs)
-				t.fpSkips.Add(scanned - derefs)
+				tl.hits += derefs
+				tl.skips += i - j + 1 - derefs
 				return i, true
 			}
 		}
 	}
-	t.fpHits.Add(derefs)
-	t.fpSkips.Add(t.gsz - derefs)
+	tl.hits += derefs
+	tl.skips += t.gsz - derefs
 	return 0, false
 }
 

@@ -257,9 +257,10 @@ func TestFingerprintDuplicateFirstMatch(t *testing.T) {
 		t.Fatal("setup placements failed")
 	}
 
-	iFP, okFP := tab.findInGroup(vw, j, k)
+	var tl fpTally
+	iFP, okFP := tab.findInGroup(vw, j, k, &tl)
 	tab.DisableFingerprints()
-	iPlain, okPlain := tab.findInGroup(vw, j, k)
+	iPlain, okPlain := tab.findInGroup(vw, j, k, &tl)
 	if !okFP || !okPlain || iFP != iPlain {
 		t.Fatalf("scan order diverged: fp=(%d,%v) plain=(%d,%v)", iFP, okFP, iPlain, okPlain)
 	}
@@ -269,10 +270,10 @@ func TestFingerprintDuplicateFirstMatch(t *testing.T) {
 
 	tab.EnableFingerprints()
 	vw = tab.cur()
-	if !tab.removeInGroup(vw, j, k) {
+	if !tab.removeInGroup(vw, j, k, &tl) {
 		t.Fatal("delete missed")
 	}
-	i2, ok := tab.findInGroup(vw, j, k)
+	i2, ok := tab.findInGroup(vw, j, k, &tl)
 	if !ok || vw.tab2.Value(i2) != 200 {
 		t.Fatal("second copy not found after deleting the first")
 	}

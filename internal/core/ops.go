@@ -77,13 +77,17 @@ func (t *Table) placeInGroup(vw *view, j uint64, k layout.Key, v uint64) bool {
 // item placed in level 2 stays there if its level-1 home is later
 // deleted. Two-choice mode checks both candidate cells and groups.
 func (t *Table) Lookup(k layout.Key) (uint64, bool) {
-	return t.lookupIn(t.cur(), k)
+	var tl fpTally
+	v, ok := t.lookupIn(t.cur(), k, &tl)
+	t.publishTally(&tl)
+	return v, ok
 }
 
-// lookupIn runs Algorithm 2 against one view. The concurrent wrapper
-// uses it directly to probe the NEW arrays of an in-flight expansion
-// for stripes whose migration has completed.
-func (t *Table) lookupIn(vw *view, k layout.Key) (uint64, bool) {
+// lookupIn runs Algorithm 2 against one view, tallying its filtered
+// group scans in tl. The concurrent wrapper uses it directly to probe
+// the NEW arrays of an in-flight expansion for stripes whose migration
+// has completed.
+func (t *Table) lookupIn(vw *view, k layout.Key, tl *fpTally) (uint64, bool) {
 	i1, i2, n := t.homesIn(vw, k)
 	if vw.tab1.Matches(i1, k) {
 		return vw.tab1.Value(i1), true
@@ -91,17 +95,17 @@ func (t *Table) lookupIn(vw *view, k layout.Key) (uint64, bool) {
 	if n == 2 && vw.tab1.Matches(i2, k) {
 		return vw.tab1.Value(i2), true
 	}
-	if v, ok := t.lookupInGroup(vw, t.groupStart(i1), k); ok {
+	if v, ok := t.lookupInGroup(vw, t.groupStart(i1), k, tl); ok {
 		return v, true
 	}
 	if n == 2 && t.groupStart(i2) != t.groupStart(i1) {
-		return t.lookupInGroup(vw, t.groupStart(i2), k)
+		return t.lookupInGroup(vw, t.groupStart(i2), k, tl)
 	}
 	return 0, false
 }
 
-func (t *Table) lookupInGroup(vw *view, j uint64, k layout.Key) (uint64, bool) {
-	if i, ok := t.findInGroup(vw, j, k); ok {
+func (t *Table) lookupInGroup(vw *view, j uint64, k layout.Key, tl *fpTally) (uint64, bool) {
+	if i, ok := t.findInGroup(vw, j, k, tl); ok {
 		return vw.tab2.Value(i), true
 	}
 	return 0, false
@@ -112,10 +116,10 @@ func (t *Table) lookupInGroup(vw *view, j uint64, k layout.Key) (uint64, bool) {
 // group's tag words first and dereferences only candidate cells;
 // otherwise it runs the paper's full-group scan. All group probes —
 // lookup, delete, in-place update — funnel through here, so the two
-// probe strategies cannot drift.
-func (t *Table) findInGroup(vw *view, j uint64, k layout.Key) (uint64, bool) {
+// probe strategies cannot drift. The filtered scan's work goes to tl.
+func (t *Table) findInGroup(vw *view, j uint64, k layout.Key, tl *fpTally) (uint64, bool) {
 	if vw.fp != nil {
-		return t.findInGroupFP(vw, j, k)
+		return t.findInGroupFP(vw, j, k, tl)
 	}
 	for i := j; i < j+t.gsz; i++ {
 		if vw.tab2.Matches(i, k) {
@@ -131,7 +135,10 @@ func (t *Table) findInGroup(vw *view, j uint64, k layout.Key) (uint64, bool) {
 // and a crash between the two steps leaves only a stale payload behind
 // a zero bitmap for Recover to scrub (§3.4's ordering argument).
 func (t *Table) Delete(k layout.Key) bool {
-	if !t.removeIn(t.cur(), k) {
+	var tl fpTally
+	found := t.removeIn(t.cur(), k, &tl)
+	t.publishTally(&tl)
+	if !found {
 		return false
 	}
 	t.setCount(t.Len() - 1)
@@ -142,8 +149,9 @@ func (t *Table) Delete(k layout.Key) bool {
 // payload) against one view, without the count update, reporting
 // whether the key was found. It is the deletion twin of placeIn and the
 // single implementation both Table.Delete and the concurrent applyRun
-// build on, so the sequential and concurrent paths cannot drift.
-func (t *Table) removeIn(vw *view, k layout.Key) bool {
+// build on, so the sequential and concurrent paths cannot drift. Its
+// filtered group scans are tallied in tl.
+func (t *Table) removeIn(vw *view, k layout.Key, tl *fpTally) bool {
 	i1, i2, n := t.homesIn(vw, k)
 	if vw.tab1.Matches(i1, k) {
 		vw.tab1.DeleteAt(i1)
@@ -153,17 +161,17 @@ func (t *Table) removeIn(vw *view, k layout.Key) bool {
 		vw.tab1.DeleteAt(i2)
 		return true
 	}
-	if t.removeInGroup(vw, t.groupStart(i1), k) {
+	if t.removeInGroup(vw, t.groupStart(i1), k, tl) {
 		return true
 	}
 	if n == 2 && t.groupStart(i2) != t.groupStart(i1) {
-		return t.removeInGroup(vw, t.groupStart(i2), k)
+		return t.removeInGroup(vw, t.groupStart(i2), k, tl)
 	}
 	return false
 }
 
-func (t *Table) removeInGroup(vw *view, j uint64, k layout.Key) bool {
-	i, ok := t.findInGroup(vw, j, k)
+func (t *Table) removeInGroup(vw *view, j uint64, k layout.Key, tl *fpTally) bool {
+	i, ok := t.findInGroup(vw, j, k, tl)
 	if !ok {
 		return false
 	}
@@ -178,12 +186,16 @@ func (t *Table) removeInGroup(vw *view, j uint64, k layout.Key) bool {
 // consistent. Returns false if the key is absent. (Extension beyond the
 // paper, which only defines insert/query/delete.)
 func (t *Table) Update(k layout.Key, v uint64) bool {
-	return t.updateIn(t.cur(), k, v)
+	var tl fpTally
+	ok := t.updateIn(t.cur(), k, v, &tl)
+	t.publishTally(&tl)
+	return ok
 }
 
-// updateIn is Update against one view.
-func (t *Table) updateIn(vw *view, k layout.Key, v uint64) bool {
-	if cells, idx, ok := t.locateIn(vw, k); ok {
+// updateIn is Update against one view, tallying its filtered group
+// scans in tl.
+func (t *Table) updateIn(vw *view, k layout.Key, v uint64, tl *fpTally) bool {
+	if cells, idx, ok := t.locateIn(vw, k, tl); ok {
 		addr := t.l.ValOff(cells.Addr(idx))
 		t.mem.AtomicWrite8(addr, v)
 		t.mem.Persist(addr, layout.WordSize)
@@ -193,7 +205,7 @@ func (t *Table) updateIn(vw *view, k layout.Key, v uint64) bool {
 }
 
 // locateIn finds the cell currently holding k under vw.
-func (t *Table) locateIn(vw *view, k layout.Key) (*hashtab.Cells, uint64, bool) {
+func (t *Table) locateIn(vw *view, k layout.Key, tl *fpTally) (*hashtab.Cells, uint64, bool) {
 	i1, i2, n := t.homesIn(vw, k)
 	if vw.tab1.Matches(i1, k) {
 		return &vw.tab1, i1, true
@@ -202,7 +214,7 @@ func (t *Table) locateIn(vw *view, k layout.Key) (*hashtab.Cells, uint64, bool) 
 		return &vw.tab1, i2, true
 	}
 	for _, j := range [2]uint64{t.groupStart(i1), t.groupStart(i2)} {
-		if i, ok := t.findInGroup(vw, j, k); ok {
+		if i, ok := t.findInGroup(vw, j, k, tl); ok {
 			return &vw.tab2, i, true
 		}
 		if n != 2 || t.groupStart(i2) == t.groupStart(i1) {

@@ -140,10 +140,6 @@ type Table struct {
 	// (fingerprint.go). Set by default on ConcurrentReader backends at
 	// Create/Open, toggled by Enable/DisableFingerprints.
 	fpOn bool
-	// fpHits / fpSkips count cells dereferenced on a tag match and
-	// cells screened out by the filter, across all filtered group
-	// scans. Exposed via FingerprintStats for the stats registry.
-	fpHits, fpSkips atomic.Uint64
 	// rehashWorkers overrides the worker count of rehashInto's parallel
 	// migration: 0 = auto (GOMAXPROCS on eligible backends), 1 = force
 	// sequential, n > 1 = force an n-worker pool. See SetRehashWorkers.
@@ -152,12 +148,25 @@ type Table struct {
 	// and the online fallback's — to fail (test hook for the
 	// tripling-retry/reclaim path).
 	expandFailures int
+
+	// The counters below are the only fields the table writes while it
+	// serves ops; every op reads the fields above. The pads keep the
+	// counters on a cache line of their own, so a writer publishing a
+	// tally does not evict the line every other core's next op reads
+	// (TestTableCountersOwnCacheLine).
+	_ [64]byte
+	// fpHits / fpSkips count cells dereferenced on a tag match and
+	// cells screened out by the filter, across all filtered group
+	// scans. Probes add to a caller-owned fpTally; publishTally moves it
+	// here. Exposed via FingerprintStats for the stats registry.
+	fpHits, fpSkips atomic.Uint64
 	// countPersists counts setCount calls — persist barriers on the
 	// count word, the hottest word in the table. ApplyBatch amortises
 	// these (one per stripe-run instead of one per mutation); the
 	// counter makes the amortisation measurable, since the native
 	// backend's Persist is a hardware no-op the bench could not observe.
 	countPersists atomic.Uint64
+	_             [64]byte
 }
 
 // cur returns the current view. Callers load it once per operation so

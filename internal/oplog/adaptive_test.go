@@ -328,7 +328,7 @@ func TestCloseRacesAppendAndWaitDurable(t *testing.T) {
 	}
 	close(ackedCh)
 	onDisk := make(map[uint64]bool)
-	if _, _, err := Scan(b, 0, func(r Record) error {
+	if _, _, err := Scan(b, 0, func(r *Record) error {
 		onDisk[r.LSN] = true
 		return nil
 	}); err != nil {

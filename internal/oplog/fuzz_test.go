@@ -77,7 +77,7 @@ func FuzzOplogScan(f *testing.F) {
 		}
 		after := uint64(after16)
 		var lsns []uint64
-		next, replayed, err := Scan(base, after, func(r Record) error {
+		next, replayed, err := Scan(base, after, func(r *Record) error {
 			lsns = append(lsns, r.LSN)
 			return nil
 		})
@@ -127,8 +127,8 @@ func FuzzOplogScan(f *testing.F) {
 			t.Fatal(err)
 		}
 		var got []Record
-		_, n, err := Scan(tornBase, 0, func(r Record) error {
-			got = append(got, r)
+		_, n, err := Scan(tornBase, 0, func(r *Record) error {
+			got = append(got, *r)
 			return nil
 		})
 		if err != nil {

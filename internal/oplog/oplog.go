@@ -565,26 +565,27 @@ func appendRecord(buf []byte, r Record) []byte {
 	return buf
 }
 
-// parseRecord decodes and validates one record.
-func parseRecord(b []byte) (Record, bool) {
+// parseRecord validates one record and decodes it into r, reporting
+// whether it was valid; an invalid record leaves r as it was. Decoding
+// in place writes each field once, where a 40-byte Record returned by
+// value would be assembled in a stack slot and copied out with loads
+// that span its narrower stores (DESIGN §5.4).
+func parseRecord(b []byte, r *Record) bool {
 	if len(b) < RecordLen {
-		return Record{}, false
+		return false
 	}
 	if binary.LittleEndian.Uint32(b[36:40]) != crc32.Checksum(b[:36], crcTable) {
-		return Record{}, false
+		return false
 	}
-	r := Record{
-		LSN: binary.LittleEndian.Uint64(b[0:8]),
-		BatchOp: core.BatchOp{
-			Kind:  core.BatchKind(b[32]),
-			Key:   layout.Key{Lo: binary.LittleEndian.Uint64(b[8:16]), Hi: binary.LittleEndian.Uint64(b[16:24])},
-			Value: binary.LittleEndian.Uint64(b[24:32]),
-		},
+	kind := core.BatchKind(b[32])
+	if kind < core.BatchPut || kind > core.BatchDelete {
+		return false
 	}
-	if r.Kind < core.BatchPut || r.Kind > core.BatchDelete {
-		return Record{}, false
-	}
-	return r, true
+	r.LSN = binary.LittleEndian.Uint64(b[0:8])
+	r.Kind = kind
+	r.Key = layout.Key{Lo: binary.LittleEndian.Uint64(b[8:16]), Hi: binary.LittleEndian.Uint64(b[16:24])}
+	r.Value = binary.LittleEndian.Uint64(b[24:32])
+	return true
 }
 
 // flushLocked writes the staged buffer to the active segment and, when
@@ -848,14 +849,16 @@ func (l *Log) Abort() {
 const scanBufLen = 1 << 20
 
 // Scan replays the log based at base: every valid record with LSN >
-// after is passed to fn, in LSN order. It stops at the first torn or
+// after is passed to fn, in LSN order. The *Record is decoded in place
+// and overwritten by the next record, so fn must copy what it keeps
+// and not retain the pointer. It stops at the first torn or
 // out-of-sequence record of a segment (records past it were never
 // acked — see the package comment) and continues with the next
 // segment. Scan never writes, so a crash during replay is recovered by
 // simply scanning again. It returns the LSN one past the highest
 // observed (the nextLSN a subsequent OpenConfig should use) and the
 // number of records passed to fn.
-func Scan(base string, after uint64, fn func(Record) error) (next uint64, replayed int, err error) {
+func Scan(base string, after uint64, fn func(*Record) error) (next uint64, replayed int, err error) {
 	segs, err := listSegments(base)
 	if err != nil {
 		return 1, 0, err
@@ -893,8 +896,9 @@ func Scan(base string, after uint64, fn func(Record) error) (next uint64, replay
 // scanSegment replays one segment's records, read through buf and
 // expecting the first LSN to be expected; returns the next expected LSN
 // after the segment. A record may straddle two reads: its head is
-// carried to the front of buf before the next read.
-func scanSegment(path string, buf []byte, expected, after uint64, fn func(Record) error) (uint64, int, error) {
+// carried to the front of buf before the next read. Every record is
+// decoded into the one Record scanSegment owns.
+func scanSegment(path string, buf []byte, expected, after uint64, fn func(*Record) error) (uint64, int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return expected, 0, fmt.Errorf("oplog: reading segment: %w", err)
@@ -903,21 +907,21 @@ func scanSegment(path string, buf []byte, expected, after uint64, fn func(Record
 	if _, err := f.Seek(SegHeaderLen, io.SeekStart); err != nil {
 		return expected, 0, fmt.Errorf("oplog: reading segment: %w", err)
 	}
+	var rec Record
 	count, have := 0, 0
 	for {
 		n, rerr := io.ReadFull(f, buf[have:])
 		have += n
 		off := 0
 		for ; off+RecordLen <= have; off += RecordLen {
-			rec, ok := parseRecord(buf[off : off+RecordLen])
-			if !ok || rec.LSN != expected {
+			if !parseRecord(buf[off:off+RecordLen], &rec) || rec.LSN != expected {
 				// Torn or out-of-sequence tail: everything from here on
 				// was never covered by an acked fsync.
 				return expected, count, nil
 			}
 			expected++
 			if rec.LSN > after {
-				if err := fn(rec); err != nil {
+				if err := fn(&rec); err != nil {
 					return expected, count, err
 				}
 				count++

@@ -27,8 +27,8 @@ func appendOne(l *Log, kind core.BatchKind, k layout.Key, v uint64) uint64 {
 // collect replays base after the given LSN into a slice.
 func collect(t *testing.T, b string, after uint64) (recs []Record, next uint64) {
 	t.Helper()
-	next, _, err := Scan(b, after, func(r Record) error {
-		recs = append(recs, r)
+	next, _, err := Scan(b, after, func(r *Record) error {
+		recs = append(recs, *r)
 		return nil
 	})
 	if err != nil {
@@ -172,7 +172,7 @@ func TestScanIsIdempotentAndReadOnly(t *testing.T) {
 	// (one abandoned half-way) must see identical records.
 	half := 0
 	stop := fmt.Errorf("simulated crash mid-replay")
-	if _, _, err := Scan(b, 0, func(r Record) error {
+	if _, _, err := Scan(b, 0, func(*Record) error {
 		half++
 		if half == 16 {
 			return stop

@@ -140,7 +140,7 @@ func Replay(a Applier, base string, after uint64) (applied int, next uint64, err
 		}()
 	}
 	stopped := false
-	next, _, err = Scan(base, after, func(r Record) error {
+	next, _, err = Scan(base, after, func(r *Record) error {
 		if stopped {
 			return nil // scan on only to find where the log ends
 		}

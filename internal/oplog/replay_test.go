@@ -262,11 +262,11 @@ func TestScanStreamsSegment(t *testing.T) {
 	}
 
 	lsn := uint64(1)
-	next, replayed, err := Scan(b, 0, func(r Record) error {
+	next, replayed, err := Scan(b, 0, func(r *Record) error {
 		want := recs[lsn-1]
 		want.LSN = lsn
-		if r != want {
-			return fmt.Errorf("record %+v, want %+v", r, want)
+		if *r != want {
+			return fmt.Errorf("record %+v, want %+v", *r, want)
 		}
 		lsn++
 		return nil
@@ -277,7 +277,7 @@ func TestScanStreamsSegment(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, _, err := Scan(b, 0, func(Record) error { return nil }); err != nil {
+	if _, _, err := Scan(b, 0, func(*Record) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

@@ -696,7 +696,7 @@ func TestGroupCommitFailureFanOutServer(t *testing.T) {
 	}
 	oplog.SetTestFsyncErr(nil)
 	onDisk := make(map[uint64]bool)
-	if _, _, err := oplog.Scan(base, 0, func(r oplog.Record) error {
+	if _, _, err := oplog.Scan(base, 0, func(r *oplog.Record) error {
 		onDisk[r.Key.Lo] = true
 		return nil
 	}); err != nil {
