@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-json bench-engines bench-workload bench-baseline bench-diff bench-allocs race torture fuzz fuzz-smoke chaos-smoke soak cover serve-smoke figures figures-paper examples clean
+.PHONY: all build test vet bench bench-json bench-engines bench-workload bench-baseline bench-diff bench-allocs race torture fuzz fuzz-smoke chaos-smoke soak cover serve-smoke deadcode figures figures-paper examples clean
 
 all: build vet test
 
@@ -20,7 +20,7 @@ vet:
 # log, whose committer goroutine runs behind every log, and ghbench's
 # serving cell, whose driver keeps bursts in flight on two goroutines.
 # The façade's property oracle runs under it as well: it races per-op
-# Put/Insert/Delete against ApplyBatch bursts, MGet and Quiesce, which
+# Put/Insert/Delete and Get sweeps against ApplyBatch bursts and Quiesce, which
 # share one critical section. The crash torture runs under the race
 # detector too, since it cuts power under all of them.
 # perfbench is its own module, so ./... never builds it, yet it embeds
@@ -220,6 +220,14 @@ cover:
 		awk -v p="$$pct" -v f="$$floor" 'BEGIN { exit (p+0 >= f+0) ? 0 : 1 }' \
 			|| { echo "cover: $$pkg below its $$floor% floor"; exit 1; }; \
 	done
+
+# deadcode lists the functions no product binary links (cmd/*,
+# examples/* and perfbench, built without inlining), marking each
+# test-only or unreached, with totals. A report, not a gate, and not
+# part of test: a cold run rebuilds the standard library without
+# inlining.
+deadcode:
+	$(GO) run ./cmd/ghdeadcode
 
 # Regenerate every table and figure of the paper at laptop scale,
 # with CSV data under ./figures/.

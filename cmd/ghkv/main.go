@@ -41,7 +41,7 @@ func main() {
 	var sim *grouphash.Sim
 	var err error
 	if *image != "" {
-		sim, err = grouphash.LoadImage(*image, grouphash.SimOptions{Seed: 42}, false)
+		sim, err = grouphash.LoadImage(*image, grouphash.SimOptions{Seed: 42})
 		if err == nil {
 			fmt.Printf("resumed %d items from %s\n", sim.Len(), *image)
 		}

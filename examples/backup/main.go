@@ -58,7 +58,7 @@ func main() {
 	fmt.Printf("process 1: saved %s (%d KB)\n", filepath.Base(image), info.Size()>>10)
 
 	// Process 2: a brand-new machine loads the image and verifies it.
-	re, err := grouphash.LoadImage(image, grouphash.SimOptions{Seed: 99}, false)
+	re, err := grouphash.LoadImage(image, grouphash.SimOptions{Seed: 99})
 	if err != nil {
 		log.Fatal(err)
 	}

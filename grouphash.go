@@ -307,21 +307,6 @@ func (s *Store) apply(op BatchOp) BatchResult {
 	panic("grouphash: ApplyBatch: unknown BatchKind")
 }
 
-// MGet looks up many keys in one call, filling the caller's parallel
-// slices: vals[i] holds the value iff found[i] (both must be len(keys);
-// panics otherwise). Reads take the same seqlock-validated path as Get
-// — no locks, racing writers simply force the odd retry — so MGet is
-// the bulk read to pair with ApplyBatch's bulk writes, and allocates
-// nothing.
-func (s *Store) MGet(keys []Key, vals []uint64, found []bool) {
-	if len(keys) != len(vals) || len(keys) != len(found) {
-		panic("grouphash: MGet len(keys) != len(vals) or len(found)")
-	}
-	for i := range keys {
-		vals[i], found[i] = s.Get(keys[i])
-	}
-}
-
 // Get returns the value stored under k.
 func (s *Store) Get(k Key) (uint64, bool) {
 	if s.conc != nil {
@@ -422,7 +407,7 @@ func (s *Store) Quiesce(fn func()) {
 // pmfs image file at path, with oplog mark 0: writers are quiesced,
 // the live pages are copied, and the copy is written crash-safely
 // (temp file + fsync + rename + directory fsync). The resulting file
-// reopens with LoadSnapshot, or with LoadImage as a simulated store.
+// reopens with LoadSnapshotMark, or with LoadImage as a simulated store.
 // Supported for native-backed stores (the default) and simulated
 // stores, whose machine is cleanly shut down first; other Memory
 // implementations return an error.
@@ -474,21 +459,13 @@ func (s *Store) SnapshotWriterAt(cut func() (uint64, error)) (func(path string) 
 	return func(path string) error { return pmfs.SaveImage(path, img) }, nil
 }
 
-// LoadSnapshot rebuilds a store from an image file written by
-// Snapshot, over a fresh native memory that frees the image's freed
-// ranges again, so it holds the same pages as the store that wrote
-// it. Images are only ever written from a quiesced table, so no
-// recovery pass is needed; the store is immediately serviceable.
-func LoadSnapshot(path string, concurrent bool) (*Store, error) {
-	s, _, err := LoadSnapshotMark(path, concurrent)
-	return s, err
-}
-
-// LoadSnapshotMark is LoadSnapshot plus the image's oplog mark: the
-// LSN of the last operation-log record the image covers. Recovery
-// replays the oplog from just past the mark (Store.ReplayOplog) to
-// reconstruct every acked write the image itself missed.
-func LoadSnapshotMark(path string, concurrent bool) (*Store, uint64, error) {
+// LoadSnapshotMark rebuilds a concurrent store from an image file that
+// Snapshot or SnapshotWriterAt wrote, over a fresh native memory that
+// frees the image's freed ranges again. Images are written from a
+// quiesced table, so no recovery pass is needed. It also returns the
+// image's oplog mark, the LSN of the last log record the image covers:
+// recovery replays the oplog past it (Store.ReplayOplog).
+func LoadSnapshotMark(path string) (*Store, uint64, error) {
 	img, err := pmfs.LoadImage(path)
 	if err != nil {
 		return nil, 0, err
@@ -501,7 +478,7 @@ func LoadSnapshotMark(path string, concurrent bool) (*Store, uint64, error) {
 	}
 	mem := native.New(0)
 	mem.Restore(img)
-	s, err := Open(mem, img.Root, concurrent)
+	s, err := Open(mem, img.Root, true)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -329,8 +329,9 @@ func TestSimulatedCountersAdvance(t *testing.T) {
 	if sim.ClockNs() <= 0 {
 		t.Fatal("clock did not advance")
 	}
-	if sim.L3Geometry() != 15<<20 {
-		t.Fatalf("L3 = %d, want the paper's 15 MB", sim.L3Geometry())
+	levels := sim.mem.Hierarchy().Levels()
+	if l3 := levels[len(levels)-1].Capacity(); l3 != 15<<20 {
+		t.Fatalf("L3 = %d, want the paper's 15 MB", l3)
 	}
 }
 
@@ -361,7 +362,7 @@ func TestOpenAfterCleanShutdown(t *testing.T) {
 		sim.Put(Key{Lo: i}, i*3)
 	}
 	hdr := sim.Header()
-	sim.CleanShutdown()
+	sim.mem.CleanShutdown()
 
 	st, err := Open(sim.mem, hdr, false)
 	if err != nil {
@@ -443,7 +444,7 @@ func TestSimScheduledCrashAndImage(t *testing.T) {
 	if err := sim.Snapshot(img); err != nil {
 		t.Fatal(err)
 	}
-	re, err := LoadImage(img, SimOptions{Seed: 4}, false)
+	re, err := LoadImage(img, SimOptions{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +456,7 @@ func TestSimScheduledCrashAndImage(t *testing.T) {
 			t.Fatalf("reloaded key %d = (%d, %v)", i, v, ok)
 		}
 	}
-	if _, err := LoadImage(dir+"/missing.img", SimOptions{}, false); err == nil {
+	if _, err := LoadImage(dir+"/missing.img", SimOptions{}); err == nil {
 		t.Fatal("loading a missing image must fail")
 	}
 	if re.LoadFactor() <= 0 {
@@ -520,7 +521,7 @@ func testSnapshotUnderChurn(t *testing.T) {
 	close(stop)
 	<-done
 
-	re, err := LoadSnapshot(path, true)
+	re, _, err := LoadSnapshotMark(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +557,7 @@ func testSnapshotGrown(t *testing.T) {
 	if err := st.Snapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	re, err := LoadSnapshot(path, true)
+	re, _, err := LoadSnapshotMark(path)
 	if err != nil {
 		t.Fatal(err)
 	}

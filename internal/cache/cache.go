@@ -32,21 +32,6 @@ const (
 	Memory
 )
 
-// String returns the conventional name of the level.
-func (l Level) String() string {
-	switch l {
-	case L1:
-		return "L1"
-	case L2:
-		return "L2"
-	case L3:
-		return "L3"
-	case Memory:
-		return "Memory"
-	}
-	return fmt.Sprintf("Level(%d)", int(l))
-}
-
 // Stats holds per-cache counters.
 type Stats struct {
 	Hits       uint64 // accesses serviced by this cache
@@ -106,9 +91,6 @@ func (c *Cache) Capacity() uint64 { return c.capacity }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the counters without touching cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // lineOf returns the line-aligned address of addr.
 func lineOf(addr uint64) uint64 { return addr >> LineShift }

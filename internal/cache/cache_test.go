@@ -5,15 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestLevelString(t *testing.T) {
-	cases := map[Level]string{L1: "L1", L2: "L2", L3: "L3", Memory: "Memory", Level(9): "Level(9)"}
-	for l, want := range cases {
-		if l.String() != want {
-			t.Errorf("Level(%d).String() = %q, want %q", int(l), l.String(), want)
-		}
-	}
-}
-
 func TestNewRejectsBadGeometry(t *testing.T) {
 	for _, f := range []func(){
 		func() { New("x", 3*LineSize, 1) }, // 3 sets: not power of two

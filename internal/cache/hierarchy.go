@@ -61,9 +61,6 @@ func NewHierarchy(geoms []Geometry) *Hierarchy {
 // Levels returns the underlying caches, nearest first.
 func (h *Hierarchy) Levels() []*Cache { return h.levels }
 
-// Last returns the farthest cache (the LLC).
-func (h *Hierarchy) Last() *Cache { return h.levels[len(h.levels)-1] }
-
 // Access runs addr through the hierarchy. It returns the level that
 // serviced the access (Memory if every cache missed) and the set of
 // dirty lines that left the hierarchy entirely (LLC dirty evictions),

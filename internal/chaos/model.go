@@ -124,7 +124,7 @@ func newWorker(id int) *worker {
 }
 
 type planOp struct {
-	kind byte // 'i' insert, 'd' delete, 'p' put-overwrite
+	kind byte // 'i' insert (a put of an absent key), 'd' delete, 'p' put-overwrite
 	key  uint64
 	val  uint64
 }
@@ -179,7 +179,7 @@ func (w *worker) run(c *client.Client, stop <-chan struct{}) error {
 				w.seq++
 			}
 			plan = append(plan, planOp{'i', k, w.opn})
-			reqs = append(reqs, wire.Request{Op: wire.OpInsert, Key: layout.Key{Lo: k}, Value: w.opn})
+			reqs = append(reqs, wire.Request{Op: wire.OpPut, Key: layout.Key{Lo: k}, Value: w.opn})
 		}
 		var resps []wire.Response
 		var err error

@@ -10,7 +10,7 @@ import (
 // one packed response frame per request frame — the server releases a
 // frame's responses only once every logged sub-op in it is durable, so
 // an answered batch frame is acked all-or-nothing. The returned slice
-// is parallel to subs. Sub-ops may be Ping/Get/Put/Insert/Delete/Len;
+// is parallel to subs. Sub-ops may be Ping/Get/Put/Delete/Len;
 // OpStats and nested OpBatch come back StatusBadRequest.
 //
 // Compared to Do (N single frames pipelined), DoBatch moves the
@@ -96,17 +96,6 @@ func (c *Client) MGet(keys []Key) (vals []uint64, found []bool, err error) {
 // submission order, nil if every put landed. All sub-ops are attempted
 // regardless of individual failures.
 func (c *Client) PutBatch(keys []Key, vals []uint64) error {
-	return c.mutateBatch(wire.OpPut, keys, vals)
-}
-
-// InsertBatch stores keys[i] → vals[i] with Algorithm-1 insert
-// semantics (duplicates allowed), same shape and error contract as
-// PutBatch.
-func (c *Client) InsertBatch(keys []Key, vals []uint64) error {
-	return c.mutateBatch(wire.OpInsert, keys, vals)
-}
-
-func (c *Client) mutateBatch(op byte, keys []Key, vals []uint64) error {
 	if len(keys) != len(vals) {
 		return ErrBadRequest
 	}
@@ -115,7 +104,7 @@ func (c *Client) mutateBatch(op byte, keys []Key, vals []uint64) error {
 	}
 	subs := make([]wire.Request, len(keys))
 	for i := range keys {
-		subs[i] = wire.Request{Op: op, Key: keys[i], Value: vals[i]}
+		subs[i] = wire.Request{Op: wire.OpPut, Key: keys[i], Value: vals[i]}
 	}
 	resps, err := c.DoBatch(subs)
 	if err != nil {

@@ -173,16 +173,6 @@ func (c *Client) Put(k Key, v uint64) error {
 	return StatusErr(resp.Status)
 }
 
-// Insert stores (k, v) with Algorithm-1 semantics (duplicates
-// allowed).
-func (c *Client) Insert(k Key, v uint64) error {
-	resp, err := c.do(wire.Request{Op: wire.OpInsert, Key: k, Value: v})
-	if err != nil {
-		return err
-	}
-	return StatusErr(resp.Status)
-}
-
 // Delete removes k, reporting whether it was present.
 func (c *Client) Delete(k Key) (bool, error) {
 	resp, err := c.do(wire.Request{Op: wire.OpDelete, Key: k})

@@ -124,14 +124,6 @@ func NewConcurrent(t *Table, stripes int) *Concurrent {
 	}
 }
 
-// Table returns the wrapped table. Callers must not use it while
-// concurrent operations are in flight.
-func (c *Concurrent) Table() *Table { return c.t }
-
-// OptimisticReads reports whether lookups use the lock-free seqlock
-// path (true on atomic-word backends) or the shared stripe lock.
-func (c *Concurrent) OptimisticReads() bool { return c.optimistic }
-
 // stripeFor maps k to its stripe. The index is the top log2(S) bits of
 // the group index, which the doubling expansion never changes (see the
 // type comment), so the answer is correct even if the view flips

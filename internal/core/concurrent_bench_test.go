@@ -25,8 +25,8 @@ func benchConcurrent(b *testing.B, optimistic bool) (*Concurrent, []layout.Key) 
 		b.Fatal(err)
 	}
 	c := NewConcurrent(tab, 0)
-	if c.OptimisticReads() != optimistic {
-		b.Fatalf("OptimisticReads() = %v, want %v", c.OptimisticReads(), optimistic)
+	if c.optimistic != optimistic {
+		b.Fatalf("optimistic = %v, want %v", c.optimistic, optimistic)
 	}
 	n := tab.Capacity() / 2
 	keys := make([]layout.Key, 0, n)

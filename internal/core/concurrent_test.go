@@ -126,7 +126,7 @@ func TestConcurrentStripeRounding(t *testing.T) {
 	if len(c.stripes) != 8 {
 		t.Fatalf("stripes = %d, want 8", len(c.stripes))
 	}
-	if c.Table() != tab {
+	if c.t != tab {
 		t.Fatal("Table() passthrough broken")
 	}
 }

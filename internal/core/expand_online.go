@@ -133,10 +133,6 @@ func (c *Concurrent) StripesMigrated() uint64 { return c.stripesMig.Load() }
 // store-side cost of stop-less growth.
 func (c *Concurrent) WriterStallNanos() uint64 { return c.stallNanos.Load() }
 
-// Fallbacks returns the number of expansions that resorted to the
-// stop-the-world rebuild.
-func (c *Concurrent) Fallbacks() uint64 { return c.fallbacks.Load() }
-
 // WaitExpansion blocks until any in-flight expansion has finished.
 func (c *Concurrent) WaitExpansion() {
 	if e := c.exp.Load(); e != nil {

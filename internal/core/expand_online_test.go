@@ -478,8 +478,8 @@ func TestOnlineExpansionFailedRebuildNotCounted(t *testing.T) {
 	tab.expandFailures = 3
 	c.ensureExpansion()
 	c.WaitExpansion()
-	if c.Fallbacks() != 1 {
-		t.Fatalf("Fallbacks() = %d, want 1", c.Fallbacks())
+	if c.fallbacks.Load() != 1 {
+		t.Fatalf("fallbacks = %d, want 1", c.fallbacks.Load())
 	}
 	if c.Expansions() != 0 || tab.Cells() != cells {
 		t.Fatalf("after a failed rebuild: Expansions() = %d and %d cells, want 0 and %d", c.Expansions(), tab.Cells(), cells)

@@ -138,9 +138,6 @@ func (t *Table) DisableFingerprints() {
 	t.cur().fp = nil
 }
 
-// FingerprintsEnabled reports whether filtered probes are active.
-func (t *Table) FingerprintsEnabled() bool { return t.cur().fp != nil }
-
 // FingerprintStats returns the probe-filter effectiveness counters:
 // hits is the number of cells dereferenced because their tag matched
 // the probe key (true match or 1-in-255 false positive), skips the

@@ -64,12 +64,12 @@ func TestFpZeroMaskExact(t *testing.T) {
 // sequence), and unavailable below the 8-cell group floor.
 func TestFingerprintDefaults(t *testing.T) {
 	tab := mustCreate(t, native.New(1<<22), Options{Cells: 1 << 10, GroupSize: 16})
-	if !tab.FingerprintsEnabled() {
+	if tab.cur().fp == nil {
 		t.Fatal("sidecar off by default on the native backend")
 	}
 
 	small := mustCreate(t, native.New(1<<22), Options{Cells: 1 << 10, GroupSize: 4})
-	if small.FingerprintsEnabled() {
+	if small.cur().fp != nil {
 		t.Fatal("sidecar on with a 4-cell group (tag words would span groups)")
 	}
 	if small.EnableFingerprints() {
@@ -77,17 +77,17 @@ func TestFingerprintDefaults(t *testing.T) {
 	}
 
 	sim := mustCreate(t, simMem(5), Options{Cells: 1 << 10, GroupSize: 16})
-	if sim.FingerprintsEnabled() {
+	if sim.cur().fp != nil {
 		t.Fatal("sidecar on by default on the simulated backend")
 	}
 	if !sim.EnableFingerprints() {
 		t.Fatal("explicit opt-in refused on an eligible simulated table")
 	}
-	if !sim.FingerprintsEnabled() {
+	if sim.cur().fp == nil {
 		t.Fatal("opt-in did not stick")
 	}
 	sim.DisableFingerprints()
-	if sim.FingerprintsEnabled() {
+	if sim.cur().fp != nil {
 		t.Fatal("DisableFingerprints did not stick")
 	}
 }
@@ -103,7 +103,7 @@ func TestFingerprintEquivalence(t *testing.T) {
 		fpTab := mustCreate(t, native.New(1<<24), opts)
 		plain := mustCreate(t, native.New(1<<24), opts)
 		plain.DisableFingerprints()
-		if !fpTab.FingerprintsEnabled() || plain.FingerprintsEnabled() {
+		if fpTab.cur().fp == nil || plain.cur().fp != nil {
 			t.Fatal("setup: sidecar states wrong")
 		}
 
@@ -193,7 +193,7 @@ func TestFingerprintCrashRecoveryCoherence(t *testing.T) {
 	if _, err := tab.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if !tab.FingerprintsEnabled() {
+	if tab.cur().fp == nil {
 		t.Fatal("recovery dropped the sidecar")
 	}
 	if bad := tab.CheckConsistency(); len(bad) != 0 {
@@ -215,7 +215,7 @@ func TestFingerprintCrashRecoveryCoherence(t *testing.T) {
 // filled by the rehash cursor path, not buildFp — agree with the cells.
 func TestFingerprintExpansionCoherence(t *testing.T) {
 	tab := mustCreate(t, native.New(1<<24), Options{Cells: 64, GroupSize: 16, Seed: 9})
-	if !tab.FingerprintsEnabled() {
+	if tab.cur().fp == nil {
 		t.Fatal("sidecar off")
 	}
 	start := tab.Capacity()
@@ -228,7 +228,7 @@ func TestFingerprintExpansionCoherence(t *testing.T) {
 	if tab.Capacity() <= start {
 		t.Fatalf("no expansion happened (capacity %d)", tab.Capacity())
 	}
-	if !tab.FingerprintsEnabled() {
+	if tab.cur().fp == nil {
 		t.Fatal("expansion dropped the sidecar")
 	}
 	if bad := tab.CheckConsistency(); len(bad) != 0 {

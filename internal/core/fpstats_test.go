@@ -36,7 +36,7 @@ const fpStatsKeys = 1200
 func fpStatsTable(t *testing.T) *Table {
 	t.Helper()
 	tab := mustCreate(t, native.New(1<<22), Options{Cells: 1 << 10, GroupSize: 32, Seed: 11})
-	if !tab.FingerprintsEnabled() {
+	if tab.cur().fp == nil {
 		t.Fatal("native table built without the fingerprint sidecar")
 	}
 	for k := uint64(1); k <= fpStatsKeys; k++ {

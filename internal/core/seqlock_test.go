@@ -21,12 +21,11 @@ func (w lockedOnlyMem) Write8(addr, val uint64)         { w.m.Write8(addr, val) 
 func (w lockedOnlyMem) AtomicWrite8(addr, val uint64)   { w.m.AtomicWrite8(addr, val) }
 func (w lockedOnlyMem) Persist(addr, n uint64)          {}
 func (w lockedOnlyMem) Alloc(size, align uint64) uint64 { return w.m.Alloc(size, align) }
-func (w lockedOnlyMem) Size() uint64                    { return w.m.Size() }
 
 func TestConcurrentOptimisticModeSelection(t *testing.T) {
 	// Native backend: atomic word reads, so the seqlock path is on.
 	tab := mustCreate(t, native.New(1<<20), Options{Cells: 256, GroupSize: 16})
-	if c := NewConcurrent(tab, 0); !c.OptimisticReads() {
+	if c := NewConcurrent(tab, 0); !c.optimistic {
 		t.Fatal("native backend should enable optimistic reads")
 	}
 
@@ -34,13 +33,13 @@ func TestConcurrentOptimisticModeSelection(t *testing.T) {
 	// so unlocked reads are never allowed.
 	mem := memsim.New(memsim.Config{Size: 1 << 20, Seed: 1, Geoms: cache.SmallGeometry()})
 	tab2 := mustCreate(t, mem, Options{Cells: 256, GroupSize: 16})
-	if c := NewConcurrent(tab2, 0); c.OptimisticReads() {
+	if c := NewConcurrent(tab2, 0); c.optimistic {
 		t.Fatal("memsim backend must not enable optimistic reads")
 	}
 
 	// Backend without the marker interface: locked path.
 	tab3 := mustCreate(t, lockedOnlyMem{native.New(1 << 20)}, Options{Cells: 256, GroupSize: 16})
-	if c := NewConcurrent(tab3, 0); c.OptimisticReads() {
+	if c := NewConcurrent(tab3, 0); c.optimistic {
 		t.Fatal("marker-less backend must not enable optimistic reads")
 	}
 }
@@ -56,7 +55,7 @@ func TestConcurrentSeqlockChurn(t *testing.T) {
 	mem := native.New(16 << 20)
 	tab := mustCreate(t, mem, Options{Cells: 1 << 12, GroupSize: 64, Seed: 11})
 	c := NewConcurrent(tab, 8)
-	if !c.OptimisticReads() {
+	if !c.optimistic {
 		t.Fatal("precondition: optimistic reads enabled")
 	}
 

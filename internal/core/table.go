@@ -308,9 +308,6 @@ func (t *Table) Name() string {
 	return "group"
 }
 
-// TwoChoice reports whether the second hash function is active.
-func (t *Table) TwoChoice() bool { return t.two }
-
 // ValidKey reports whether the table's cell layout can store k.
 func (t *Table) ValidKey(k layout.Key) bool { return t.l.ValidKey(k) }
 

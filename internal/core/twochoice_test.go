@@ -11,8 +11,8 @@ import (
 func TestTwoChoiceBasicOps(t *testing.T) {
 	mem := native.New(16 << 20)
 	tab := mustCreate(t, mem, Options{Cells: 1024, GroupSize: 16, Seed: 4, TwoChoice: true})
-	if tab.Name() != "group-2c" || !tab.TwoChoice() {
-		t.Fatalf("identity: %q / %v", tab.Name(), tab.TwoChoice())
+	if tab.Name() != "group-2c" || !tab.two {
+		t.Fatalf("identity: %q / %v", tab.Name(), tab.two)
 	}
 	for i := uint64(1); i <= 900; i++ {
 		if err := tab.Insert(layout.Key{Lo: i}, i*5); err != nil {
@@ -118,7 +118,7 @@ func TestTwoChoiceSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !re.TwoChoice() {
+	if !re.two {
 		t.Fatal("two-choice flag lost across reopen")
 	}
 	for i := uint64(1); i <= 150; i++ {

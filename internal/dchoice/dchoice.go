@@ -122,24 +122,3 @@ func (t *Table) Delete(k layout.Key) bool {
 	}
 	return false
 }
-
-// Recover scrubs torn payloads and recounts (the shared Algorithm-4
-// pattern).
-func (t *Table) Recover() (hashtab.RecoveryReport, error) {
-	var rep hashtab.RecoveryReport
-	var n uint64
-	for i := uint64(0); i < t.cells.N; i++ {
-		rep.CellsScanned++
-		if t.cells.Occupied(i) {
-			n++
-			continue
-		}
-		if !t.cells.PayloadZero(i) {
-			t.cells.ClearPayload(i)
-			rep.CellsCleared++
-		}
-	}
-	rep.CountCorrected = t.count.Get() != n
-	t.count.Set(n)
-	return rep, nil
-}

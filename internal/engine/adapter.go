@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"grouphash/internal/chained"
@@ -75,20 +76,21 @@ func newAdapter(spec Spec) (*tableEngine, error) {
 // are comfortable at (linear probing degrades sharply near full;
 // path hashing's usable fraction of its ~2N total cells is similar).
 func buildScheme(mem *native.Memory, spec Spec) (scheme, error) {
-	switch spec.Name {
+	name, logged := strings.CutSuffix(spec.Name, "-l")
+	switch name {
 	case "pfht":
 		return pfht.New(mem, pfht.Options{
 			Cells:    nextPow2(2*spec.Capacity, 8),
 			KeyBytes: spec.KeyBytes,
 			Seed:     spec.Seed,
-			Logged:   spec.Logged,
+			Logged:   logged,
 		}), nil
 	case "pathhash":
 		return pathhash.New(mem, pathhash.Options{
 			Cells:    nextPow2(spec.Capacity, 4),
 			KeyBytes: spec.KeyBytes,
 			Seed:     spec.Seed,
-			Logged:   spec.Logged,
+			Logged:   logged,
 		}), nil
 	case "chained":
 		return chained.New(mem, chained.Options{
@@ -101,7 +103,7 @@ func buildScheme(mem *native.Memory, spec Spec) (scheme, error) {
 			Cells:    nextPow2(2*spec.Capacity, 8),
 			KeyBytes: spec.KeyBytes,
 			Seed:     spec.Seed,
-			Logged:   spec.Logged,
+			Logged:   logged,
 		}), nil
 	}
 	return nil, fmt.Errorf("engine: no adapter for %q", spec.Name)
@@ -120,9 +122,11 @@ func nextPow2(n, floor uint64) uint64 {
 // over a canonical string). Stored as the pmfs image's root word —
 // the comparison schemes have no persistent header, so the root slot
 // instead guards against reopening an image with mismatched flags,
-// which would silently misread every cell.
+// which would silently misread every cell. The name's "-l" suffix is
+// rendered as a trailing bool, the format existing images carry.
 func specFingerprint(spec Spec) uint64 {
-	s := fmt.Sprintf("%s/%d/%d/%d/%t", spec.Name, spec.Capacity, spec.KeyBytes, spec.Seed, spec.Logged)
+	name, logged := strings.CutSuffix(spec.Name, "-l")
+	s := fmt.Sprintf("%s/%d/%d/%d/%t", name, spec.Capacity, spec.KeyBytes, spec.Seed, logged)
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -161,9 +165,9 @@ func loadAdapter(spec Spec, path string) (*tableEngine, uint64, error) {
 	return e, img.Mark, nil
 }
 
-// Name returns the normalized spec name: lower case, with any "-l"
-// suffix folded into Spec.Logged.
-func (e *tableEngine) Name() string { return e.spec.Name }
+// Name returns the scheme's name: the normalized spec name without its
+// "-l" suffix.
+func (e *tableEngine) Name() string { return strings.TrimSuffix(e.spec.Name, "-l") }
 
 // Get looks k up under the read lock.
 func (e *tableEngine) Get(k layout.Key) (uint64, bool) {

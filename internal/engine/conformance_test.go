@@ -28,20 +28,13 @@ func conformanceSpecs() []Spec {
 	return []Spec{
 		{Name: "grouphash", Capacity: 1 << 10},
 		{Name: "pfht", Capacity: 1 << 10},
-		{Name: "pfht", Capacity: 1 << 10, Logged: true},
+		{Name: "pfht-l", Capacity: 1 << 10},
 		{Name: "pathhash", Capacity: 1 << 10},
-		{Name: "pathhash", Capacity: 1 << 10, Logged: true},
+		{Name: "pathhash-l", Capacity: 1 << 10},
 		{Name: "chained", Capacity: 1 << 10},
 		{Name: "linearprobe", Capacity: 1 << 10},
-		{Name: "linearprobe", Capacity: 1 << 10, Logged: true},
+		{Name: "linearprobe-l", Capacity: 1 << 10},
 	}
-}
-
-func specLabel(spec Spec) string {
-	if spec.Logged {
-		return spec.Name + "-l"
-	}
-	return spec.Name
 }
 
 // forEachEngine runs fn as a subtest per conformance spec.
@@ -49,7 +42,7 @@ func forEachEngine(t *testing.T, fn func(t *testing.T, spec Spec, e Engine)) {
 	t.Helper()
 	for _, spec := range conformanceSpecs() {
 		spec := spec
-		t.Run(specLabel(spec), func(t *testing.T) {
+		t.Run(spec.Name, func(t *testing.T) {
 			e, err := New(spec)
 			if err != nil {
 				t.Fatalf("New(%+v): %v", spec, err)
@@ -97,8 +90,8 @@ func snapshot(e Engine, path string) error {
 
 func TestConformanceNames(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, spec Spec, e Engine) {
-		if e.Name() != spec.Name {
-			t.Fatalf("Name() = %q, want %q", e.Name(), spec.Name)
+		if want := strings.TrimSuffix(spec.Name, "-l"); e.Name() != want {
+			t.Fatalf("Name() = %q, want %q", e.Name(), want)
 		}
 	})
 }
@@ -507,7 +500,7 @@ func TestConformanceRecoveryIdempotent(t *testing.T) {
 		case hashtab.Recoverable:
 			r = e
 		default:
-			t.Fatalf("%s has no hashtab.Recoverable table", specLabel(spec))
+			t.Fatalf("%s has no hashtab.Recoverable table", spec.Name)
 		}
 		for i := uint64(1); i <= 100; i++ {
 			if err := put(e, key(i), i); err != nil {
@@ -557,7 +550,7 @@ func TestConformanceFullTableDrain(t *testing.T) {
 	for _, spec := range conformanceSpecs() {
 		spec := spec
 		spec.Capacity = 64 // tiny: filling to ErrTableFull must be cheap
-		t.Run(specLabel(spec), func(t *testing.T) {
+		t.Run(spec.Name, func(t *testing.T) {
 			if spec.Name == "grouphash" {
 				t.Skip("flagship expands instead of filling up")
 			}
@@ -623,8 +616,8 @@ func TestEngineSpecNormalization(t *testing.T) {
 	if _, err := New(Spec{Name: "nosuch"}); err == nil {
 		t.Error("New(nosuch) succeeded")
 	}
-	if _, err := New(Spec{Name: "grouphash", Logged: true}); err == nil {
-		t.Error("New(grouphash, Logged) succeeded, want error")
+	if _, err := New(Spec{Name: "grouphash-l"}); err == nil {
+		t.Error("New(grouphash-l) succeeded, want error")
 	}
 	if _, err := New(Spec{Name: "chained-l"}); err == nil {
 		t.Error("New(chained-l) succeeded, want error")
@@ -638,5 +631,18 @@ func TestEngineSpecNormalization(t *testing.T) {
 	}
 	if e2, err := New(Spec{}); err != nil || e2.Name() != "grouphash" {
 		t.Errorf("New(zero spec) = %v, %v; want flagship default", e2, err)
+	}
+	// The image fingerprint renders the "-l" suffix as a trailing bool,
+	// so images written by earlier builds of a logged engine still load.
+	spec, err := normalize(Spec{Name: "PFHT-L", Capacity: 1024, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := uint64(14695981039346656037)
+	for _, c := range []byte("pfht/1024/8/3/true") {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	if got := specFingerprint(spec); got != h {
+		t.Errorf("specFingerprint(pfht-l) = %#x, want FNV-1a of \"pfht/1024/8/3/true\" = %#x", got, h)
 	}
 }

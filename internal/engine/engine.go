@@ -103,8 +103,9 @@ var _ Engine = (*grouphash.Store)(nil)
 // fingerprint stored in the image header).
 type Spec struct {
 	// Name selects the scheme: grouphash, pfht, pathhash, chained or
-	// linearprobe. The comparison schemes also accept an "-l" suffix
-	// (e.g. "linearprobe-l") attaching the paper's undo WAL.
+	// linearprobe. pfht, pathhash and linearprobe also accept an "-l"
+	// suffix (e.g. "linearprobe-l") attaching the paper's undo WAL (its
+	// -L variants).
 	Name string
 	// Capacity is the target item capacity. The flagship expands
 	// online past it; the comparison schemes are fixed-size and are
@@ -118,9 +119,6 @@ type Spec struct {
 	KeyBytes int
 	// Seed selects the hash functions.
 	Seed uint64
-	// Logged attaches the undo WAL to pfht/pathhash/linearprobe (the
-	// paper's -L variants); equivalent to the "-l" name suffix.
-	Logged bool
 }
 
 // Names lists the engines the -engine flag accepts, flagship first.
@@ -128,13 +126,12 @@ func Names() []string {
 	return []string{"grouphash", "pfht", "pathhash", "chained", "linearprobe"}
 }
 
-// normalize canonicalises spec: lower-cases the name, folds an "-l"
-// suffix into Logged, and applies defaults.
+// normalize canonicalises spec: lower-cases the name, keeping any "-l"
+// suffix, and applies defaults.
 func normalize(spec Spec) (Spec, error) {
 	spec.Name = strings.ToLower(spec.Name)
-	if base, ok := strings.CutSuffix(spec.Name, "-l"); ok {
-		spec.Name = base
-		spec.Logged = true
+	if spec.Name == "" {
+		spec.Name = "grouphash"
 	}
 	if spec.Capacity == 0 {
 		spec.Capacity = 1 << 16
@@ -142,16 +139,15 @@ func normalize(spec Spec) (Spec, error) {
 	if spec.KeyBytes == 0 {
 		spec.KeyBytes = 8
 	}
-	switch spec.Name {
+	base, logged := strings.CutSuffix(spec.Name, "-l")
+	switch base {
 	case "grouphash", "pfht", "pathhash", "chained", "linearprobe":
-	case "":
-		spec.Name = "grouphash"
 	default:
 		return spec, fmt.Errorf("engine: unknown engine %q (want one of %s)",
-			spec.Name, strings.Join(Names(), "|"))
+			base, strings.Join(Names(), "|"))
 	}
-	if spec.Logged && (spec.Name == "grouphash" || spec.Name == "chained") {
-		return spec, fmt.Errorf("engine: %s has no undo-WAL variant (its commits are failure-atomic already)", spec.Name)
+	if logged && (base == "grouphash" || base == "chained") {
+		return spec, fmt.Errorf("engine: %s has no undo-WAL variant (its commits are failure-atomic already)", base)
 	}
 	return spec, nil
 }
@@ -185,7 +181,7 @@ func Load(spec Spec, path string) (Engine, uint64, error) {
 		return nil, 0, err
 	}
 	if spec.Name == "grouphash" {
-		return grouphash.LoadSnapshotMark(path, true)
+		return grouphash.LoadSnapshotMark(path)
 	}
 	return loadAdapter(spec, path)
 }

@@ -78,7 +78,7 @@ func TestConformanceReplay(t *testing.T) {
 		if spec.Name == "grouphash" {
 			spec.Capacity = 64
 		}
-		t.Run(specLabel(spec), func(t *testing.T) {
+		t.Run(spec.Name, func(t *testing.T) {
 			newEngine := func() Engine {
 				e, err := New(spec)
 				if err != nil {

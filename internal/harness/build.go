@@ -61,8 +61,6 @@ type BuildConfig struct {
 	Seed uint64
 	// GroupSize applies to group hashing only; 0 = paper default 256.
 	GroupSize uint64
-	// PathLevels applies to path hashing only; 0 = paper default 20.
-	PathLevels int
 }
 
 // RegionBytes estimates the persistent-region size cfg needs, with
@@ -115,19 +113,10 @@ func Build(mem hashtab.Mem, cfg BuildConfig) hashtab.Table {
 	case Path, PathL:
 		return pathhash.New(mem, pathhash.Options{
 			Cells:    cfg.TotalCells / 2,
-			Levels:   cfg.PathLevels,
 			KeyBytes: cfg.KeyBytes,
 			Seed:     cfg.Seed,
 			Logged:   cfg.Kind == PathL,
 		})
 	}
 	panic(fmt.Sprintf("harness: unknown scheme kind %q", cfg.Kind))
-}
-
-// Recover runs the scheme's recovery procedure if it has one.
-func Recover(t hashtab.Table) (hashtab.RecoveryReport, error) {
-	if r, ok := t.(hashtab.Recoverable); ok {
-		return r.Recover()
-	}
-	return hashtab.RecoveryReport{}, fmt.Errorf("harness: %s is not recoverable", t.Name())
 }

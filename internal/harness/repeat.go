@@ -9,31 +9,15 @@ import (
 
 // The paper reports each result as "the average of five independent
 // executions" (§4.1). RepeatLatency runs the same configuration under
-// different seeds and aggregates every metric, carrying the spread so
-// reports can show run-to-run stability alongside the mean.
+// different seeds and aggregates each phase's latency, carrying the
+// spread so reports can show run-to-run stability alongside the mean.
 
-// RepeatedOpCost aggregates one phase's metrics across executions.
+// RepeatedOpCost aggregates one phase's latency across executions.
 type RepeatedOpCost struct {
 	Latency stats.Summary
-	L3Miss  stats.Summary
-	Flushes stats.Summary
 }
 
-func (r *RepeatedOpCost) add(c OpCost) {
-	r.Latency.Add(c.AvgLatencyNs)
-	r.L3Miss.Add(c.AvgL3Misses)
-	r.Flushes.Add(c.AvgFlushes)
-}
-
-// Mean returns the aggregated phase as a plain OpCost of means.
-func (r *RepeatedOpCost) Mean() OpCost {
-	return OpCost{
-		Count:        int(r.Latency.N()),
-		AvgLatencyNs: r.Latency.Mean(),
-		AvgL3Misses:  r.L3Miss.Mean(),
-		AvgFlushes:   r.Flushes.Mean(),
-	}
-}
+func (r *RepeatedOpCost) add(c OpCost) { r.Latency.Add(c.AvgLatencyNs) }
 
 // RepeatedLatencyResult is a LatencyResult aggregated over executions.
 type RepeatedLatencyResult struct {
@@ -44,19 +28,6 @@ type RepeatedLatencyResult struct {
 	Insert     RepeatedOpCost
 	Query      RepeatedOpCost
 	Delete     RepeatedOpCost
-}
-
-// MaxRelStddev returns the worst coefficient of variation across the
-// latency metrics — a single stability figure for the whole cell.
-func (r *RepeatedLatencyResult) MaxRelStddev() float64 {
-	worst := r.Insert.Latency.RelStddev()
-	if v := r.Query.Latency.RelStddev(); v > worst {
-		worst = v
-	}
-	if v := r.Delete.Latency.RelStddev(); v > worst {
-		worst = v
-	}
-	return worst
 }
 
 // RepeatLatency executes cfg `runs` times with derived seeds (the

@@ -45,8 +45,6 @@ type Mem interface {
 	Persist(addr, n uint64)
 	// Alloc reserves size bytes at the given power-of-two alignment.
 	Alloc(size, align uint64) uint64
-	// Size returns the region size in bytes.
-	Size() uint64
 }
 
 // ConcurrentReader marks Mem backends whose Read8 may run concurrently

@@ -170,6 +170,3 @@ func (l Layout) CommitMatches(commit uint64, k Key) bool {
 	}
 	return l.Occupied(commit) && commit>>TagShift&(1<<TagBits-1) == xhash.Tag(k.Lo, k.Hi, TagBits)
 }
-
-// MetaTag extracts the tag from a meta-layout commit word.
-func MetaTag(meta uint64) uint64 { return meta >> TagShift & (1<<TagBits - 1) }

@@ -94,7 +94,7 @@ func TestMetaCommitWord(t *testing.T) {
 	if !l.Occupied(meta) {
 		t.Fatal("meta of an occupied cell must have the occupied bit")
 	}
-	if MetaTag(meta) == 0 {
+	if meta>>TagShift&(1<<TagBits-1) == 0 {
 		t.Fatal("meta must carry a non-zero tag")
 	}
 	if !l.CommitMatches(meta, k) {

@@ -158,9 +158,6 @@ func (m *Memory) Region() *nvm.Region { return m.region }
 // Hierarchy exposes the cache model (statistics and tests).
 func (m *Memory) Hierarchy() *cache.Hierarchy { return m.hier }
 
-// Latency returns the active latency model.
-func (m *Memory) Latency() LatencyModel { return m.lat }
-
 // Size returns the region size in bytes.
 func (m *Memory) Size() uint64 { return m.region.Size() }
 
@@ -241,19 +238,6 @@ func (m *Memory) drain(writebacks []uint64) {
 	}
 }
 
-// accessRange charges one demand access per cacheline covered by
-// [addr, addr+n).
-func (m *Memory) accessRange(addr, n uint64, write bool) {
-	if n == 0 {
-		return
-	}
-	first := addr >> cache.LineShift
-	last := (addr + n - 1) >> cache.LineShift
-	for line := first; line <= last; line++ {
-		m.access(line<<cache.LineShift, write)
-	}
-}
-
 // Read8 loads the aligned 8-byte word at addr.
 func (m *Memory) Read8(addr uint64) uint64 {
 	m.access(addr, false)
@@ -271,19 +255,6 @@ func (m *Memory) Write8(addr, val uint64) {
 func (m *Memory) AtomicWrite8(addr, val uint64) {
 	m.region.AtomicStore8(addr, val)
 	m.access(addr, true)
-}
-
-// Read copies len(buf) bytes from addr.
-func (m *Memory) Read(addr uint64, buf []byte) {
-	m.accessRange(addr, uint64(len(buf)), false)
-	m.region.Load(addr, buf)
-}
-
-// Write stores buf at addr. The write tears at 8-byte boundaries on a
-// crash and is durable only after Persist.
-func (m *Memory) Write(addr uint64, buf []byte) {
-	m.region.Store(addr, buf)
-	m.accessRange(addr, uint64(len(buf)), true)
 }
 
 // Flush executes clflush on the line containing addr: the line is

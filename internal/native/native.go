@@ -86,7 +86,6 @@ var zeroPage page
 type Memory struct {
 	pages atomic.Pointer[[]*page]
 	next  atomic.Uint64 // bump-allocator watermark
-	size  atomic.Uint64 // reported Size (requested, word-rounded; grows with Alloc)
 
 	mu         sync.Mutex    // serializes Alloc, Release, Free and Restore
 	freed      []pmfs.Extent // freed ranges, sorted and disjoint
@@ -95,11 +94,9 @@ type Memory struct {
 
 // New creates a native memory of the given size in bytes.
 func New(size uint64) *Memory {
-	size = (size + 7) &^ 7
 	m := &Memory{}
 	pt := makePages(nil, (size+pageBytes-1)/pageBytes)
 	m.pages.Store(&pt)
-	m.size.Store(size)
 	return m
 }
 
@@ -113,9 +110,6 @@ func makePages(old []*page, n uint64) []*page {
 	}
 	return pt
 }
-
-// Size returns the buffer size in bytes.
-func (m *Memory) Size() uint64 { return m.size.Load() }
 
 // locate returns the page holding addr and the word's index in it,
 // panicking on misaligned or out-of-range addresses. Bounds are
@@ -296,7 +290,6 @@ func (m *Memory) Restore(img *pmfs.Image) {
 	}
 	m.pages.Store(&pt)
 	m.next.Store(img.Allocated)
-	m.size.Store(img.Size)
 }
 
 // grow ensures the page table covers [0, limit), appending fresh pages
@@ -311,9 +304,6 @@ func (m *Memory) grow(limit uint64) {
 	}
 	grown := makePages(pt, need)
 	m.pages.Store(&grown)
-	if bytes := need * pageBytes; bytes > m.size.Load() {
-		m.size.Store(bytes)
-	}
 }
 
 // Alloc reserves size bytes at the given power-of-two alignment. Unlike

@@ -13,15 +13,6 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal("word round trip failed")
 	}
 	m.Persist(0, 16) // no-op, must not panic
-	if m.Size() != 1<<12 {
-		t.Fatalf("Size = %d", m.Size())
-	}
-}
-
-func TestSizeRounding(t *testing.T) {
-	if New(13).Size() != 16 {
-		t.Fatal("size must round up to a word")
-	}
 }
 
 func TestMisalignedPanics(t *testing.T) {

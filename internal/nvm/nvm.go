@@ -99,9 +99,6 @@ func (r *Region) Size() uint64 { return uint64(len(r.cur)) }
 // Stats returns a copy of the current counters.
 func (r *Region) Stats() Stats { return r.stats }
 
-// ResetStats zeroes all counters.
-func (r *Region) ResetStats() { r.stats = Stats{} }
-
 // DirtyWords returns the number of words whose latest value has not yet
 // reached the persistence domain.
 func (r *Region) DirtyWords() int { return r.dirty }
@@ -170,30 +167,6 @@ func (r *Region) Store8(addr, val uint64) {
 func (r *Region) AtomicStore8(addr, val uint64) {
 	r.Store8(addr, val)
 	r.stats.AtomicStores++
-}
-
-// Load copies len(buf) bytes at addr from the volatile image into buf.
-func (r *Region) Load(addr uint64, buf []byte) {
-	r.check(addr, uint64(len(buf)))
-	copy(buf, r.cur[addr:addr+uint64(len(buf))])
-}
-
-// Store writes buf at addr. The write tears at word boundaries on a
-// crash: each covered word is tracked independently.
-func (r *Region) Store(addr uint64, buf []byte) {
-	n := uint64(len(buf))
-	r.check(addr, n)
-	if n == 0 {
-		return
-	}
-	first := addr &^ uint64(WordSize-1)
-	last := (addr + n - 1) &^ uint64(WordSize-1)
-	for w := first; w <= last; w += WordSize {
-		r.touchWord(w)
-	}
-	copy(r.cur[addr:addr+n], buf)
-	r.stats.Stores++
-	r.stats.BytesStored += n
 }
 
 // PersistRange makes [addr, addr+n) durable, as if every covered

@@ -1,71 +1,25 @@
 package nvm
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // pageBytes is the span of one dirty-tracking page in bytes (512 words).
 const pageBytes = pageWords * WordSize
 
-// TestStoreMidWordBuffers pins Store's word-granular tearing bookkeeping
-// for buffers that start and/or end in the middle of a word: every
-// covered word — including the partially covered first and last — must
-// be tracked, and the volatile image must hold exactly the new bytes.
-func TestStoreMidWordBuffers(t *testing.T) {
-	cases := []struct {
-		name       string
-		addr       uint64
-		n          int
-		wantDirty  int // aligned words covered
-		wantStored uint64
-	}{
-		{"start mid-word", 3, 10, 2, 10},
-		{"end mid-word", 8, 13, 2, 13},
-		{"both mid-word, one word", 17, 5, 1, 5},
-		{"both mid-word, three words", 21, 12, 3, 12},
-		{"single byte", 42, 1, 1, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := NewRegion(4096, 1)
-			buf := make([]byte, tc.n)
-			for i := range buf {
-				buf[i] = byte(0xA0 + i)
-			}
-			r.Store(tc.addr, buf)
-			if got := r.DirtyWords(); got != tc.wantDirty {
-				t.Fatalf("DirtyWords = %d, want %d", got, tc.wantDirty)
-			}
-			if got := r.Stats().BytesStored; got != tc.wantStored {
-				t.Fatalf("BytesStored = %d, want %d", got, tc.wantStored)
-			}
-			out := make([]byte, tc.n)
-			r.Load(tc.addr, out)
-			if !bytes.Equal(out, buf) {
-				t.Fatalf("Load = %x, want %x", out, buf)
-			}
-			// Untouched neighbours stay zero and clean.
-			if r.Load8(0) != 0 && tc.addr >= 8 {
-				t.Fatal("store leaked into word 0")
-			}
-		})
-	}
-}
-
-// TestStoreSpansPageBoundary writes buffers straddling the 4 KiB pages
-// of the dirty tracker, so one Store dirties words in two (or three)
-// distinct pages; the per-page bitmaps, counts and the summary bitmap
-// must all agree.
+// TestStoreSpansPageBoundary writes runs of words straddling the 4 KiB
+// pages of the dirty tracker, so one run dirties words in two (or
+// three) distinct pages; the per-page bitmaps, counts and the summary
+// bitmap must all agree.
 func TestStoreSpansPageBoundary(t *testing.T) {
 	r := NewRegion(4*pageBytes, 1)
-	// 16 bytes across the page 0 / page 1 boundary, starting mid-word.
-	start := uint64(pageBytes - 5)
-	buf := make([]byte, 16)
-	for i := range buf {
-		buf[i] = byte(i + 1)
+	storeWords := func(addr uint64, n int) {
+		for i := 0; i < n; i++ {
+			a := addr + uint64(i)*WordSize
+			r.Store8(a, a)
+		}
 	}
-	r.Store(start, buf)
+	// Three words across the page 0 / page 1 boundary.
+	start := uint64(pageBytes - WordSize)
+	storeWords(start, 3)
 	// Covered words: one ending page 0, two starting page 1.
 	if got := r.DirtyWords(); got != 3 {
 		t.Fatalf("DirtyWords = %d, want 3", got)
@@ -76,18 +30,14 @@ func TestStoreSpansPageBoundary(t *testing.T) {
 	if got := r.DirtyInRange(pageBytes, pageBytes); got != 2 {
 		t.Fatalf("page 1 dirty words = %d, want 2", got)
 	}
-	out := make([]byte, 16)
-	r.Load(start, out)
-	if !bytes.Equal(out, buf) {
-		t.Fatalf("Load = %x, want %x", out, buf)
+	for i := uint64(0); i < 3; i++ {
+		if got := r.Load8(start + i*WordSize); got != start+i*WordSize {
+			t.Fatalf("Load8(%d) = %d", start+i*WordSize, got)
+		}
 	}
 
-	// A big buffer covering all of page 2 plus fringes of pages 1 and 3.
-	big := make([]byte, pageBytes+2*WordSize)
-	for i := range big {
-		big[i] = byte(i)
-	}
-	r.Store(2*pageBytes-WordSize, big)
+	// A run covering all of page 2 plus fringes of pages 1 and 3.
+	storeWords(2*pageBytes-WordSize, pageWords+2)
 	want := 3 + (pageWords + 2) // previous dirt + the new span
 	if got := r.DirtyWords(); got != want {
 		t.Fatalf("DirtyWords = %d, want %d", got, want)
@@ -189,7 +139,7 @@ func TestAtomicStoreSubsetSemantics(t *testing.T) {
 	r.Store8(0, 1)
 	r.Store8(8, 2)
 	r.AtomicStore8(16, 3)
-	r.Store(24, make([]byte, 12))
+	r.Store8(24, 5)
 	r.AtomicStore8(40, 4)
 	st := r.Stats()
 	if st.Stores != 5 {
@@ -204,7 +154,7 @@ func TestAtomicStoreSubsetSemantics(t *testing.T) {
 	if plain := st.Stores - st.AtomicStores; plain != 3 {
 		t.Fatalf("plain stores = %d, want 3", plain)
 	}
-	if st.BytesStored != 8+8+8+12+8 {
-		t.Fatalf("BytesStored = %d, want 44", st.BytesStored)
+	if st.BytesStored != 5*8 {
+		t.Fatalf("BytesStored = %d, want 40", st.BytesStored)
 	}
 }

@@ -37,9 +37,6 @@ func (r *Region) EnableWearTracking() {
 	}
 }
 
-// WearEnabled reports whether wear counters are active.
-func (r *Region) WearEnabled() bool { return r.wear != nil }
-
 // wearWord counts one media write of the word with index wi (byte
 // address / WordSize).
 func (r *Region) wearWord(wi uint64) {

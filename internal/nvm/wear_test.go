@@ -4,7 +4,7 @@ import "testing"
 
 func TestWearDisabledByDefault(t *testing.T) {
 	r := NewRegion(1024, 1)
-	if r.WearEnabled() {
+	if r.wear != nil {
 		t.Fatal("wear tracking must be opt-in")
 	}
 	r.Store8(0, 1)

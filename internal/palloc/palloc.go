@@ -56,9 +56,6 @@ func New(mem hashtab.Mem, blockSize, blocks uint64) *Pool {
 	return p
 }
 
-// BlockSize returns the (word-rounded) block size.
-func (p *Pool) BlockSize() uint64 { return p.blockSize }
-
 // Blocks returns the pool capacity in blocks.
 func (p *Pool) Blocks() uint64 { return p.blocks }
 

@@ -9,8 +9,8 @@ import (
 func TestAllocFreeCycle(t *testing.T) {
 	mem := native.New(1 << 16)
 	p := New(mem, 24, 10)
-	if p.BlockSize() != 24 || p.Blocks() != 10 || p.InUse() != 0 {
-		t.Fatalf("geometry: %d/%d/%d", p.BlockSize(), p.Blocks(), p.InUse())
+	if p.blockSize != 24 || p.Blocks() != 10 || p.InUse() != 0 {
+		t.Fatalf("geometry: %d/%d/%d", p.blockSize, p.Blocks(), p.InUse())
 	}
 	var addrs []uint64
 	for i := 0; i < 10; i++ {
@@ -52,8 +52,8 @@ func TestAllocFreeCycle(t *testing.T) {
 func TestBlockSizeRounding(t *testing.T) {
 	mem := native.New(1 << 16)
 	p := New(mem, 17, 4)
-	if p.BlockSize() != 24 {
-		t.Fatalf("block size = %d, want word-rounded 24", p.BlockSize())
+	if p.blockSize != 24 {
+		t.Fatalf("block size = %d, want word-rounded 24", p.blockSize)
 	}
 }
 

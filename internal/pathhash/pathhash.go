@@ -105,9 +105,6 @@ func (t *Table) Name() string {
 	return "path"
 }
 
-// Levels returns the number of reserved levels.
-func (t *Table) Levels() int { return len(t.levels) }
-
 // Len returns the number of stored items.
 func (t *Table) Len() uint64 { return t.count.Get() }
 

@@ -17,8 +17,8 @@ func simMem(seed int64) *memsim.Memory {
 func TestLevelSizing(t *testing.T) {
 	mem := native.New(4 << 20)
 	tab := New(mem, Options{Cells: 1024, Levels: 4})
-	if tab.Levels() != 4 {
-		t.Fatalf("levels = %d", tab.Levels())
+	if len(tab.levels) != 4 {
+		t.Fatalf("levels = %d", len(tab.levels))
 	}
 	want := uint64(1024 + 512 + 256 + 128)
 	if tab.Capacity() != want {
@@ -29,16 +29,16 @@ func TestLevelSizing(t *testing.T) {
 func TestLevelsClampedToTreeHeight(t *testing.T) {
 	mem := native.New(1 << 20)
 	tab := New(mem, Options{Cells: 8, Levels: 20})
-	if tab.Levels() != 4 { // 8, 4, 2, 1
-		t.Fatalf("levels = %d, want 4", tab.Levels())
+	if len(tab.levels) != 4 { // 8, 4, 2, 1
+		t.Fatalf("levels = %d, want 4", len(tab.levels))
 	}
 }
 
 func TestDefaultLevels(t *testing.T) {
 	mem := native.New(64 << 20)
 	tab := New(mem, Options{Cells: 1 << 20})
-	if tab.Levels() != DefaultLevels {
-		t.Fatalf("levels = %d, want %d", tab.Levels(), DefaultLevels)
+	if len(tab.levels) != DefaultLevels {
+		t.Fatalf("levels = %d, want %d", len(tab.levels), DefaultLevels)
 	}
 }
 

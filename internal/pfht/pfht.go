@@ -110,9 +110,6 @@ func (t *Table) LoadFactor() float64 {
 	return float64(t.Len()) / float64(t.Capacity())
 }
 
-// StashLen returns the number of items currently in the stash.
-func (t *Table) StashLen() uint64 { return t.stashed.Get() }
-
 func (t *Table) logCell(c *hashtab.Cells, i uint64) {
 	if t.log == nil {
 		return

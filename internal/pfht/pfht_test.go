@@ -95,7 +95,7 @@ func TestStashAbsorbsOverflow(t *testing.T) {
 		}
 		inserted = append(inserted, k)
 	}
-	if tab.StashLen() == 0 {
+	if tab.stashed.Get() == 0 {
 		t.Fatal("expected stash usage at ~94% fill of a 4-slot-bucket table")
 	}
 	for _, k := range inserted {
@@ -104,7 +104,7 @@ func TestStashAbsorbsOverflow(t *testing.T) {
 		}
 	}
 	// Delete the stash residents specifically.
-	before := tab.StashLen()
+	before := tab.stashed.Get()
 	removed := uint64(0)
 	for i := uint64(0); i < tab.stash.N; i++ {
 		if tab.stash.Occupied(i) {
@@ -115,8 +115,8 @@ func TestStashAbsorbsOverflow(t *testing.T) {
 			removed++
 		}
 	}
-	if tab.StashLen() != before-removed {
-		t.Fatalf("stash count %d, want %d", tab.StashLen(), before-removed)
+	if tab.stashed.Get() != before-removed {
+		t.Fatalf("stash count %d, want %d", tab.stashed.Get(), before-removed)
 	}
 }
 
@@ -270,7 +270,7 @@ func TestUpdateInPlaceIncludingStash(t *testing.T) {
 		}
 		keys = append(keys, k)
 	}
-	if tab.StashLen() == 0 {
+	if tab.stashed.Get() == 0 {
 		t.Fatal("expected stash usage")
 	}
 	for _, k := range keys {

@@ -22,8 +22,9 @@
 // so an image is as large as the memory a store really holds. The
 // oplog mark is the LSN of the last operation-log record the image
 // covers (0 when no oplog is in play), so recovery knows exactly where
-// snapshot state ends and log replay begins. Version-2 images (dense,
-// no extents, no checksum) still load; version 1 is refused.
+// snapshot state ends and log replay begins. Images of the earlier
+// format versions 1 and 2 are refused with an error naming their
+// version.
 //
 // Saves are crash-safe in the ordinary file-system sense: the image is
 // written to a temporary file in the target's directory, fsynced,
@@ -59,8 +60,7 @@ import (
 // Magic identifies a format-version-3 pmfs image file.
 const Magic = 0x504d46535f474803 // "PMFS_GH" + format version 3
 
-// Earlier formats' magics: version 2 still loads, version 1 is refused
-// by name.
+// Earlier formats' magics, refused by name.
 const (
 	magicV2 = 0x504d46535f474802
 	magicV1 = 0x504d46535f474801
@@ -81,8 +81,6 @@ const (
 	HeaderBytes = 6 * 8
 	ExtentBytes = 2 * 8
 	CRCBytes    = 4
-
-	headerBytesV2 = 5 * 8
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -309,10 +307,9 @@ func Load(path string, cfg memsim.Config) (*memsim.Memory, uint64, error) {
 	return mem, img.Root, nil
 }
 
-// LoadImage reads and validates an image file. A version-3 image is
-// returned only after its checksum matched and its extents proved
-// sorted, disjoint and below the watermark; a version-2 image loads as
-// one with no freed extents.
+// LoadImage reads and validates an image file. An image is returned
+// only after its checksum matched and its extents proved sorted,
+// disjoint and below the watermark.
 func LoadImage(path string) (*Image, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -349,10 +346,8 @@ func readImage(r io.Reader, n uint64) (*Image, error) {
 	}
 	switch magic {
 	case Magic:
-	case magicV2:
-		return readV2(tr, n, get)
-	case magicV1:
-		return nil, fmt.Errorf("format version 1 is no longer supported (re-save it with a version-2 or later build)")
+	case magicV1, magicV2:
+		return nil, fmt.Errorf("format version %d is no longer supported", magic&0xff)
 	default:
 		return nil, fmt.Errorf("bad magic %#x", magic)
 	}
@@ -401,26 +396,6 @@ func readImage(r io.Reader, n uint64) (*Image, error) {
 		return nil, fmt.Errorf("checksum mismatch: file says %#08x, contents hash to %#08x", got, sum)
 	}
 	return img, nil
-}
-
-// readV2 decodes the rest of a dense version-2 image: four more header
-// words, then size bytes of body, no extents and no checksum.
-func readV2(r io.Reader, n uint64, get func() (uint64, error)) (*Image, error) {
-	img := &Image{}
-	var err error
-	for _, p := range []*uint64{&img.Size, &img.Allocated, &img.Root, &img.Mark} {
-		if *p, err = get(); err != nil {
-			return nil, err
-		}
-	}
-	if img.Size != n-headerBytesV2 {
-		return nil, fmt.Errorf("body is %d bytes, header says %d", n-headerBytesV2, img.Size)
-	}
-	if err := img.checkMeta(); err != nil {
-		return nil, err
-	}
-	img.Pages = make([][]uint64, pagesOf(img.Size))
-	return img, readPages(r, img.Pages, img.Size)
 }
 
 // readPages fills pages (allocating each) from body bytes of r; the

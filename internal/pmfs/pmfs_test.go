@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -208,47 +209,31 @@ func TestSaveImageLoadImageRoundtrip(t *testing.T) {
 	}
 }
 
-// TestLoadImageV1Compat pins the compatibility contract: version-1
-// images (written before the oplog existed, no meta word) are refused
-// with an error that names their version.
-func TestLoadImageV1Compat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.img")
+// TestLoadImageRefusesOldVersions pins the compatibility contract:
+// images of the earlier format versions — 1 (written before the oplog
+// existed, no mark word) and 2 (dense, no extents, no checksum) — are
+// refused with an error that names their version.
+func TestLoadImageRefusesOldVersions(t *testing.T) {
 	body := []byte{9, 8, 7, 6, 5, 4, 3, 2}
-	buf := make([]byte, 32+len(body))
-	binary.LittleEndian.PutUint64(buf[0:8], magicV1)
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(body)))
-	binary.LittleEndian.PutUint64(buf[16:24], uint64(len(body)))
-	binary.LittleEndian.PutUint64(buf[24:32], 3)
-	copy(buf[32:], body)
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := LoadImage(path)
-	if err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("v1 image: err = %v, want a refusal naming version 1", err)
-	}
-}
-
-// TestLoadImageV2Compat: a dense version-2 image (the format before
-// this one) still loads, as an image with no freed extents, so a
-// server upgraded across the format change restarts from its last
-// image.
-func TestLoadImageV2Compat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v2.img")
-	body := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-	buf := make([]byte, 40, 40+len(body))
-	for i, w := range []uint64{magicV2, uint64(len(body)), 11, 42, 777} {
-		binary.LittleEndian.PutUint64(buf[i*8:], w)
-	}
-	if err := os.WriteFile(path, append(buf, body...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	img, err := LoadImage(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.Allocated != 11 || img.Root != 42 || img.Mark != 777 || len(img.Freed) != 0 || string(img.Bytes()) != string(body) {
-		t.Fatalf("v2 load = (%d, %d, %d, %v, %v)", img.Allocated, img.Root, img.Mark, img.Freed, img.Bytes())
+	for _, tc := range []struct {
+		version int
+		header  []uint64
+	}{
+		{1, []uint64{magicV1, uint64(len(body)), uint64(len(body)), 3}},
+		{2, []uint64{magicV2, uint64(len(body)), uint64(len(body)), 42, 777}},
+	} {
+		path := filepath.Join(t.TempDir(), "old.img")
+		buf := make([]byte, 8*len(tc.header), 8*len(tc.header)+len(body))
+		for i, w := range tc.header {
+			binary.LittleEndian.PutUint64(buf[i*8:], w)
+		}
+		if err := os.WriteFile(path, append(buf, body...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := "version " + strconv.Itoa(tc.version)
+		if _, err := LoadImage(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d image: err = %v, want a refusal naming %s", tc.version, err, want)
+		}
 	}
 }
 

@@ -79,8 +79,6 @@ func mutationKind(op byte) (grouphash.BatchKind, bool) {
 	switch op {
 	case wire.OpPut:
 		return grouphash.BatchPut, true
-	case wire.OpInsert:
-		return grouphash.BatchInsert, true
 	case wire.OpDelete:
 		return grouphash.BatchDelete, true
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"grouphash"
 	"grouphash/internal/layout"
 	"grouphash/internal/oplog"
+	"grouphash/internal/stats"
 	"grouphash/internal/wire"
 )
 
@@ -27,7 +29,7 @@ func TestServeBatchFrame(t *testing.T) {
 
 	subs := []wire.Request{
 		{Op: wire.OpPut, Key: layout.Key{Lo: 1}, Value: 10},
-		{Op: wire.OpInsert, Key: layout.Key{Lo: 2}, Value: 20},
+		{Op: wire.OpPut, Key: layout.Key{Lo: 2}, Value: 20},
 		{Op: wire.OpGet, Key: layout.Key{Lo: 1}}, // must see sub-op 0
 		{Op: wire.OpPut, Key: layout.Key{Lo: 1}, Value: 11},
 		{Op: wire.OpGet, Key: layout.Key{Lo: 1}},    // must see sub-op 3
@@ -76,9 +78,56 @@ func TestServeBatchFrame(t *testing.T) {
 	}
 }
 
+// TestRetiredInsertOpcode pins that opcode 4, once the paper's
+// Algorithm-1 insert (duplicates allowed), is refused as a single frame
+// and as an OpBatch sub-op alike: StatusBadRequest, counted as
+// bad_request, and the store is left unchanged.
+func TestRetiredInsertOpcode(t *testing.T) {
+	_, addr := startServer(t, grouphash.Options{Capacity: 1 << 12}, Config{})
+	c := dial(t, addr)
+	if err := c.Put(layout.Key{Lo: 1}, 10); err != nil {
+		t.Fatal(err)
+	}
+	const retired = 4
+	key := layout.Key{Lo: 2}
+	single, err := c.Do([]wire.Request{{Op: retired, Key: key, Value: 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := c.DoBatch([]wire.Request{{Op: retired, Key: key, Value: 20}, {Op: wire.OpGet, Key: key}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single[0].Status != wire.StatusBadRequest || batch[0].Status != wire.StatusBadRequest {
+		t.Fatalf("opcode 4 answered %d (single frame) and %d (sub-op), want StatusBadRequest",
+			single[0].Status, batch[0].Status)
+	}
+	if batch[1].Status != wire.StatusNotFound {
+		t.Fatalf("get after the refused sub-op: status %d, want StatusNotFound", batch[1].Status)
+	}
+	if n, err := c.Len(); err != nil || n != 1 {
+		t.Fatalf("Len = (%d, %v), want 1", n, err)
+	}
+	if _, ok, err := c.Get(key); err != nil || ok {
+		t.Fatalf("key of the refused op = (ok=%v, %v), want absent", ok, err)
+	}
+	text, err := c.ServerMetrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := stats.ValidateExposition(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := fams["gh_server_errors_total"].Sample(`kind="bad_request"`); !ok || v != 2 {
+		t.Fatalf("bad_request errors = %v (%v), want 2", v, ok)
+	}
+}
+
 // TestServeBatchSplitAndClientHelpers drives a batch larger than one
 // frame can carry (the client splits at wire.MaxBatchOps) and the
-// typed helpers: PutBatch → MGet → InsertBatch round trip.
+// typed helpers: PutBatch → MGet round trip, then a PutBatch of a
+// fresh key.
 func TestServeBatchSplitAndClientHelpers(t *testing.T) {
 	_, addr := startServer(t, grouphash.Options{Capacity: 1 << 14}, Config{})
 	c := dial(t, addr)
@@ -105,7 +154,7 @@ func TestServeBatchSplitAndClientHelpers(t *testing.T) {
 	if found[n] {
 		t.Fatal("MGet found a key never written")
 	}
-	if err := c.InsertBatch([]layout.Key{{Lo: 1 << 41}}, []uint64{7}); err != nil {
+	if err := c.PutBatch([]layout.Key{{Lo: 1 << 41}}, []uint64{7}); err != nil {
 		t.Fatal(err)
 	}
 	if ln, err := c.Len(); err != nil || ln != uint64(n+1) {

@@ -123,8 +123,8 @@ func TestEngineServeSnapshotRestart(t *testing.T) {
 					t.Fatalf("%s: key %d = (%d, %v, %v) after restart, want %d", name, i, v, ok, err, want)
 				}
 			}
-			if err := c2.Insert(spreadKey(n+1), 1); err != nil {
-				t.Fatalf("%s: Insert after restart: %v", name, err)
+			if err := c2.Put(spreadKey(n+1), 1); err != nil {
+				t.Fatalf("%s: fresh Put after restart: %v", name, err)
 			}
 			if got, err := c2.Len(); err != nil || got != n-n/4+1 {
 				t.Fatalf("%s: Len after restart = (%d, %v)", name, got, err)

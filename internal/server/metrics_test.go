@@ -61,7 +61,7 @@ func TestMetricsExposition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Insert(layout.Key{Lo: 1 << 40}, 7); err != nil {
+	if err := c.Put(layout.Key{Lo: 1 << 40}, 7); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Delete(layout.Key{Lo: 5}); err != nil {
@@ -92,11 +92,14 @@ func TestMetricsExposition(t *testing.T) {
 			t.Fatalf("%s: gh_server_request_latency_seconds missing or mistyped", src)
 		}
 		for op, atLeast := range map[string]float64{
-			"put": puts, "get": 50, "insert": 1, "delete": 1, "ping": 1, "len": 1,
+			"put": puts, "get": 50, "delete": 1, "ping": 1, "len": 1,
 		} {
 			if v := lat.Samples[`_count|op="`+op+`"`]; v < atLeast {
 				t.Errorf("%s: latency count for op=%s is %v, want ≥ %v", src, op, v, atLeast)
 			}
+		}
+		if _, ok := lat.Samples[`_count|op="insert"`]; ok {
+			t.Errorf("%s: the retired opcode 4 still exports an op=insert histogram", src)
 		}
 		// Oplog durability metrics: every acked write was synced, so
 		// the sync-latency and batch-size histograms must hold samples.

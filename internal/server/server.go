@@ -141,6 +141,9 @@ type Server struct {
 	// — the same applied==appended guarantee the old global RWMutex
 	// provided, without a process-wide writer convoy.
 	snapMu sync.Mutex
+	// imagedMark is the oplog mark of the last image this server
+	// completed (once snapshots > 0), guarded by snapMu.
+	imagedMark uint64
 
 	handlers   sync.WaitGroup // per-connection goroutines
 	loops      sync.WaitGroup // snapshot ticker goroutine
@@ -200,9 +203,10 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// opNames maps opcodes to their metric label, indexed like opLat.
+// opNames maps opcodes to their metric label, indexed like opLat. An
+// opcode without a label (0 and the retired 4) exports no histogram.
 var opNames = [wire.OpBatch + 1]string{
-	"unknown", "ping", "get", "put", "insert", "delete", "len", "stats", "batch",
+	"", "ping", "get", "put", "", "delete", "len", "stats", "batch",
 }
 
 // registerMetrics exports the server's own counters, gauges and
@@ -230,8 +234,11 @@ func (s *Server) registerMetrics(reg *stats.Registry) {
 			}
 			return 0
 		})
-	for op := 1; op < len(s.opLat); op++ {
-		reg.RegisterHistogram(p+"request_latency_seconds", stats.Label("op", opNames[op]),
+	for op, name := range opNames {
+		if name == "" {
+			continue
+		}
+		reg.RegisterHistogram(p+"request_latency_seconds", stats.Label("op", name),
 			"Request dispatch latency by opcode (store + oplog append; excludes the group-commit fsync, which is amortised per batch).",
 			1e-9, &s.opLat[op])
 	}
@@ -318,16 +325,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.handlers.Add(1)
 		go s.handle(conn)
 	}
-}
-
-// Addr returns the listening address (nil before Serve).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
 }
 
 // Drain gracefully shuts the server down: stop accepting, answer the
@@ -463,11 +460,19 @@ var errAborted = errors.New("server: aborted mid-snapshot")
 // never lands leaves the old image + full log, and a missing truncation
 // leaves covered segments that replay skips by LSN. Without an oplog
 // the mark is 0.
+//
+// A periodic snapshot with an oplog skips the whole cycle while the
+// log's last LSN is still the mark of the last image this server
+// completed, so an idle store is not rewritten; the final and
+// requested snapshots never skip.
 func (s *Server) snapshot(kind string) error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	start := time.Now()
 	lg := s.cfg.Oplog
+	if kind == "periodic" && lg != nil && s.snapshots.Load() > 0 && lg.LastLSN() == s.imagedMark {
+		return nil
+	}
+	start := time.Now()
 	var mark uint64
 	var paused time.Time
 	write, err := s.cfg.Engine.SnapshotWriterAt(func() (uint64, error) {
@@ -490,6 +495,7 @@ func (s *Server) snapshot(kind string) error {
 	if err := write(s.cfg.SnapshotPath); err != nil {
 		return err
 	}
+	s.imagedMark = mark
 	s.snapshots.Inc()
 	s.snapDur.Observe(uint64(time.Since(start)))
 	if lg != nil {
@@ -540,7 +546,7 @@ type pendingResp struct {
 // response, and a lone request is still released immediately.
 //
 // Mutations are not dispatched one at a time: consecutive single-frame
-// Put/Insert/Delete requests within a burst are coalesced and applied
+// Put/Delete requests within a burst are coalesced and applied
 // together through the store's stripe-grouped batch path (one lock
 // acquisition + one oplog append + one count persist per stripe-run),
 // flushing whenever program order could become observable — before any
@@ -598,7 +604,7 @@ func (s *Server) handle(conn net.Conn) {
 		case req.Op == wire.OpBatch:
 			ba.flushCoalesced(pc.resps, timing)
 			pc.resps = append(pc.resps, s.serveBatchFrame(subs, ba, timing))
-		case req.Op == wire.OpPut || req.Op == wire.OpInsert || req.Op == wire.OpDelete:
+		case req.Op == wire.OpPut || req.Op == wire.OpDelete:
 			// Stage the mutation and park a placeholder at its response
 			// slot; flushCoalesced fills it before anything can observe
 			// or release it.

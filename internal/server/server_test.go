@@ -133,7 +133,7 @@ func TestServeBasicOps(t *testing.T) {
 	if n, err := c.Len(); err != nil || n != 1 {
 		t.Fatalf("Len = (%d, %v)", n, err)
 	}
-	if err := c.Insert(layout.Key{Lo: 8}, 80); err != nil {
+	if err := c.Put(layout.Key{Lo: 8}, 80); err != nil {
 		t.Fatal(err)
 	}
 	if ok, err := c.Delete(layout.Key{Lo: 7}); err != nil || !ok {
@@ -319,7 +319,7 @@ func TestDrainAndReload(t *testing.T) {
 	}
 	t.Logf("acked %d writes before drain", total)
 
-	re, err := grouphash.LoadSnapshot(img, true)
+	re, _, err := grouphash.LoadSnapshotMark(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,13 +387,48 @@ func TestSnapshotWhileServing(t *testing.T) {
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := grouphash.LoadSnapshot(img, true)
+	re, _, err := grouphash.LoadSnapshotMark(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bad := re.CheckConsistency(); len(bad) != 0 {
 		t.Fatalf("image written under churn is inconsistent: %v", bad)
 	}
+}
+
+// TestIdleServerSkipsPeriodicSnapshots pins that, with an oplog, a
+// periodic snapshot writes no image while the log has not moved past
+// the mark of the last image the server completed: an idle server
+// writes one image, and one acked put earns exactly one more.
+func TestIdleServerSkipsPeriodicSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	lg, err := oplog.OpenConfig(filepath.Join(dir, "oplog"), 1, oplog.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, addr := startServer(t, grouphash.Options{Capacity: 1 << 12}, Config{
+		Oplog: lg, SnapshotPath: filepath.Join(dir, "store.pmfs"), SnapshotEvery: 5 * time.Millisecond,
+	})
+	// settle waits for the want-th image, then idles 100 ms (20
+	// periods) and requires that no further image was written.
+	settle := func(want uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); s.Stats().Snapshots < want; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d images after 5s, want %d", s.Stats().Snapshots, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(100 * time.Millisecond)
+		if n := s.Stats().Snapshots; n != want {
+			t.Fatalf("%d images after 100ms idle at a 5ms period, want %d", n, want)
+		}
+	}
+	settle(1)
+	if err := dial(t, addr).Put(layout.Key{Lo: 1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	settle(2)
 }
 
 // TestDrainRefusesBufferedWrites checks the drain contract from the
@@ -414,7 +449,7 @@ func TestDrainRefusesBufferedWrites(t *testing.T) {
 	outs := drainUnderLoad(t, Config{SnapshotPath: img, Logf: t.Logf}, st, 256)
 
 	// acked ⊆ image, refused ∩ image = ∅.
-	re, err := grouphash.LoadSnapshot(img, true)
+	re, _, err := grouphash.LoadSnapshotMark(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -885,7 +920,7 @@ func TestDrainStraddleDurability(t *testing.T) {
 	// Full recovery: image + replay past its mark. The drain's final
 	// snapshot must already cover every acked write (replay finds
 	// nothing), contain no refused one, and the count must match.
-	re, mark, err := grouphash.LoadSnapshotMark(img, true)
+	re, mark, err := grouphash.LoadSnapshotMark(img)
 	if err != nil {
 		t.Fatal(err)
 	}

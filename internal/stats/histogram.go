@@ -86,15 +86,6 @@ func (h *Histogram) Snapshot() *HistSnapshot {
 	return s
 }
 
-// Count returns the number of observations so far (sum over buckets).
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
-
 // HistSnapshot is a point-in-time copy of a Histogram, suitable for
 // quantile queries, merging and exposition. The zero value is an empty
 // distribution.

@@ -163,10 +163,10 @@ func TestHistogramExactStats(t *testing.T) {
 		h.Observe(v)
 		sum += v
 	}
-	if got := h.Count(); got != uint64(len(vals)) {
-		t.Fatalf("Count = %d, want %d", got, len(vals))
-	}
 	snap := h.Snapshot()
+	if snap.Count != uint64(len(vals)) {
+		t.Fatalf("Count = %d, want %d", snap.Count, len(vals))
+	}
 	if snap.Sum != sum {
 		t.Fatalf("Sum = %d, want %d", snap.Sum, sum)
 	}
@@ -197,7 +197,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := h.Count(); got != workers*per {
+	if got := h.Snapshot().Count; got != workers*per {
 		t.Fatalf("Count = %d, want %d", got, workers*per)
 	}
 }
@@ -251,7 +251,12 @@ func TestRegistryExposition(t *testing.T) {
 	}
 
 	// Registration order is preserved in the render.
-	names := r.Families()
+	var names []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 2 && f[0] == "#" && f[1] == "TYPE" {
+			names = append(names, f[2])
+		}
+	}
 	want := []string{"test_requests_total", "test_by_op_total", "test_busy_seconds_total", "test_depth", "test_latency_seconds"}
 	if len(names) != len(want) {
 		t.Fatalf("families %v, want %v", names, want)

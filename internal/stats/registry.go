@@ -225,14 +225,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-// Families returns the registered family names in registration order
-// (for tests and diagnostics).
-func (r *Registry) Families() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
-}
-
 // ServeHTTP implements http.Handler: a GET answers with the rendered
 // exposition, making a Registry mountable directly at /metrics.
 func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {

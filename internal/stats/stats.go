@@ -1,13 +1,11 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness uses: streaming summaries (mean, stddev, min/max), quantile
-// estimation over recorded samples, and multi-execution aggregation —
-// the paper averages five independent executions per result (§4.1),
-// and this package carries the spread alongside the mean so the
-// reproduction can report both.
+// harness uses: streaming summaries (mean and stddev — the paper
+// averages five independent executions per result (§4.1), and this
+// package carries the spread alongside the mean so the reproduction
+// can report both) and quantile estimation over recorded samples.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -18,40 +16,19 @@ type Summary struct {
 	n    uint64
 	mean float64
 	m2   float64 // sum of squared deviations (Welford)
-	min  float64
-	max  float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	// Welford's online update: numerically stable for long streams.
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
 }
 
-// N returns the number of observations.
-func (s *Summary) N() uint64 { return s.n }
-
 // Mean returns the arithmetic mean (0 when empty).
 func (s *Summary) Mean() float64 { return s.mean }
-
-// Min returns the smallest observation (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 when empty).
-func (s *Summary) Max() float64 { return s.max }
 
 // Var returns the sample variance (n-1 denominator; 0 for n < 2).
 func (s *Summary) Var() float64 {
@@ -63,45 +40,6 @@ func (s *Summary) Var() float64 {
 
 // Stddev returns the sample standard deviation.
 func (s *Summary) Stddev() float64 { return math.Sqrt(s.Var()) }
-
-// RelStddev returns stddev/mean (0 when the mean is 0), the
-// coefficient of variation used to judge run-to-run stability.
-func (s *Summary) RelStddev() float64 {
-	if s.mean == 0 {
-		return 0
-	}
-	return s.Stddev() / math.Abs(s.mean)
-}
-
-// String formats the summary as "mean ± stddev (n=N)".
-func (s *Summary) String() string {
-	return fmt.Sprintf("%.4g ± %.2g (n=%d)", s.mean, s.Stddev(), s.n)
-}
-
-// Merge folds other into s, as if every observation of other had been
-// Added to s (exact for mean/variance via Chan et al.'s parallel
-// update).
-func (s *Summary) Merge(other Summary) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = other
-		return
-	}
-	na, nb := float64(s.n), float64(other.n)
-	delta := other.mean - s.mean
-	tot := na + nb
-	s.mean += delta * nb / tot
-	s.m2 += other.m2 + delta*delta*na*nb/tot
-	s.n += other.n
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-}
 
 // Sample records raw observations for quantile queries. Intended for
 // per-operation latency distributions (thousands of points), not
@@ -116,9 +54,6 @@ func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
 	s.sorted = false
 }
-
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
 
 // Quantile returns the q-quantile (q in [0,1]) by linear interpolation
 // between order statistics; 0 when empty.
@@ -151,44 +86,3 @@ func (s *Sample) Median() float64 { return s.Quantile(0.5) }
 
 // P99 returns the 0.99 quantile.
 func (s *Sample) P99() float64 { return s.Quantile(0.99) }
-
-// Mean returns the arithmetic mean.
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
-
-// Repeated aggregates the same scalar metric across independent
-// executions (the paper's five-run averaging), keyed by metric name.
-type Repeated struct {
-	byName map[string]*Summary
-	order  []string
-}
-
-// NewRepeated creates an empty aggregator.
-func NewRepeated() *Repeated {
-	return &Repeated{byName: make(map[string]*Summary)}
-}
-
-// Record adds one execution's value for the named metric.
-func (r *Repeated) Record(name string, value float64) {
-	s, ok := r.byName[name]
-	if !ok {
-		s = &Summary{}
-		r.byName[name] = s
-		r.order = append(r.order, name)
-	}
-	s.Add(value)
-}
-
-// Get returns the summary for a metric (nil if never recorded).
-func (r *Repeated) Get(name string) *Summary { return r.byName[name] }
-
-// Names returns metric names in first-recorded order.
-func (r *Repeated) Names() []string { return r.order }

@@ -48,11 +48,6 @@ type Log struct {
 	l    layout.Layout
 	base uint64 // header word: active entry count
 	ents uint64 // first entry address
-
-	// appends counts entries appended since creation (statistics).
-	appends uint64
-	// commits counts committed operations.
-	commits uint64
 }
 
 // Bytes returns the persistent footprint of a log.
@@ -86,7 +81,6 @@ func (g *Log) LogCell(addr, commit uint64, k layout.Key, v uint64) {
 	g.mem.Persist(e, entryWords*layout.WordSize)
 	g.mem.AtomicWrite8(g.base, n+1)
 	g.mem.Persist(g.base, layout.WordSize)
-	g.appends++
 }
 
 // Commit marks the in-flight operation complete, discarding its undo
@@ -94,12 +88,7 @@ func (g *Log) LogCell(addr, commit uint64, k layout.Key, v uint64) {
 func (g *Log) Commit() {
 	g.mem.AtomicWrite8(g.base, 0)
 	g.mem.Persist(g.base, layout.WordSize)
-	g.commits++
 }
-
-// InFlight reports whether an uncommitted operation is recorded (i.e. a
-// crash interrupted a mutation).
-func (g *Log) InFlight() bool { return g.count() != 0 }
 
 // Recover rolls back the in-flight operation, if any, restoring the
 // logged pre-images newest-first, and returns the number of cells
@@ -130,6 +119,3 @@ func (g *Log) Recover() uint64 {
 	g.Commit()
 	return n
 }
-
-// Stats returns (entries appended, operations committed) since creation.
-func (g *Log) Stats() (appends, commits uint64) { return g.appends, g.commits }

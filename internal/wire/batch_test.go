@@ -15,7 +15,7 @@ func TestBatchRoundtrip(t *testing.T) {
 	subs := []Request{
 		{Op: OpPut, Key: layout.Key{Lo: 1, Hi: 2}, Value: 3},
 		{Op: OpGet, Key: layout.Key{Lo: 7, Hi: ^uint64(0)}},
-		{Op: OpInsert, Key: layout.Key{Lo: 9}, Value: 11},
+		{Op: OpPut, Key: layout.Key{Lo: 9}, Value: 11},
 		{Op: OpDelete, Key: layout.Key{Lo: 13}},
 		{Op: OpLen},
 	}

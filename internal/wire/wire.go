@@ -40,9 +40,9 @@ const (
 	// OpPut upserts (Key, Value) atomically (no duplicate items under
 	// concurrent Puts of one key).
 	OpPut
-	// OpInsert inserts (Key, Value) with the paper's Algorithm-1
-	// semantics: no existing-key check, duplicates allowed.
-	OpInsert
+	// Opcode 4, once the paper's Algorithm-1 insert (duplicates
+	// allowed), is retired: the server answers it StatusBadRequest.
+	_
 	// OpDelete removes Key; StatusNotFound reports it was absent.
 	OpDelete
 	// OpLen returns the store's item count in the response value.
@@ -56,8 +56,8 @@ const (
 	// 25-byte encoding as a single request). The server answers with ONE
 	// frame of N packed 9-byte sub-responses, released only when every
 	// logged sub-operation is durable — an acked batch is all-or-nothing
-	// on the wire. Sub-operations may be OpPing/OpGet/OpPut/OpInsert/
-	// OpDelete/OpLen; OpStats and nested OpBatch answer StatusBadRequest.
+	// on the wire. Sub-operations may be OpPing/OpGet/OpPut/OpDelete/
+	// OpLen; OpStats and nested OpBatch answer StatusBadRequest.
 	OpBatch
 )
 
@@ -108,7 +108,7 @@ type Request struct {
 	Op byte
 	// Key is the target key; ignored by OpPing/OpLen/OpStats.
 	Key layout.Key
-	// Value is the payload word for OpPut/OpInsert.
+	// Value is the payload word for OpPut.
 	Value uint64
 }
 

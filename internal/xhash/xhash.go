@@ -57,9 +57,6 @@ func NewFunc(seed uint64, buckets uint64, twoWordKeys bool) Func {
 	return Func{seed: seed, mask: buckets - 1, shift: shift, twoWord: twoWordKeys}
 }
 
-// Buckets returns the size of the function's range.
-func (f Func) Buckets() uint64 { return f.mask + 1 }
-
 // Index maps a key to its bucket.
 func (f Func) Index(lo, hi uint64) uint64 {
 	var h uint64

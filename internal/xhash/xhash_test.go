@@ -65,8 +65,8 @@ func TestNewFuncValidation(t *testing.T) {
 
 func TestFuncRangeAndDeterminism(t *testing.T) {
 	f := NewFunc(7, 1024, false)
-	if f.Buckets() != 1024 {
-		t.Fatalf("Buckets = %d", f.Buckets())
+	if f.mask+1 != 1024 {
+		t.Fatalf("buckets = %d", f.mask+1)
 	}
 	for i := uint64(0); i < 10000; i++ {
 		idx := f.Index(i, 0)

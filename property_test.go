@@ -17,11 +17,11 @@ import (
 //   - Get/Put/Insert/Delete agree with a per-key last-writer oracle;
 //   - so do the batch entry points: each worker interleaves ApplyBatch
 //     bursts (mixed puts/inserts/deletes, per-op outcomes checked
-//     against the oracle) and MGet sweeps with its single-op stream,
+//     against the oracle) and Get sweeps with its single-op stream,
 //     so stripe-grouped apply races single ops, seqlock reads, the
 //     chaos quiescer, and forced mid-batch online expansions;
 //   - Len equals the union of the oracles after every phase;
-//   - a Snapshot → LoadSnapshot round trip preserves exactly the
+//   - a Snapshot → LoadSnapshotMark round trip preserves exactly the
 //     oracle contents (no losses, no resurrections, no extras);
 //   - CheckConsistency stays clean after every phase and after every
 //     reload — which audits the DRAM fingerprint sidecar cell by cell,
@@ -207,20 +207,14 @@ func TestConcurrentPropertyOracle(t *testing.T) {
 								return
 							}
 						}
-					default: // MGet sweep over a random window
-						const bn = 8
-						keys := make([]Key, bn)
-						vals := make([]uint64, bn)
-						found := make([]bool, bn)
-						for j := range keys {
-							keys[j] = key(w, rng.Uint64()%span)
-						}
-						st.MGet(keys, vals, found)
-						for j := range keys {
-							want, present := oracle[keys[j].Lo]
-							if found[j] != present || (present && vals[j] != want) {
-								t.Errorf("MGet(w=%d)[%d] = (%d, %v), oracle (%d, %v)",
-									w, j, vals[j], found[j], want, present)
+					default: // Get sweep over a random window
+						for j := 0; j < 8; j++ {
+							k := key(w, rng.Uint64()%span)
+							v, found := st.Get(k)
+							want, present := oracle[k.Lo]
+							if found != present || (present && v != want) {
+								t.Errorf("Get sweep(w=%d)[%d] = (%d, %v), oracle (%d, %v)",
+									w, j, v, found, want, present)
 								return
 							}
 						}
@@ -243,7 +237,7 @@ func TestConcurrentPropertyOracle(t *testing.T) {
 		if err := st.Snapshot(path); err != nil {
 			t.Fatalf("phase %d: Snapshot: %v", phase, err)
 		}
-		reloaded, mark, err := LoadSnapshotMark(path, true)
+		reloaded, mark, err := LoadSnapshotMark(path)
 		if err != nil {
 			t.Fatalf("phase %d: LoadSnapshotMark: %v", phase, err)
 		}

@@ -8,16 +8,11 @@ import (
 
 // SimOptions configures a simulated-NVM machine (see NewSimulated).
 type SimOptions struct {
-	// RegionBytes is the emulated NVM size. 0 derives it from the
-	// store's capacity.
-	RegionBytes uint64
 	// Seed drives crash injection.
 	Seed int64
 	// WriteLatencyNs overrides the extra NVM write latency charged per
 	// flushed cacheline. 0 means the paper's 300 ns.
 	WriteLatencyNs float64
-	// DisablePrefetch turns off the modelled next-line prefetcher.
-	DisablePrefetch bool
 }
 
 // Sim couples a Store with the simulated machine it runs on, exposing
@@ -43,19 +38,14 @@ func NewSimulated(opts Options, sim SimOptions) (*Sim, error) {
 	if opts.KeyBytes == 0 {
 		opts.KeyBytes = 8
 	}
-	size := sim.RegionBytes
-	if size == 0 {
-		size = opts.Capacity*32*4 + (1 << 20)
-	}
 	lat := memsim.DefaultLatency()
 	if sim.WriteLatencyNs != 0 {
 		lat.NVMWriteExtra = sim.WriteLatencyNs
 	}
 	mem := memsim.New(memsim.Config{
-		Size:            size,
-		Seed:            sim.Seed,
-		Latency:         &lat,
-		DisablePrefetch: sim.DisablePrefetch,
+		Size:    opts.Capacity*32*4 + (1 << 20),
+		Seed:    sim.Seed,
+		Latency: &lat,
 	})
 	opts.Memory = mem
 	st, err := New(opts)
@@ -80,10 +70,6 @@ func (s *Sim) Crash(survivalProb float64) CrashOutcome {
 	return s.mem.Crash(survivalProb)
 }
 
-// CleanShutdown flushes all caches and persists everything, modelling
-// an orderly stop.
-func (s *Sim) CleanShutdown() { s.mem.CleanShutdown() }
-
 // ScheduleCrash arms a power failure at an exact future memory event
 // (counted from the machine's cumulative access counter, see
 // Counters().Accesses). Unlike Crash, this lands INSIDE whatever
@@ -99,29 +85,22 @@ func (s *Sim) ScheduleCrash(afterAccesses uint64, survivalProb float64) {
 // whether the trigger had fired. Run Recover afterwards.
 func (s *Sim) CompleteCrash() bool { return s.mem.AdoptShadowCrash() }
 
-// L3Geometry reports the simulated last-level cache size in bytes.
-func (s *Sim) L3Geometry() uint64 { return s.mem.Hierarchy().Last().Capacity() }
-
 // LoadImage rebuilds a simulated store from an image file written by
 // Snapshot (the PMFS-file analogue; see internal/pmfs), which cleanly
 // shuts the simulated machine down before it copies the region. The
 // returned store has already been reopened from its persistent root;
 // run Recover if the image could predate a crash (images written by
-// Snapshot are always clean).
-func LoadImage(path string, sim SimOptions, concurrent bool) (*Sim, error) {
+// Snapshot are always clean). The reopened store is sequential.
+func LoadImage(path string, sim SimOptions) (*Sim, error) {
 	lat := memsim.DefaultLatency()
 	if sim.WriteLatencyNs != 0 {
 		lat.NVMWriteExtra = sim.WriteLatencyNs
 	}
-	mem, root, err := pmfs.Load(path, memsim.Config{
-		Seed:            sim.Seed,
-		Latency:         &lat,
-		DisablePrefetch: sim.DisablePrefetch,
-	})
+	mem, root, err := pmfs.Load(path, memsim.Config{Seed: sim.Seed, Latency: &lat})
 	if err != nil {
 		return nil, err
 	}
-	st, err := Open(mem, root, concurrent)
+	st, err := Open(mem, root, false)
 	if err != nil {
 		return nil, err
 	}
