@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-json bench-engines bench-workload bench-baseline bench-diff bench-allocs race torture fuzz fuzz-smoke chaos-smoke soak cover serve-smoke deadcode figures figures-paper examples clean
+.PHONY: all build test vet bench bench-json bench-engines bench-workload bench-baseline bench-diff bench-allocs bench-substrate race torture fuzz fuzz-smoke chaos-smoke soak cover serve-smoke deadcode figures figures-paper examples clean
 
 all: build vet test
 
@@ -161,7 +161,10 @@ bench-allocs:
 	$(GO) run ./cmd/ghbenchdiff -gate bench_allocs_floors.txt /tmp/ghbench_allocs.txt
 
 # Substrate microbenchmarks: dirty-word tracker (paged vs legacy map),
-# cache hit path, memsim stack, and the fixed trace replay.
+# cache hit path (SmallGeometry, L1-resident), cache miss path and
+# hierarchy construction on PaperGeometry (BenchmarkSubstrateCacheMiss,
+# BenchmarkSubstrateNewHierarchy), memsim stack, and the fixed trace
+# replay.
 bench-substrate:
 	$(GO) test -run XXX -bench 'BenchmarkSubstrate' .
 	$(GO) test -run XXX -bench 'BenchmarkConcurrent.*Parallel' -cpu 1,2,4 ./internal/core

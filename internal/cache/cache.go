@@ -41,19 +41,32 @@ type Stats struct {
 	Flushes    uint64 // clflush invalidations that found the line here
 }
 
-// set is one associativity set. Ways are kept in LRU order:
-// index 0 is most recently used, the last index is the victim.
-type set struct {
-	tags  []uint64
-	valid []bool
-	dirty []bool
+// A way word holds one cached line: 0 when the way is invalid, else
+// line<<2 | wayValid, with wayDirty set while the line is dirty. The
+// valid bit keeps line 0 distinct from an invalid way, and a dirty bit
+// is never set on an invalid way, so a word with wayDirty is resident.
+const (
+	wayValid uint64 = 1
+	wayDirty uint64 = 2
+)
+
+// wayWord returns the way word of resident line.
+func wayWord(line uint64, dirty bool) uint64 {
+	w := line<<2 | wayValid
+	if dirty {
+		w |= wayDirty
+	}
+	return w
 }
 
-// Cache is a single set-associative cache level.
+// Cache is a single set-associative cache level. Its ways are one flat
+// array of way words: set s owns ways[s*nways : s*nways+nways], kept in
+// LRU order — the set's first way is most recently used, its last way
+// is the victim — so a set lookup reads one contiguous run of words.
 type Cache struct {
 	name     string
-	sets     []set
-	ways     int
+	ways     []uint64
+	nways    int
 	setMask  uint64
 	stats    Stats
 	capacity uint64
@@ -71,16 +84,13 @@ func New(name string, capacity uint64, ways int) *Cache {
 	if nsets == 0 || nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d is not a power of two (capacity %d, ways %d)", name, nsets, capacity, ways))
 	}
-	c := &Cache{name: name, ways: ways, setMask: nsets - 1, capacity: capacity}
-	c.sets = make([]set, nsets)
-	for i := range c.sets {
-		c.sets[i] = set{
-			tags:  make([]uint64, ways),
-			valid: make([]bool, ways),
-			dirty: make([]bool, ways),
-		}
+	return &Cache{
+		name:     name,
+		ways:     make([]uint64, nsets*uint64(ways)),
+		nways:    ways,
+		setMask:  nsets - 1,
+		capacity: capacity,
 	}
-	return c
 }
 
 // Name returns the label given at construction.
@@ -95,18 +105,51 @@ func (c *Cache) Stats() Stats { return c.stats }
 // lineOf returns the line-aligned address of addr.
 func lineOf(addr uint64) uint64 { return addr >> LineShift }
 
-func (c *Cache) setFor(line uint64) *set { return &c.sets[line&c.setMask] }
+// setFor returns the ways of the set line maps to, MRU first.
+func (c *Cache) setFor(line uint64) []uint64 {
+	i := int(line&c.setMask) * c.nways
+	return c.ways[i : i+c.nways : i+c.nways]
+}
+
+// find returns the way of s holding line, or -1.
+func find(s []uint64, line uint64) int {
+	key := wayWord(line, false)
+	for i, w := range s {
+		if w&^wayDirty == key {
+			return i
+		}
+	}
+	return -1
+}
 
 // promote moves way i of s to the MRU position.
-func (s *set) promote(i int) {
-	if i == 0 {
-		return // already MRU
+func promote(s []uint64, i int) {
+	w := s[i]
+	copy(s[1:i+1], s[:i])
+	s[0] = w
+}
+
+// fill places line in s as its MRU way. It takes the first invalid
+// way, else the LRU (last) way, counting the eviction of a valid line,
+// and returns the displaced way's word: 0 when the way was invalid.
+func (c *Cache) fill(s []uint64, line uint64, dirty bool) (old uint64) {
+	victim := len(s) - 1
+	for i, w := range s {
+		if w == 0 {
+			victim = i
+			break
+		}
 	}
-	tag, valid, dirty := s.tags[i], s.valid[i], s.dirty[i]
-	copy(s.tags[1:i+1], s.tags[:i])
-	copy(s.valid[1:i+1], s.valid[:i])
-	copy(s.dirty[1:i+1], s.dirty[:i])
-	s.tags[0], s.valid[0], s.dirty[0] = tag, valid, dirty
+	old = s[victim]
+	if old != 0 {
+		c.stats.Evictions++
+		if old&wayDirty != 0 {
+			c.stats.WriteBacks++
+		}
+	}
+	s[victim] = wayWord(line, dirty)
+	promote(s, victim)
+	return old
 }
 
 // hitMRU services the access if the line is already in the MRU way of
@@ -116,12 +159,12 @@ func (s *set) promote(i int) {
 // general path would (Hits counter, dirty bit) and no others: the line
 // is already MRU, so promote would be a no-op.
 func (c *Cache) hitMRU(line uint64, write bool) bool {
-	s := &c.sets[line&c.setMask]
-	if !s.valid[0] || s.tags[0] != line {
+	w := &c.ways[int(line&c.setMask)*c.nways]
+	if *w&^wayDirty != wayWord(line, false) {
 		return false
 	}
 	if write {
-		s.dirty[0] = true
+		*w |= wayDirty
 	}
 	c.stats.Hits++
 	return true
@@ -143,96 +186,59 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, ev Evicted, evicted b
 	}
 	s := c.setFor(line)
 	// Way 0 was checked by the MRU fast path; scan the rest.
-	for i := 1; i < c.ways; i++ {
-		if s.valid[i] && s.tags[i] == line {
-			s.promote(i)
-			if write {
-				s.dirty[0] = true
-			}
-			c.stats.Hits++
-			return true, Evicted{}, false
+	if i := find(s[1:], line); i >= 0 {
+		promote(s, i+1)
+		if write {
+			s[0] |= wayDirty
 		}
+		c.stats.Hits++
+		return true, Evicted{}, false
 	}
 	c.stats.Misses++
-	// Fill: victim is the LRU way (last). Prefer an invalid way.
-	victim := c.ways - 1
-	for i := 0; i < c.ways; i++ {
-		if !s.valid[i] {
-			victim = i
-			break
-		}
+	if old := c.fill(s, line, write); old != 0 {
+		return false, Evicted{Line: old >> 2, Dirty: old&wayDirty != 0}, true
 	}
-	if s.valid[victim] {
-		ev = Evicted{Line: s.tags[victim], Dirty: s.dirty[victim]}
-		evicted = true
-		c.stats.Evictions++
-		if ev.Dirty {
-			c.stats.WriteBacks++
-		}
-	}
-	s.tags[victim] = line
-	s.valid[victim] = true
-	s.dirty[victim] = write
-	s.promote(victim)
-	return false, ev, evicted
+	return false, Evicted{}, false
 }
 
 // Flush invalidates the line containing addr if present, returning
 // whether it was present and whether it was dirty. Models clflush at
-// this level.
+// this level. The way is left in place as an invalid hole, which a
+// later fill of the set takes before it evicts the LRU way.
 func (c *Cache) Flush(addr uint64) (present, dirty bool) {
 	line := lineOf(addr)
 	s := c.setFor(line)
-	for i := 0; i < c.ways; i++ {
-		if s.valid[i] && s.tags[i] == line {
-			present, dirty = true, s.dirty[i]
-			s.valid[i] = false
-			s.dirty[i] = false
-			c.stats.Flushes++
-			if dirty {
-				c.stats.WriteBacks++
-			}
-			return present, dirty
-		}
+	i := find(s, line)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	dirty = s[i]&wayDirty != 0
+	s[i] = 0
+	c.stats.Flushes++
+	if dirty {
+		c.stats.WriteBacks++
+	}
+	return true, dirty
 }
 
 // Contains reports whether the line holding addr is resident (test hook).
 func (c *Cache) Contains(addr uint64) bool {
 	line := lineOf(addr)
-	s := c.setFor(line)
-	for i := 0; i < c.ways; i++ {
-		if s.valid[i] && s.tags[i] == line {
-			return true
-		}
-	}
-	return false
+	return find(c.setFor(line), line) >= 0
 }
 
 // InvalidateAll drops every line (e.g. to model a cold start between
 // measurement phases). Dirty contents are NOT written back; callers that
 // need write-back semantics should use FlushAll on the hierarchy.
-func (c *Cache) InvalidateAll() {
-	for i := range c.sets {
-		s := &c.sets[i]
-		for j := 0; j < c.ways; j++ {
-			s.valid[j] = false
-			s.dirty[j] = false
-		}
-	}
-}
+func (c *Cache) InvalidateAll() { clear(c.ways) }
 
-// DirtyLines returns all currently dirty resident lines (test hook and
-// FlushAll support).
+// DirtyLines returns all currently dirty resident lines, set by set and
+// MRU first within a set (test hook and FlushAll support).
 func (c *Cache) DirtyLines() []uint64 {
 	var out []uint64
-	for i := range c.sets {
-		s := &c.sets[i]
-		for j := 0; j < c.ways; j++ {
-			if s.valid[j] && s.dirty[j] {
-				out = append(out, s.tags[j])
-			}
+	for _, w := range c.ways {
+		if w&wayDirty != 0 {
+			out = append(out, w>>2)
 		}
 	}
 	return out

@@ -98,38 +98,21 @@ func (h *Hierarchy) Access(addr uint64, write bool) (serviced Level, writebacks 
 func (h *Hierarchy) install(i int, line uint64, dirty bool, writebacks *[]uint64) {
 	c := h.levels[i]
 	s := c.setFor(line)
-	for j := 0; j < c.ways; j++ {
-		if s.valid[j] && s.tags[j] == line {
-			s.promote(j)
-			if dirty {
-				s.dirty[0] = true
-			}
-			return
+	if j := find(s, line); j >= 0 {
+		promote(s, j)
+		if dirty {
+			s[0] |= wayDirty
 		}
+		return
 	}
-	victim := c.ways - 1
-	for j := 0; j < c.ways; j++ {
-		if !s.valid[j] {
-			victim = j
-			break
-		}
-	}
-	if s.valid[victim] {
-		evLine, evDirty := s.tags[victim], s.dirty[victim]
-		c.stats.Evictions++
-		if evDirty {
-			c.stats.WriteBacks++
-		}
+	if old := c.fill(s, line, dirty); old != 0 {
+		evLine, evDirty := old>>2, old&wayDirty != 0
 		if i+1 < len(h.levels) {
 			h.install(i+1, evLine, evDirty, writebacks)
 		} else if evDirty {
 			*writebacks = append(*writebacks, evLine)
 		}
 	}
-	s.tags[victim] = line
-	s.valid[victim] = true
-	s.dirty[victim] = dirty
-	s.promote(victim)
 }
 
 // Prefetch installs the line containing addr clean into the L2 level

@@ -128,6 +128,11 @@ func (c *Concurrent) ExpandProgress() (migrated, total int) {
 // online expansions over the store's lifetime.
 func (c *Concurrent) StripesMigrated() uint64 { return c.stripesMig.Load() }
 
+// Fallbacks returns the number of online expansions that could not
+// place every item in the doubled arrays and fell back to the
+// stop-the-world rebuild, whether or not the rebuild committed.
+func (c *Concurrent) Fallbacks() uint64 { return c.fallbacks.Load() }
+
 // WriterStallNanos returns the total wall time writers have spent
 // blocked in awaitRoom waiting for an expansion to make room — the
 // store-side cost of stop-less growth.

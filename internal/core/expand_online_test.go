@@ -414,7 +414,7 @@ func TestOnlineExpansionFallbackRebuild(t *testing.T) {
 	c.WaitExpansion()
 	forceFail.Store(false)
 
-	if c.fallbacks.Load() == 0 {
+	if c.Fallbacks() == 0 {
 		t.Fatal("fallback rebuild never ran despite forced overflow")
 	}
 	// The fallback starts at double the failed generation's size, i.e.
@@ -478,8 +478,8 @@ func TestOnlineExpansionFailedRebuildNotCounted(t *testing.T) {
 	tab.expandFailures = 3
 	c.ensureExpansion()
 	c.WaitExpansion()
-	if c.fallbacks.Load() != 1 {
-		t.Fatalf("fallbacks = %d, want 1", c.fallbacks.Load())
+	if c.Fallbacks() != 1 {
+		t.Fatalf("Fallbacks() = %d, want 1", c.Fallbacks())
 	}
 	if c.Expansions() != 0 || tab.Cells() != cells {
 		t.Fatalf("after a failed rebuild: Expansions() = %d and %d cells, want 0 and %d", c.Expansions(), tab.Cells(), cells)

@@ -83,7 +83,6 @@ func (c Counters) Sub(o Counters) Counters {
 		Fences:   c.Fences - o.Fences,
 		NVM: nvm.Stats{
 			Stores:         c.NVM.Stores - o.NVM.Stores,
-			BytesStored:    c.NVM.BytesStored - o.NVM.BytesStored,
 			WordsDirtied:   c.NVM.WordsDirtied - o.NVM.WordsDirtied,
 			WordsPersisted: c.NVM.WordsPersisted - o.NVM.WordsPersisted,
 			WordsEvicted:   c.NVM.WordsEvicted - o.NVM.WordsEvicted,

@@ -15,10 +15,8 @@ import "grouphash/internal/stats"
 // locked simulation).
 func (r *Region) RegisterMetrics(reg *stats.Registry, prefix string) {
 	p := prefix + "_nvm_"
-	reg.RegisterCounter(p+"stores_total", "", "Store operations of any size issued to the region.",
+	reg.RegisterCounter(p+"stores_total", "", "8-byte stores issued to the region.",
 		func() uint64 { return r.stats.Stores })
-	reg.RegisterCounter(p+"bytes_stored_total", "", "Total payload bytes of all stores.",
-		func() uint64 { return r.stats.BytesStored })
 	reg.RegisterCounter(p+"words_dirtied_total", "", "Clean-to-dirty word transitions (the paper's NVM writes).",
 		func() uint64 { return r.stats.WordsDirtied })
 	reg.RegisterCounter(p+"words_persisted_total", "", "Dirty words made durable by explicit persists.",

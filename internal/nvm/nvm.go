@@ -39,13 +39,12 @@ import (
 const WordSize = 8
 
 // Stats aggregates write-traffic counters for a region. All counters are
-// cumulative since the region was created (or since ResetStats).
+// cumulative since the region was created.
 type Stats struct {
-	// Stores is the number of store operations of any size issued to
-	// the region, including atomic stores.
+	// Stores is the number of 8-byte stores issued to the region,
+	// including atomic stores (every store is one word, so the bytes
+	// stored are 8 × Stores).
 	Stores uint64
-	// BytesStored is the total payload of those stores.
-	BytesStored uint64
 	// WordsDirtied counts transitions of a clean word to dirty. A word
 	// overwritten repeatedly between persists is counted once; this is
 	// the number of words that must eventually be written to the NVM
@@ -58,9 +57,9 @@ type Stats struct {
 	// model evicted their line.
 	WordsEvicted uint64
 	// AtomicStores counts 8-byte failure-atomic stores. Every atomic
-	// store is also counted in Stores (and BytesStored): AtomicStores
-	// is a strict subset of Stores, never a disjoint class, so
-	// Stores - AtomicStores is the number of ordinary stores.
+	// store is also counted in Stores: AtomicStores is a strict subset
+	// of Stores, never a disjoint class, so Stores - AtomicStores is
+	// the number of ordinary stores.
 	AtomicStores uint64
 }
 
@@ -154,7 +153,6 @@ func (r *Region) Store8(addr, val uint64) {
 	r.touchWord(addr)
 	binary.LittleEndian.PutUint64(r.cur[addr:addr+WordSize], val)
 	r.stats.Stores++
-	r.stats.BytesStored += WordSize
 }
 
 // AtomicStore8 is Store8 with the additional documented guarantee that

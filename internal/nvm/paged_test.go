@@ -154,7 +154,4 @@ func TestAtomicStoreSubsetSemantics(t *testing.T) {
 	if plain := st.Stores - st.AtomicStores; plain != 3 {
 		t.Fatalf("plain stores = %d, want 3", plain)
 	}
-	if st.BytesStored != 5*8 {
-		t.Fatalf("BytesStored = %d, want 40", st.BytesStored)
-	}
 }

@@ -130,6 +130,7 @@ func TestMetricsExposition(t *testing.T) {
 		for _, name := range []string{
 			"gh_store_expansions_total", "gh_store_expansion_stripes_migrated",
 			"gh_store_expansion_stripes", "gh_store_expansion_writer_stall_seconds_total",
+			"gh_store_expansion_fallbacks_total",
 		} {
 			if _, ok := fams[name]; !ok {
 				t.Errorf("%s: %s missing", src, name)

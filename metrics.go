@@ -61,6 +61,14 @@ func (s *Store) RegisterMetrics(r *stats.Registry, prefix string) {
 		func() float64 { _, t := s.ExpansionProgress(); return float64(t) })
 	r.RegisterCounter(p+"expansion_stripes_migrated_total", "", "Stripes drained by online expansions, cumulative.",
 		s.StripesMigrated)
+	r.RegisterCounter(p+"expansion_fallbacks_total", "",
+		"Online expansions that fell back to the stop-the-world rebuild.",
+		func() uint64 {
+			if s.conc == nil {
+				return 0
+			}
+			return s.conc.Fallbacks()
+		})
 	r.RegisterFloatCounter(p+"expansion_writer_stall_seconds_total", "",
 		"Total wall time writers spent blocked waiting for expansion room.",
 		func() float64 { return float64(s.ExpansionStallNanos()) * 1e-9 })

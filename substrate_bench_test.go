@@ -1,8 +1,9 @@
 // Substrate microbenchmarks: the BenchmarkSubstrate* family isolates the
 // cost of each simulation layer — dirty-word tracking in the NVM region,
-// the cache model's hit path, and the full memsim stack — plus a fixed
-// group-table trace, so substrate regressions show up as wall-clock
-// deltas here rather than as mysterious slowdowns in the figure harness.
+// the cache model's hit and miss paths and its construction, and the
+// full memsim stack — plus a fixed group-table trace, so substrate
+// regressions show up as wall-clock deltas here rather than as
+// mysterious slowdowns in the figure harness.
 //
 // BenchmarkSubstrateTrackerPaged vs BenchmarkSubstrateTrackerMap replays
 // one identical store/persist/evict/scan sequence against the production
@@ -198,6 +199,38 @@ func BenchmarkSubstrateCacheHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Access(uint64(i%2048)&^7, i%4 == 0)
+	}
+}
+
+// BenchmarkSubstrateCacheMiss measures the hierarchy on the paper's
+// geometry over a working set four times its L3 — the miss, fill and
+// eviction path the figures take, where BenchmarkSubstrateCacheHit
+// stays in L1: random lines over 64 MiB, a quarter of the accesses
+// writes, and every 16th access followed by a clflush of its line.
+func BenchmarkSubstrateCacheMiss(b *testing.B) {
+	h := cache.NewHierarchy(cache.PaperGeometry())
+	const span = 64 << 20
+	x := uint64(88172645463325252)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		addr := x % span &^ 7
+		h.Access(addr, i%4 == 0)
+		if i%16 == 15 {
+			h.Flush(addr)
+		}
+	}
+}
+
+// BenchmarkSubstrateNewHierarchy measures building the paper-geometry
+// hierarchy, which every simulated machine (every figure cell) does.
+func BenchmarkSubstrateNewHierarchy(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if cache.NewHierarchy(cache.PaperGeometry()) == nil {
+			b.Fatal("nil hierarchy")
+		}
 	}
 }
 

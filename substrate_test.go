@@ -80,7 +80,6 @@ func TestSubstrateGoldenCounters(t *testing.T) {
 		Fences:   35495,
 		NVM: nvm.Stats{
 			Stores:         38503,
-			BytesStored:    308024,
 			WordsDirtied:   38503,
 			WordsPersisted: 35503,
 			WordsEvicted:   3000,
