@@ -37,7 +37,7 @@ test:
 
 race: torture fuzz-smoke chaos-smoke
 	$(GO) test -race ./internal/core ./internal/engine ./internal/server ./internal/client ./internal/native ./internal/oplog ./internal/harness ./cmd/ghbench .
-	$(GO) test -race -run 'OnlineExpansion' -count=4 -cpu 1,2,4 ./internal/core
+	$(GO) test -race -run 'OnlineExpansion|^TestExpand|^TestExplicitExpand|^TestRunPool' -count=4 -cpu 1,2,4 ./internal/core
 	$(GO) test -race -run 'Replay' -count=4 -cpu 1,2,4 ./internal/oplog ./internal/engine .
 
 # torture is the durability gate: the crash torture (three chaos

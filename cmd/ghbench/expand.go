@@ -54,10 +54,10 @@ type expandStallRow struct {
 
 // rehashWorkerSweep returns the worker counts the rehash benchmark
 // measures: 1 (the sequential path) through GOMAXPROCS, padded with
-// forced 2- and 4-worker pools when GOMAXPROCS is smaller — on a
-// machine with fewer cores those rows measure pure pool overhead
-// (goroutine handoff with no parallel hardware underneath), which is
-// exactly the number needed to interpret a flat sweep.
+// 2- and 4-worker pools when GOMAXPROCS is smaller — on a machine with
+// fewer cores those rows measure pure pool overhead (goroutine handoff
+// with no parallel hardware underneath), which is exactly the number
+// needed to interpret a flat sweep.
 func rehashWorkerSweep() []int {
 	procs := runtime.GOMAXPROCS(0)
 	var ws []int
@@ -77,9 +77,10 @@ func rehashWorkerSweep() []int {
 
 // expandRehashBench builds ONE table at ~70% of the load-factor
 // trigger and times uncommitted full-table rehashes across the worker
-// sweep (best of reps each). Reusing one table keeps the 10M+-key row
-// affordable and guarantees every worker count migrates identical
-// contents.
+// sweep (best of reps each). The rehash runs one worker per P, so each
+// row sets GOMAXPROCS to its worker count, restored afterwards. Reusing
+// one table keeps the 10M+-key row affordable and guarantees every
+// worker count migrates identical contents.
 func expandRehashBench(l1 uint64, seed uint64, reps int) (rows []expandRehashRow) {
 	items := l1 * 2 * 7 / 10 // ~70% of the two-level capacity
 	mem := native.New(1 << 16)
@@ -88,10 +89,10 @@ func expandRehashBench(l1 uint64, seed uint64, reps int) (rows []expandRehashRow
 	for i := uint64(1); i <= items; i++ {
 		check(tab.InsertAutoExpand(layout.Key{Lo: i * 0x9e3779b97f4a7c15}, i))
 	}
-	defer tab.SetRehashWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var seq float64
 	for _, workers := range rehashWorkerSweep() {
-		tab.SetRehashWorkers(workers)
+		runtime.GOMAXPROCS(workers)
 		best := 0.0
 		for rep := 0; rep < reps; rep++ {
 			d, err := tab.RehashBench()

@@ -107,12 +107,12 @@ func TestInvalidateAllAndDirtyLines(t *testing.T) {
 }
 
 func TestHierarchyFillAndLevels(t *testing.T) {
-	h := NewHierarchy(SmallGeometry())
-	lvl, _ := h.Access(0, false)
+	h := NewHierarchy(SmallGeometry(), nil)
+	lvl := h.Access(0, false)
 	if lvl != Memory {
 		t.Fatalf("cold access serviced by %v, want Memory", lvl)
 	}
-	lvl, _ = h.Access(0, false)
+	lvl = h.Access(0, false)
 	if lvl != L1 {
 		t.Fatalf("warm access serviced by %v, want L1", lvl)
 	}
@@ -122,7 +122,7 @@ func TestHierarchyFillAndLevels(t *testing.T) {
 }
 
 func TestHierarchyL1EvictionFallsToL2(t *testing.T) {
-	h := NewHierarchy(SmallGeometry())
+	h := NewHierarchy(SmallGeometry(), nil)
 	l1 := h.Levels()[0] // 4KB, 2-way: 32 sets
 	sets := l1.setMask + 1
 	// Three lines in the same L1 set: the first gets demoted to L2.
@@ -133,7 +133,7 @@ func TestHierarchyL1EvictionFallsToL2(t *testing.T) {
 	h.Access(b, false)
 	h.Access(c, false)
 	// a should now hit in L2, not L1.
-	lvl, _ := h.Access(a, false)
+	lvl := h.Access(a, false)
 	if lvl != L2 {
 		t.Fatalf("demoted line serviced by %v, want L2", lvl)
 	}
@@ -141,30 +141,31 @@ func TestHierarchyL1EvictionFallsToL2(t *testing.T) {
 
 func TestHierarchyDirtyLLCEvictionReportsWriteback(t *testing.T) {
 	geoms := []Geometry{{Name: "only", Capacity: 2 * LineSize, Ways: 2}}
-	h := NewHierarchy(geoms)
+	var wbs []uint64
+	h := NewHierarchy(geoms, func(line uint64) { wbs = append(wbs, line) })
 	h.Access(0, true)
 	h.Access(LineSize, true)
-	_, wbs := h.Access(2*LineSize, false)
+	h.Access(2*LineSize, false)
 	if len(wbs) != 1 || wbs[0] != 0 {
 		t.Fatalf("writebacks = %v, want [0]", wbs)
 	}
 }
 
 func TestHierarchyFlushAllLevels(t *testing.T) {
-	h := NewHierarchy(SmallGeometry())
+	h := NewHierarchy(SmallGeometry(), nil)
 	h.Access(0, true)
 	present, dirty := h.Flush(0)
 	if !present || !dirty {
 		t.Fatalf("flush = %v/%v", present, dirty)
 	}
-	lvl, _ := h.Access(0, false)
+	lvl := h.Access(0, false)
 	if lvl != Memory {
 		t.Fatalf("post-flush access serviced by %v, want Memory", lvl)
 	}
 }
 
 func TestHierarchyFlushAllCollectsDirty(t *testing.T) {
-	h := NewHierarchy(SmallGeometry())
+	h := NewHierarchy(SmallGeometry(), nil)
 	h.Access(0, true)
 	h.Access(LineSize, false)
 	h.Access(5*LineSize, true)
@@ -172,7 +173,7 @@ func TestHierarchyFlushAllCollectsDirty(t *testing.T) {
 	if len(dirty) != 2 {
 		t.Fatalf("FlushAll = %v, want 2 dirty lines", dirty)
 	}
-	if lvl, _ := h.Access(0, false); lvl != Memory {
+	if lvl := h.Access(0, false); lvl != Memory {
 		t.Fatal("caches not empty after FlushAll")
 	}
 }
@@ -216,11 +217,11 @@ func TestQuickTemporalLocalityAlwaysHits(t *testing.T) {
 // once (no duplicated persistence events for one store).
 func TestQuickNoDuplicateWritebacks(t *testing.T) {
 	f := func(addrs []uint16) bool {
+		seen := make(map[uint64]int)
 		h := NewHierarchy([]Geometry{
 			{Name: "L1", Capacity: 2 * LineSize, Ways: 1},
 			{Name: "L2", Capacity: 4 * LineSize, Ways: 1},
-		})
-		seen := make(map[uint64]int)
+		}, func(line uint64) { seen[line]++ })
 		dirtied := make(map[uint64]int)
 		for _, a := range addrs {
 			addr := uint64(a) % (1 << 13)
@@ -229,10 +230,7 @@ func TestQuickNoDuplicateWritebacks(t *testing.T) {
 			// outside the hierarchy (each such episode can cause at
 			// most one writeback).
 			dirtied[line]++
-			_, wbs := h.Access(addr, true)
-			for _, wb := range wbs {
-				seen[wb]++
-			}
+			h.Access(addr, true)
 		}
 		for line, n := range seen {
 			if n > dirtied[line] {
@@ -247,8 +245,9 @@ func TestQuickNoDuplicateWritebacks(t *testing.T) {
 }
 
 func TestHierarchyPrefetchInstallsClean(t *testing.T) {
-	h := NewHierarchy(SmallGeometry())
-	wbs := h.Prefetch(5 * LineSize)
+	var wbs []uint64
+	h := NewHierarchy(SmallGeometry(), func(line uint64) { wbs = append(wbs, line) })
+	h.Prefetch(5 * LineSize)
 	if len(wbs) != 0 {
 		t.Fatalf("prefetch into empty hierarchy wrote back %v", wbs)
 	}
@@ -260,7 +259,7 @@ func TestHierarchyPrefetchInstallsClean(t *testing.T) {
 		t.Fatal("prefetched line not in L2")
 	}
 	// A demand access then hits at L2.
-	lvl, _ := h.Access(5*LineSize, false)
+	lvl := h.Access(5*LineSize, false)
 	if lvl != L2 {
 		t.Fatalf("post-prefetch access serviced by %v, want L2", lvl)
 	}
@@ -269,16 +268,17 @@ func TestHierarchyPrefetchInstallsClean(t *testing.T) {
 func TestHierarchyPrefetchEvictionsReported(t *testing.T) {
 	// Tiny single-level hierarchy: prefetches displace dirty lines,
 	// which must surface as writebacks.
-	h := NewHierarchy([]Geometry{{Name: "only", Capacity: LineSize, Ways: 1}})
+	var wbs []uint64
+	h := NewHierarchy([]Geometry{{Name: "only", Capacity: LineSize, Ways: 1}}, func(line uint64) { wbs = append(wbs, line) })
 	h.Access(0, true) // dirty line 0
-	wbs := h.Prefetch(LineSize)
+	h.Prefetch(LineSize)
 	if len(wbs) != 1 || wbs[0] != 0 {
 		t.Fatalf("writebacks = %v, want [0]", wbs)
 	}
 }
 
 func TestHierarchyPrefetchExistingLinePreservesDirty(t *testing.T) {
-	h := NewHierarchy(SmallGeometry())
+	h := NewHierarchy(SmallGeometry(), nil)
 	h.Access(0, true)
 	h.Prefetch(0) // line already resident and dirty
 	_, dirty := h.Flush(0)

@@ -3,17 +3,19 @@ package cache
 // Hierarchy chains L1, L2 and L3 into an inclusive-enough model: an
 // access probes nearest-first; the first level that hits services it and
 // the line is filled into every nearer level. A line evicted dirty from
-// L3 is reported to the owner (the memsim layer), which writes the words
-// back to the NVM region — silently persisting them, exactly like real
-// hardware write-back. Dirty evictions from L1/L2 are folded into the
-// next level down (the line is installed there dirty).
+// L3 goes to the write-back sink the hierarchy was built with (the
+// memsim layer's, which writes the words back to the NVM region —
+// silently persisting them, exactly like real hardware write-back).
+// Dirty evictions from L1/L2 are folded into the next level down (the
+// line is installed there dirty).
 //
 // This is a simplification of a real inclusive hierarchy (no back-
 // invalidation on L3 eviction), which is fine for the paper's metrics:
 // L3 miss counts depend on L3 contents, and persistence correctness
 // depends only on which dirty lines have left the hierarchy.
 type Hierarchy struct {
-	levels []*Cache // nearest first: L1, L2, L3
+	levels    []*Cache // nearest first: L1, L2, L3
+	writeBack func(line uint64)
 }
 
 // Geometry describes one level of the hierarchy.
@@ -47,11 +49,16 @@ func SmallGeometry() []Geometry {
 }
 
 // NewHierarchy builds a hierarchy from nearest to farthest level.
-func NewHierarchy(geoms []Geometry) *Hierarchy {
+// writeBack receives each dirty line that leaves the last level, in the
+// order the lines leave; nil discards them.
+func NewHierarchy(geoms []Geometry, writeBack func(line uint64)) *Hierarchy {
 	if len(geoms) == 0 {
 		panic("cache: hierarchy needs at least one level")
 	}
-	h := &Hierarchy{}
+	if writeBack == nil {
+		writeBack = func(uint64) {}
+	}
+	h := &Hierarchy{writeBack: writeBack}
 	for _, g := range geoms {
 		h.levels = append(h.levels, New(g.Name, g.Capacity, g.Ways))
 	}
@@ -61,17 +68,16 @@ func NewHierarchy(geoms []Geometry) *Hierarchy {
 // Levels returns the underlying caches, nearest first.
 func (h *Hierarchy) Levels() []*Cache { return h.levels }
 
-// Access runs addr through the hierarchy. It returns the level that
-// serviced the access (Memory if every cache missed) and the set of
-// dirty lines that left the hierarchy entirely (LLC dirty evictions),
-// which the caller must write back to the NVM region.
-func (h *Hierarchy) Access(addr uint64, write bool) (serviced Level, writebacks []uint64) {
+// Access runs addr through the hierarchy and returns the level that
+// serviced the access (Memory if every cache missed). Dirty lines that
+// leave the hierarchy entirely (LLC dirty evictions) go to the
+// write-back sink before it returns.
+func (h *Hierarchy) Access(addr uint64, write bool) Level {
 	// Fast path: an L1 MRU hit needs no fills, no evictions and no
-	// write-backs — it short-circuits the per-level loop (and its slice
-	// bookkeeping) entirely. State transitions are identical to the
-	// general path below.
+	// write-backs — it short-circuits the per-level loop entirely.
+	// State transitions are identical to the general path below.
 	if h.levels[0].hitMRU(lineOf(addr), write) {
-		return L1, nil
+		return L1
 	}
 	for i, c := range h.levels {
 		hit, ev, evicted := c.Access(addr, write)
@@ -80,22 +86,22 @@ func (h *Hierarchy) Access(addr uint64, write bool) (serviced Level, writebacks 
 				// Fold the displaced line into the next level down,
 				// preserving its dirtiness, without counting it as a
 				// demand access.
-				h.install(i+1, ev.Line, ev.Dirty, &writebacks)
+				h.install(i+1, ev.Line, ev.Dirty)
 			} else if ev.Dirty {
-				writebacks = append(writebacks, ev.Line)
+				h.writeBack(ev.Line)
 			}
 		}
 		if hit {
-			return Level(i), writebacks
+			return Level(i)
 		}
 	}
-	return Memory, writebacks
+	return Memory
 }
 
 // install places a line into level i (and handles the ripple of
 // evictions) without touching hit/miss statistics — it models the
 // background movement of a displaced line, not a demand access.
-func (h *Hierarchy) install(i int, line uint64, dirty bool, writebacks *[]uint64) {
+func (h *Hierarchy) install(i int, line uint64, dirty bool) {
 	c := h.levels[i]
 	s := c.setFor(line)
 	if j := find(s, line); j >= 0 {
@@ -108,26 +114,19 @@ func (h *Hierarchy) install(i int, line uint64, dirty bool, writebacks *[]uint64
 	if old := c.fill(s, line, dirty); old != 0 {
 		evLine, evDirty := old>>2, old&wayDirty != 0
 		if i+1 < len(h.levels) {
-			h.install(i+1, evLine, evDirty, writebacks)
+			h.install(i+1, evLine, evDirty)
 		} else if evDirty {
-			*writebacks = append(*writebacks, evLine)
+			h.writeBack(evLine)
 		}
 	}
 }
 
 // Prefetch installs the line containing addr clean into the L2 level
 // (or the only level), without touching demand hit/miss statistics —
-// modelling a hardware streamer prefetch. It returns any dirty lines
-// the install displaced out of the hierarchy, which the caller must
-// write back.
-func (h *Hierarchy) Prefetch(addr uint64) []uint64 {
-	var writebacks []uint64
-	i := 1
-	if i >= len(h.levels) {
-		i = len(h.levels) - 1
-	}
-	h.install(i, lineOf(addr), false, &writebacks)
-	return writebacks
+// modelling a hardware streamer prefetch. Dirty lines the install
+// displaces out of the hierarchy go to the write-back sink.
+func (h *Hierarchy) Prefetch(addr uint64) {
+	h.install(min(1, len(h.levels)-1), lineOf(addr), false)
 }
 
 // Flush invalidates the line containing addr from every level (clflush

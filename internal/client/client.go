@@ -112,7 +112,8 @@ func (c *Client) Do(reqs []wire.Request) ([]wire.Response, error) {
 func (c *Client) do(req wire.Request) (wire.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := wire.WriteRequest(c.bw, req); err != nil {
+	c.buf = wire.AppendRequest(c.buf[:0], req)
+	if _, err := c.bw.Write(c.buf); err != nil {
 		return wire.Response{}, err
 	}
 	if err := c.bw.Flush(); err != nil {

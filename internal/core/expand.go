@@ -78,10 +78,10 @@ func (t *Table) rebuild(cells uint64, place func(nvw *view) bool) bool {
 // WITHOUT committing them, returning the wall time of the migration
 // itself (array allocation and reclamation excluded). The table is
 // left unchanged, and on reclaiming backends the scratch arrays are
-// returned to the allocator, so repeated calls — e.g. a worker-count
-// sweep via SetRehashWorkers — reuse one built table without growing
-// the footprint. Benchmark instrumentation for cmd/ghbench; not part
-// of the recovery or expansion protocol.
+// returned to the allocator, so repeated calls — e.g. a GOMAXPROCS
+// sweep — reuse one built table without growing the footprint.
+// Benchmark instrumentation for cmd/ghbench; not part of the recovery
+// or expansion protocol.
 func (t *Table) RehashBench() (time.Duration, error) {
 	vw := t.cur()
 	seed := t.mem.Read8(t.hdr + hdrSeed*layout.WordSize)
@@ -103,19 +103,38 @@ func (t *Table) RehashBench() (time.Duration, error) {
 	return d, nil
 }
 
-// SetRehashWorkers overrides the worker count of the parallel rehash:
-// 0 restores the automatic choice (GOMAXPROCS on eligible backends),
-// 1 forces the sequential path, n > 1 forces an n-worker pool even
-// beyond GOMAXPROCS (useful for benchmarking the pool's scheduling
-// overhead in isolation — on a machine with fewer cores the extra
-// workers just timeshare). Two-choice tables and backends without
-// atomic word access ignore the override and stay sequential. Must not
-// be called while an expansion is in flight.
-func (t *Table) SetRehashWorkers(n int) {
-	if n < 0 {
-		n = 0
+// runPool calls do(0), …, do(n-1) on up to workers workers and reports
+// whether every call returned true. Workers claim units in index order
+// off a shared counter, so a skewed region cannot leave one worker with
+// all the work; the caller is one of the workers, so with one worker
+// the units run inline and in order. Once a call returns false no
+// further unit is claimed. Both expansions run on it: rehashInto's
+// chunks of old groups and runExpansion's stripes.
+func runPool(workers, n int, do func(i int) bool) bool {
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			if !do(i) {
+				failed.Store(true)
+			}
+		}
 	}
-	t.rehashWorkers = n
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return !failed.Load()
 }
 
 // rehashInto re-inserts every live item of vw into the new view,
@@ -130,9 +149,9 @@ func (t *Table) SetRehashWorkers(n int) {
 // distinct old groups are disjoint. Two consequences:
 //
 //   - The migration is embarrassingly parallel at group granularity:
-//     workers claim contiguous ranges of old groups and write
-//     non-overlapping regions of the new arrays, with no locks and no
-//     cross-worker conflicts.
+//     runPool's workers (one per P) claim runs of eight old groups and
+//     write non-overlapping regions of the new arrays, with no locks
+//     and no cross-worker conflicts.
 //   - Within one old group's window the destination level-2 groups are
 //     exclusively owned and start empty, so they fill strictly left to
 //     right — rehashGroups tracks each one's fill with a DRAM cursor
@@ -146,55 +165,21 @@ func (t *Table) SetRehashWorkers(n int) {
 // individually atomic (hashtab.ConcurrentReader) and on single-choice
 // tables (a two-choice item's second candidate lands in an unrelated
 // group, breaking both disjointness and the left-to-right fill);
-// everything else takes the sequential path, which uses the same
-// cursor placement. Per-item durability is unchanged either way — each
-// item runs the same cell commit protocol (payload → persist → meta →
-// persist) through Cells.InsertAt, and the single 8-byte header-slot
-// flip in commitRoots remains the expansion's only commit point.
+// everything else migrates all groups in one sequential call. Per-item
+// durability is unchanged either way — each item runs the same cell
+// commit protocol (payload → persist → meta → persist) through
+// Cells.InsertAt, and the single 8-byte header-slot flip in commitRoots
+// remains the expansion's only commit point.
 func (t *Table) rehashInto(vw, nvw *view) bool {
 	groups := vw.tab1.N / t.gsz
-	workers := 1
-	if _, ok := t.mem.(hashtab.ConcurrentReader); ok && !t.two {
-		workers = t.rehashWorkers
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if uint64(workers) > groups {
-			workers = int(groups)
-		}
-	}
-	if workers <= 1 {
+	if _, ok := t.mem.(hashtab.ConcurrentReader); !ok || t.two {
 		return t.rehashGroups(vw, nvw, 0, groups)
 	}
-	// Dynamic chunked claiming: workers grab batches of old groups off
-	// a shared counter, so a skewed region cannot leave one worker with
-	// all the work.
-	const chunk = 8
-	var next atomic.Uint64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				lo := next.Add(chunk) - chunk
-				if lo >= groups {
-					return
-				}
-				hi := lo + chunk
-				if hi > groups {
-					hi = groups
-				}
-				if !t.rehashGroups(vw, nvw, lo, hi) {
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return !failed.Load()
+	const chunk = 8 // old groups per claimed unit
+	return runPool(runtime.GOMAXPROCS(0), int((groups+chunk-1)/chunk), func(u int) bool {
+		lo := uint64(u) * chunk
+		return t.rehashGroups(vw, nvw, lo, min(lo+chunk, groups))
+	})
 }
 
 // rehashGroups migrates the live items of old groups [gLo, gHi) from vw

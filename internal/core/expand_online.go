@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -216,33 +215,18 @@ func (c *Concurrent) ensureExpansion() *expState {
 	return e
 }
 
-// runExpansion is the coordinator: a worker pool (one goroutine per P,
-// capped at the stripe count) claims stripes off a shared counter and
-// drains them one at a time, then the commit runs.
+// runExpansion is the coordinator: runPool's workers (one per P)
+// claim stripes in order and drain them one at a time, then the commit
+// runs. A stripe that overflows ends the claiming, since the fallback
+// rebuild re-places every item anyway.
 func (c *Concurrent) runExpansion(e *expState) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(c.stripes) {
-		workers = len(c.stripes)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				si := int(next.Add(1) - 1)
-				if si >= len(c.stripes) {
-					return
-				}
-				c.migrateStripe(e, si)
-				if c.hookStripeDone != nil {
-					c.hookStripeDone(si)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	runPool(runtime.GOMAXPROCS(0), len(c.stripes), func(si int) bool {
+		ok := c.migrateStripe(e, si)
+		if c.hookStripeDone != nil {
+			c.hookStripeDone(si)
+		}
+		return ok
+	})
 	c.finishExpansion(e)
 }
 
@@ -251,8 +235,8 @@ func (c *Concurrent) runExpansion(e *expState) {
 // commit protocol. Destination windows of distinct old groups are
 // disjoint (see expand.go), so stripes drain in parallel without
 // coordinating. Items are copied, never moved — the old arrays stay
-// intact for pre-flip crash recovery.
-func (c *Concurrent) migrateStripe(e *expState, si int) {
+// intact for pre-flip crash recovery. Reports whether every item fit.
+func (c *Concurrent) migrateStripe(e *expState, si int) bool {
 	s := &c.stripes[si]
 	s.lock()
 	t := c.t
@@ -271,6 +255,7 @@ func (c *Concurrent) migrateStripe(e *expState, si int) {
 	if ok {
 		close(e.stripeCh[si])
 	}
+	return ok
 }
 
 // finishExpansion commits the migration. With every stripe held (no

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"grouphash/internal/cache"
@@ -53,6 +55,49 @@ func TestExplicitExpand(t *testing.T) {
 		if _, ok := tab.Lookup(layout.Key{Lo: i}); !ok {
 			t.Fatalf("item %d lost by explicit expansion", i)
 		}
+	}
+}
+
+// TestRunPool pins the worker pool both expansions share: every unit
+// runs exactly once whatever the worker count, one worker runs the
+// units in order, and a failing unit makes the pool report false and
+// claim nothing more. Run it under -race with -cpu 1,2,4.
+func TestRunPool(t *testing.T) {
+	const n = 37
+	for _, workers := range []int{1, 2, 4, n + 5} {
+		var runs [n]atomic.Int32
+		if !runPool(workers, n, func(i int) bool { runs[i].Add(1); return true }) {
+			t.Fatalf("%d workers: all units succeeded, pool reported failure", workers)
+		}
+		for i := range runs {
+			if got := runs[i].Load(); got != 1 {
+				t.Fatalf("%d workers: unit %d ran %d times, want once", workers, i, got)
+			}
+		}
+
+		const bad = 11
+		runs = [n]atomic.Int32{}
+		if runPool(workers, n, func(i int) bool { runs[i].Add(1); return i != bad }) {
+			t.Fatalf("%d workers: unit %d failed, pool reported success", workers, bad)
+		}
+		for i := range runs {
+			if got := runs[i].Load(); got > 1 {
+				t.Fatalf("%d workers: unit %d ran %d times after a failure", workers, i, got)
+			}
+		}
+		if runs[bad].Load() != 1 {
+			t.Fatalf("%d workers: the failing unit never ran", workers)
+		}
+	}
+
+	// One worker is the caller itself: units run inline and in order,
+	// and none is claimed after the failing one.
+	var order []int
+	if runPool(1, 6, func(i int) bool { order = append(order, i); return i != 3 }) {
+		t.Fatal("one worker: unit 3 failed, pool reported success")
+	}
+	if fmt.Sprint(order) != "[0 1 2 3]" {
+		t.Fatalf("one worker ran units %v, want [0 1 2 3]", order)
 	}
 }
 

@@ -270,7 +270,7 @@ func TestFingerprintDuplicateFirstMatch(t *testing.T) {
 
 	tab.EnableFingerprints()
 	vw = tab.cur()
-	if !tab.removeInGroup(vw, j, k, &tl) {
+	if !tab.removeIn(vw, k, &tl) {
 		t.Fatal("delete missed")
 	}
 	i2, ok := tab.findInGroup(vw, j, k, &tl)

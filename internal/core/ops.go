@@ -88,25 +88,8 @@ func (t *Table) Lookup(k layout.Key) (uint64, bool) {
 // the NEW arrays of an in-flight expansion for stripes whose migration
 // has completed.
 func (t *Table) lookupIn(vw *view, k layout.Key, tl *fpTally) (uint64, bool) {
-	i1, i2, n := t.homesIn(vw, k)
-	if vw.tab1.Matches(i1, k) {
-		return vw.tab1.Value(i1), true
-	}
-	if n == 2 && vw.tab1.Matches(i2, k) {
-		return vw.tab1.Value(i2), true
-	}
-	if v, ok := t.lookupInGroup(vw, t.groupStart(i1), k, tl); ok {
-		return v, true
-	}
-	if n == 2 && t.groupStart(i2) != t.groupStart(i1) {
-		return t.lookupInGroup(vw, t.groupStart(i2), k, tl)
-	}
-	return 0, false
-}
-
-func (t *Table) lookupInGroup(vw *view, j uint64, k layout.Key, tl *fpTally) (uint64, bool) {
-	if i, ok := t.findInGroup(vw, j, k, tl); ok {
-		return vw.tab2.Value(i), true
+	if cells, i, ok := t.locateIn(vw, k, tl); ok {
+		return cells.Value(i), true
 	}
 	return 0, false
 }
@@ -152,31 +135,14 @@ func (t *Table) Delete(k layout.Key) bool {
 // build on, so the sequential and concurrent paths cannot drift. Its
 // filtered group scans are tallied in tl.
 func (t *Table) removeIn(vw *view, k layout.Key, tl *fpTally) bool {
-	i1, i2, n := t.homesIn(vw, k)
-	if vw.tab1.Matches(i1, k) {
-		vw.tab1.DeleteAt(i1)
-		return true
-	}
-	if n == 2 && vw.tab1.Matches(i2, k) {
-		vw.tab1.DeleteAt(i2)
-		return true
-	}
-	if t.removeInGroup(vw, t.groupStart(i1), k, tl) {
-		return true
-	}
-	if n == 2 && t.groupStart(i2) != t.groupStart(i1) {
-		return t.removeInGroup(vw, t.groupStart(i2), k, tl)
-	}
-	return false
-}
-
-func (t *Table) removeInGroup(vw *view, j uint64, k layout.Key, tl *fpTally) bool {
-	i, ok := t.findInGroup(vw, j, k, tl)
+	cells, i, ok := t.locateIn(vw, k, tl)
 	if !ok {
 		return false
 	}
-	vw.tab2.DeleteAt(i)
-	vw.fpStore(i, 0)
+	cells.DeleteAt(i)
+	if cells == &vw.tab2 {
+		vw.fpStore(i, 0)
+	}
 	return true
 }
 
@@ -204,7 +170,10 @@ func (t *Table) updateIn(vw *view, k layout.Key, v uint64, tl *fpTally) bool {
 	return false
 }
 
-// locateIn finds the cell currently holding k under vw.
+// locateIn finds the cell currently holding k under vw: the level-1
+// home(s), then the matched level-2 group(s), Algorithm 2's walk. It is
+// the only keyed probe; lookupIn, removeIn and updateIn act on the cell
+// it returns. Its filtered group scans are tallied in tl.
 func (t *Table) locateIn(vw *view, k layout.Key, tl *fpTally) (*hashtab.Cells, uint64, bool) {
 	i1, i2, n := t.homesIn(vw, k)
 	if vw.tab1.Matches(i1, k) {
@@ -213,12 +182,12 @@ func (t *Table) locateIn(vw *view, k layout.Key, tl *fpTally) (*hashtab.Cells, u
 	if n == 2 && vw.tab1.Matches(i2, k) {
 		return &vw.tab1, i2, true
 	}
-	for _, j := range [2]uint64{t.groupStart(i1), t.groupStart(i2)} {
-		if i, ok := t.findInGroup(vw, j, k, tl); ok {
+	if i, ok := t.findInGroup(vw, t.groupStart(i1), k, tl); ok {
+		return &vw.tab2, i, true
+	}
+	if n == 2 && t.groupStart(i2) != t.groupStart(i1) {
+		if i, ok := t.findInGroup(vw, t.groupStart(i2), k, tl); ok {
 			return &vw.tab2, i, true
-		}
-		if n != 2 || t.groupStart(i2) == t.groupStart(i1) {
-			break
 		}
 	}
 	return nil, 0, false

@@ -140,10 +140,6 @@ type Table struct {
 	// (fingerprint.go). Set by default on ConcurrentReader backends at
 	// Create/Open, toggled by Enable/DisableFingerprints.
 	fpOn bool
-	// rehashWorkers overrides the worker count of rehashInto's parallel
-	// migration: 0 = auto (GOMAXPROCS on eligible backends), 1 = force
-	// sequential, n > 1 = force an n-worker pool. See SetRehashWorkers.
-	rehashWorkers int
 	// expandFailures forces the next n attempts of rebuild — Expand's
 	// and the online fallback's — to fail (test hook for the
 	// tripling-retry/reclaim path).

@@ -142,12 +142,19 @@ func New(cfg Config) *Memory {
 	if cfg.Latency != nil {
 		lat = *cfg.Latency
 	}
-	return &Memory{
+	m := &Memory{
 		region:   nvm.NewRegion(cfg.Size, cfg.Seed),
-		hier:     cache.NewHierarchy(geoms),
 		lat:      lat,
 		prefetch: !cfg.DisablePrefetch,
 	}
+	// A dirty line that leaves the hierarchy is written back to the
+	// region. Background traffic: it persists silently, with no latency
+	// charged to the requesting operation (the memory controller drains
+	// it asynchronously).
+	m.hier = cache.NewHierarchy(geoms, func(line uint64) {
+		m.region.Evict(line<<cache.LineShift, cache.LineSize)
+	})
+	return m
 }
 
 // Region exposes the underlying NVM region (verification tooling only;
@@ -188,14 +195,14 @@ func (m *Memory) SetAllocated(next uint64) {
 	m.next = next
 }
 
-// access charges one demand access to the line containing addr and
-// settles any write-backs that fall out of the LLC.
+// access charges one demand access to the line containing addr; any
+// write-backs that fall out of the LLC reach the region on the way.
 func (m *Memory) access(addr uint64, write bool) {
 	m.accesses++
 	if m.crashArmed && m.accesses >= m.crashAt && m.shadow == nil {
 		m.shadow = m.region.SnapshotPersisted(m.crashSurvival)
 	}
-	lvl, writebacks := m.hier.Access(addr, write)
+	lvl := m.hier.Access(addr, write)
 	switch lvl {
 	case cache.L1:
 		m.clock += m.lat.L1Hit
@@ -206,7 +213,6 @@ func (m *Memory) access(addr uint64, write bool) {
 	default:
 		m.clock += m.lat.MemRead
 	}
-	m.drain(writebacks)
 
 	// Next-line prefetcher: every demand miss pulls the following line
 	// into L2 in the background, and an ascending line-to-line stride
@@ -220,20 +226,11 @@ func (m *Memory) access(addr uint64, write bool) {
 		if lvl == cache.Memory || sequential {
 			next := (line + 1) << cache.LineShift
 			if next+cache.LineSize <= m.region.Size() {
-				m.drain(m.hier.Prefetch(next))
+				m.hier.Prefetch(next)
 			}
 		}
 		m.lastLine = line
 		m.hasLast = true
-	}
-}
-
-// drain writes back dirty lines that left the hierarchy. Background
-// traffic: persists silently, no latency charged to the requesting
-// operation (the memory controller drains it asynchronously).
-func (m *Memory) drain(writebacks []uint64) {
-	for _, line := range writebacks {
-		m.region.Evict(line<<cache.LineShift, cache.LineSize)
 	}
 }
 

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -21,6 +22,38 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	m.AtomicWrite8(1000, 78)
 	if got := m.Read8(1000); got != 78 {
 		t.Fatalf("Read8 after AtomicWrite8 = %d", got)
+	}
+}
+
+// TestWriteBacksAllocateNothing streams writes over fresh lines, so
+// nearly every access evicts a dirty line out of the LLC, and counts the
+// heap allocations of the whole stream with runtime.ReadMemStats: a
+// write-back goes straight from the hierarchy to the region and
+// allocates nothing. (testing.AllocsPerRun would truncate an average
+// below one allocation per access to zero and miss one per write-back.)
+// A first pass allocates the region's dirty-tracker pages, which it
+// keeps; the second is measured.
+func TestWriteBacksAllocateNothing(t *testing.T) {
+	const n = 100000
+	m := New(Config{Size: n * cache.LineSize, Seed: 1, Geoms: cache.SmallGeometry()})
+	stream := func() {
+		for i := uint64(0); i < n; i++ {
+			m.Write8(i*cache.LineSize, i)
+		}
+	}
+	stream()
+	evicted := m.Counters().NVM.WordsEvicted
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stream()
+	runtime.ReadMemStats(&after)
+	wbs := m.Counters().NVM.WordsEvicted - evicted // one dirty word per line
+	if wbs < n*9/10 {
+		t.Fatalf("only %d write-backs in %d streaming writes", wbs, n)
+	}
+	// A little slack for allocations the runtime makes on its own.
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > 100 {
+		t.Fatalf("%d heap allocations over %d write-backs, want none per write-back", mallocs, wbs)
 	}
 }
 

@@ -70,8 +70,8 @@ func TestServeBatchFrame(t *testing.T) {
 	if d, last := lg.DurableLSN(), lg.LastLSN(); d < last {
 		t.Errorf("batch frame acked with durable LSN %d < last LSN %d", d, last)
 	}
-	if m := s.Stats(); m.BadRequest != 2 || m.InvalidKey != 1 {
-		t.Errorf("counters after batch frame = %+v", m)
+	if bad, inv := s.badreq.Load(), s.invalid.Load(); bad != 2 || inv != 1 {
+		t.Errorf("after the batch frame: %d bad requests and %d invalid keys, want 2 and 1", bad, inv)
 	}
 	if s.batchFrameSize.Snapshot().Count != 1 {
 		t.Error("gh_server_batch_size{source=frame} did not observe the frame")

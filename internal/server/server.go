@@ -96,30 +96,13 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Metrics is a point-in-time copy of the server's counters.
+// Metrics is a point-in-time copy of the server's request counters.
+// Every other counter is a series of the metrics registry (GET /metrics
+// and the wire's OpStats).
 type Metrics struct {
-	// ConnsAccepted counts connections ever accepted; ConnsActive is
-	// the current count (a single gauge, so it can never underflow
-	// when a connection closes mid-read).
-	ConnsAccepted, ConnsActive uint64
 	// Reads, Writes, Deletes, Others count requests by class (Get;
-	// Put+Insert; Delete; Ping+Len+Stats).
+	// Put; Delete; Ping+Len+Stats).
 	Reads, Writes, Deletes, Others uint64
-	// Full, InvalidKey, BadRequest count non-OK outcomes.
-	Full, InvalidKey, BadRequest uint64
-	// DrainRejects counts write requests answered StatusDraining
-	// after a drain began.
-	DrainRejects uint64
-	// Snapshots counts completed snapshot saves (periodic + final).
-	Snapshots uint64
-	// Expansions counts completed online table expansions.
-	Expansions uint64
-	// OplogLastLSN and OplogDurableLSN are the operation log's
-	// assigned and fsynced high-water marks (0 without an oplog).
-	OplogLastLSN, OplogDurableLSN uint64
-	// BytesRead and BytesWritten count wire-protocol frame bytes in and
-	// out (0 when Config.DisableTiming turned byte accounting off).
-	BytesRead, BytesWritten uint64
 }
 
 // Server serves one Store over TCP. Create with New, start with Serve
@@ -783,29 +766,14 @@ func (s *Server) errResponse(err error) wire.Response {
 	}
 }
 
-// Stats returns a copy of the server's counters.
+// Stats returns the server's request counters.
 func (s *Server) Stats() Metrics {
-	m := Metrics{
-		ConnsAccepted: s.accepted.Load(),
-		ConnsActive:   s.connsActive.Load(),
-		Reads:         s.reads.Load(),
-		Writes:        s.writes.Load(),
-		Deletes:       s.deletes.Load(),
-		Others:        s.others.Load(),
-		Full:          s.full.Load(),
-		InvalidKey:    s.invalid.Load(),
-		BadRequest:    s.badreq.Load(),
-		DrainRejects:  s.drainRejects.Load(),
-		Snapshots:     s.snapshots.Load(),
-		Expansions:    s.cfg.Engine.Expansions(),
+	return Metrics{
+		Reads:   s.reads.Load(),
+		Writes:  s.writes.Load(),
+		Deletes: s.deletes.Load(),
+		Others:  s.others.Load(),
 	}
-	if s.cfg.Oplog != nil {
-		m.OplogLastLSN = s.cfg.Oplog.LastLSN()
-		m.OplogDurableLSN = s.cfg.Oplog.DurableLSN()
-	}
-	m.BytesRead = s.bytesRead.Load()
-	m.BytesWritten = s.bytesWritten.Load()
-	return m
 }
 
 // exposition renders the registry for OpStats: the bytes GET /metrics

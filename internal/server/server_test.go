@@ -147,8 +147,8 @@ func TestServeBasicOps(t *testing.T) {
 	if err := c.Put(layout.Key{}, 1); !errors.Is(err, client.ErrInvalidKey) {
 		t.Fatalf("zero-key Put = %v, want ErrInvalidKey", err)
 	}
-	if m := s.Stats(); m.Writes == 0 || m.Reads == 0 || m.InvalidKey != 1 {
-		t.Fatalf("counters = %+v", m)
+	if m := s.Stats(); m.Writes == 0 || m.Reads == 0 || s.invalid.Load() != 1 {
+		t.Fatalf("counters = %+v, %d invalid keys", m, s.invalid.Load())
 	}
 }
 
@@ -255,7 +255,7 @@ func TestServerOnlineExpansion(t *testing.T) {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
-	if full := s.Stats().Full; full != 0 {
+	if full := s.full.Load(); full != 0 {
 		t.Fatalf("saw %d StatusFull responses, want 0", full)
 	}
 	if exp := s.cfg.Engine.Expansions(); exp == 0 {
@@ -381,8 +381,8 @@ func TestSnapshotWhileServing(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	if s.Stats().Snapshots < 3 {
-		t.Fatalf("only %d periodic snapshots in 200ms at a 10ms interval", s.Stats().Snapshots)
+	if s.snapshots.Load() < 3 {
+		t.Fatalf("only %d periodic snapshots in 200ms at a 10ms interval", s.snapshots.Load())
 	}
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
@@ -413,14 +413,14 @@ func TestIdleServerSkipsPeriodicSnapshots(t *testing.T) {
 	// periods) and requires that no further image was written.
 	settle := func(want uint64) {
 		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); s.Stats().Snapshots < want; {
+		for deadline := time.Now().Add(5 * time.Second); s.snapshots.Load() < want; {
 			if time.Now().After(deadline) {
-				t.Fatalf("%d images after 5s, want %d", s.Stats().Snapshots, want)
+				t.Fatalf("%d images after 5s, want %d", s.snapshots.Load(), want)
 			}
 			time.Sleep(time.Millisecond)
 		}
 		time.Sleep(100 * time.Millisecond)
-		if n := s.Stats().Snapshots; n != want {
+		if n := s.snapshots.Load(); n != want {
 			t.Fatalf("%d images after 100ms idle at a 5ms period, want %d", n, want)
 		}
 	}
@@ -578,14 +578,15 @@ func TestStickyOplogFailureShutsDown(t *testing.T) {
 }
 
 // TestConnsActiveNeverUnderflows is the regression test for the
-// Stats() gauge: it used to be computed as accepted − closed from two
-// independent atomics, so a sampler interleaving with a connection's
-// teardown could read ~2^64. Hammer short-lived connections while a
-// sampler polls. The bound is the invariant the gauge guarantees, not
-// a timing guess (handlers lag behind client closes by design, so the
-// live count can exceed the dialers): the accept loop counts a
-// connection accepted before it counts it active, so ConnsActive read
-// BEFORE ConnsAccepted can never exceed it — an underflow would.
+// active-connections gauge: it used to be computed as accepted − closed
+// from two independent atomics, so a sampler interleaving with a
+// connection's teardown could read ~2^64. Hammer short-lived
+// connections while a sampler polls. The bound is the invariant the
+// gauge guarantees, not a timing guess (handlers lag behind client
+// closes by design, so the live count can exceed the dialers): the
+// accept loop counts a connection accepted before it counts it active,
+// so the active count read BEFORE the accepted count can never exceed
+// it — an underflow would.
 func TestConnsActiveNeverUnderflows(t *testing.T) {
 	s, addr := startServer(t, grouphash.Options{Capacity: 1 << 10}, Config{})
 
@@ -602,9 +603,9 @@ func TestConnsActiveNeverUnderflows(t *testing.T) {
 				return
 			default:
 			}
-			active := s.Stats().ConnsActive
-			if accepted := s.Stats().ConnsAccepted; active > accepted {
-				t.Errorf("ConnsActive = %d exceeds ConnsAccepted = %d", active, accepted)
+			active := s.connsActive.Load()
+			if accepted := s.accepted.Load(); active > accepted {
+				t.Errorf("%d connections active exceeds %d accepted", active, accepted)
 				return
 			}
 		}
@@ -628,8 +629,8 @@ func TestConnsActiveNeverUnderflows(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	sampler.Wait()
-	if got := s.Stats().ConnsAccepted; got < dialers*perDialer {
-		t.Fatalf("ConnsAccepted = %d, want at least %d", got, dialers*perDialer)
+	if got := s.accepted.Load(); got < dialers*perDialer {
+		t.Fatalf("%d connections accepted, want at least %d", got, dialers*perDialer)
 	}
 }
 

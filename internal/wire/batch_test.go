@@ -54,12 +54,8 @@ func TestBatchRoundtrip(t *testing.T) {
 		{Status: StatusOK, Value: 1},
 		{Status: StatusOK, Value: 5},
 	}
-	var buf bytes.Buffer
-	if err := WriteBatchResponses(&buf, resps); err != nil {
-		t.Fatal(err)
-	}
 	back := make([]Response, len(resps))
-	if err := ReadBatchResponses(&buf, back); err != nil {
+	if err := ReadBatchResponses(smallReader(encodeBatch(t, resps)), back); err != nil {
 		t.Fatal(err)
 	}
 	for i := range resps {
@@ -110,10 +106,10 @@ func TestBatchHostileFrames(t *testing.T) {
 	if _, err := AppendBatchRequest(nil, make([]Request, MaxBatchOps+1)); !errors.Is(err, ErrFrame) {
 		t.Errorf("oversized batch = %v, want ErrFrame", err)
 	}
-	if err := WriteBatchResponses(io.Discard, nil); !errors.Is(err, ErrFrame) {
+	if err := WriteBatchResponses(bufio.NewWriter(io.Discard), nil); !errors.Is(err, ErrFrame) {
 		t.Errorf("empty batch response = %v, want ErrFrame", err)
 	}
-	if err := WriteBatchResponses(io.Discard, make([]Response, MaxBatchOps+1)); !errors.Is(err, ErrFrame) {
+	if err := WriteBatchResponses(bufio.NewWriter(io.Discard), make([]Response, MaxBatchOps+1)); !errors.Is(err, ErrFrame) {
 		t.Errorf("oversized batch response = %v, want ErrFrame", err)
 	}
 
@@ -162,17 +158,13 @@ func TestBatchHostileFrames(t *testing.T) {
 	}
 
 	// Batch response length prefix disagreeing with the expected count.
-	var buf bytes.Buffer
-	if err := WriteBatchResponses(&buf, []Response{{Status: StatusOK}, {Status: StatusOK}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ReadBatchResponses(bytes.NewReader(buf.Bytes()), make([]Response, 3)); !errors.Is(err, ErrFrame) {
+	resp := encodeBatch(t, []Response{{Status: StatusOK}, {Status: StatusOK}})
+	if err := ReadBatchResponses(smallReader(resp), make([]Response, 3)); !errors.Is(err, ErrFrame) {
 		t.Errorf("count-mismatched batch response = %v, want ErrFrame", err)
 	}
 	// Truncated batch response.
-	resp := buf.Bytes()
 	for cut := 1; cut < len(resp); cut++ {
-		if err := ReadBatchResponses(bytes.NewReader(resp[:cut]), make([]Response, 2)); err == nil {
+		if err := ReadBatchResponses(smallReader(resp[:cut]), make([]Response, 2)); err == nil {
 			t.Errorf("batch response cut at %d decoded cleanly", cut)
 		}
 	}
@@ -210,11 +202,7 @@ func TestBatchPathAllocs(t *testing.T) {
 		t.Errorf("RequestReader.Next allocates %.1f times per frame pair, want 0", n)
 	}
 
-	var rbuf bytes.Buffer
-	if err := WriteResponse(&rbuf, Response{Status: StatusOK, Value: 7}); err != nil {
-		t.Fatal(err)
-	}
-	respFrame := append([]byte(nil), rbuf.Bytes()...)
+	respFrame := encodeResponses(t, Response{Status: StatusOK, Value: 7})
 	respRd := bytes.NewReader(respFrame)
 	respBr := bufio.NewReader(respRd)
 	if n := testing.AllocsPerRun(100, func() {
@@ -228,11 +216,7 @@ func TestBatchPathAllocs(t *testing.T) {
 	}
 
 	resps := make([]Response, 64)
-	var bbuf bytes.Buffer
-	if err := WriteBatchResponses(&bbuf, resps); err != nil {
-		t.Fatal(err)
-	}
-	batchFrame := append([]byte(nil), bbuf.Bytes()...)
+	batchFrame := encodeBatch(t, resps)
 	batchRd := bytes.NewReader(batchFrame)
 	batchBr := bufio.NewReader(batchRd)
 	if n := testing.AllocsPerRun(100, func() {
@@ -250,11 +234,7 @@ func TestBatchPathAllocs(t *testing.T) {
 // Get/Put/Insert/Delete response on the hot path — at 0 allocs/op
 // (run with -benchmem; gated by make bench-allocs).
 func BenchmarkReadResponseFixed(b *testing.B) {
-	var buf bytes.Buffer
-	if err := WriteResponse(&buf, Response{Status: StatusOK, Value: 7}); err != nil {
-		b.Fatal(err)
-	}
-	frame := append([]byte(nil), buf.Bytes()...)
+	frame := encodeResponses(b, Response{Status: StatusOK, Value: 7})
 	rd := bytes.NewReader(frame)
 	br := bufio.NewReader(rd)
 	b.ReportAllocs()
@@ -269,9 +249,8 @@ func BenchmarkReadResponseFixed(b *testing.B) {
 }
 
 // BenchmarkWriteResponseFixed pins the no-Extra encode path — the
-// acker's per-response write — at 0 allocs/op through the
-// *bufio.Writer fast path (run with -benchmem; gated by make
-// bench-allocs).
+// acker's per-response write — at 0 allocs/op (run with -benchmem;
+// gated by make bench-allocs).
 func BenchmarkWriteResponseFixed(b *testing.B) {
 	bw := bufio.NewWriterSize(io.Discard, 64<<10)
 	b.ReportAllocs()
@@ -284,7 +263,7 @@ func BenchmarkWriteResponseFixed(b *testing.B) {
 }
 
 // BenchmarkWriteBatchResponses encodes one 64-op batch response frame
-// per iteration; 0 allocs/op through the *bufio.Writer fast path.
+// per iteration; 0 allocs/op.
 func BenchmarkWriteBatchResponses(b *testing.B) {
 	bw := bufio.NewWriterSize(io.Discard, 64<<10)
 	resps := make([]Response, 64)

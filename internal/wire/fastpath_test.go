@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -10,12 +11,12 @@ import (
 	"grouphash/internal/layout"
 )
 
-// The response writers take an in-place encoding fast path when handed
-// a *bufio.Writer (the server's ack path) and the readers decode in
-// place from a *bufio.Reader (every real client). These tests drive
-// those paths with deliberately tiny buffers so every flush/refill
-// branch runs, and check byte-for-byte agreement with the generic
-// io.Writer slow path.
+// The response writers encode in place in a *bufio.Writer's buffer (the
+// server's ack path) and the readers decode in place from a
+// *bufio.Reader's (every real client). These tests drive those paths
+// with deliberately tiny buffers so every flush/refill branch runs, and
+// check byte-for-byte agreement with a slow reference encoder that
+// spells the frame layout out field by field.
 
 // failWriter errors after n successful writes.
 type failWriter struct{ n int }
@@ -30,6 +31,15 @@ func (f *failWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// slowResponse is the reference encoding of one response frame: the
+// body length, the status byte, the value word, then Extra.
+func slowResponse(dst []byte, r Response) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(RespFixedLen+len(r.Extra)))
+	dst = append(dst, r.Status)
+	dst = binary.LittleEndian.AppendUint64(dst, r.Value)
+	return append(dst, r.Extra...)
+}
+
 func TestWriteResponseBufioMatchesSlowPath(t *testing.T) {
 	resps := []Response{
 		{Status: StatusOK, Value: 7},
@@ -38,11 +48,9 @@ func TestWriteResponseBufioMatchesSlowPath(t *testing.T) {
 		{Status: StatusOK, Value: 1<<64 - 1},
 		{Status: StatusBadRequest, Value: 3, Extra: bytes.Repeat([]byte{0xAB}, 100)},
 	}
-	var slow bytes.Buffer
+	var slow []byte
 	for _, r := range resps {
-		if err := WriteResponse(&slow, r); err != nil {
-			t.Fatal(err)
-		}
+		slow = slowResponse(slow, r)
 	}
 	// A 16-byte bufio.Writer (the minimum) cannot hold even two fixed
 	// frames, so the mid-stream Flush branch runs on every response.
@@ -56,28 +64,24 @@ func TestWriteResponseBufioMatchesSlowPath(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(slow.Bytes(), fast.Bytes()) {
-		t.Fatalf("bufio fast path encoded differently:\nslow %x\nfast %x", slow.Bytes(), fast.Bytes())
+	if !bytes.Equal(slow, fast.Bytes()) {
+		t.Fatalf("bufio encoder differs from the reference:\nslow %x\nfast %x", slow, fast.Bytes())
 	}
 
-	// Decode back through both reader paths; the bufio reader is kept
-	// at the 16-byte minimum so fixed frames straddle refills.
-	for name, rd := range map[string]io.Reader{
-		"plain": bytes.NewReader(fast.Bytes()),
-		"bufio": bufio.NewReaderSize(bytes.NewReader(fast.Bytes()), 16),
-	} {
-		for i, want := range resps {
-			got, err := ReadResponse(rd)
-			if err != nil {
-				t.Fatalf("%s reader, resp %d: %v", name, i, err)
-			}
-			if got.Status != want.Status || got.Value != want.Value || !bytes.Equal(got.Extra, want.Extra) {
-				t.Fatalf("%s reader, resp %d: got %+v want %+v", name, i, got, want)
-			}
+	// Decode back through a reader kept at the 16-byte minimum, so
+	// fixed frames straddle refills.
+	rd := smallReader(fast.Bytes())
+	for i, want := range resps {
+		got, err := ReadResponse(rd)
+		if err != nil {
+			t.Fatalf("resp %d: %v", i, err)
 		}
-		if _, err := ReadResponse(rd); err != io.EOF {
-			t.Fatalf("%s reader: want clean EOF after last frame, got %v", name, err)
+		if got.Status != want.Status || got.Value != want.Value || !bytes.Equal(got.Extra, want.Extra) {
+			t.Fatalf("resp %d: got %+v want %+v", i, got, want)
 		}
+	}
+	if _, err := ReadResponse(rd); err != io.EOF {
+		t.Fatalf("want clean EOF after last frame, got %v", err)
 	}
 }
 
@@ -119,71 +123,34 @@ func TestWriteResponseBufioExtraError(t *testing.T) {
 	}
 }
 
-func TestWriteResponsePlainWriterErrors(t *testing.T) {
-	if err := WriteResponse(&failWriter{n: 0}, Response{Status: StatusOK}); !errors.Is(err, errSink) {
-		t.Fatalf("fixed-frame write error swallowed: %v", err)
-	}
-	resp := Response{Status: StatusOK, Extra: []byte("x")}
-	if err := WriteResponse(&failWriter{n: 1}, resp); !errors.Is(err, errSink) {
-		t.Fatalf("Extra write error swallowed: %v", err)
-	}
-}
-
-func TestWriteBatchResponsesPlainWriterErrors(t *testing.T) {
-	resps := make([]Response, 4)
-	if err := WriteBatchResponses(&failWriter{n: 0}, resps); !errors.Is(err, errSink) {
-		t.Fatalf("header write error swallowed: %v", err)
-	}
-	if err := WriteBatchResponses(&failWriter{n: 2}, resps); !errors.Is(err, errSink) {
-		t.Fatalf("sub-response write error swallowed: %v", err)
-	}
-}
-
 func TestReadBatchResponsesErrors(t *testing.T) {
-	// Wrong sub-response count, both reader kinds.
-	var frame bytes.Buffer
-	if err := WriteBatchResponses(&frame, make([]Response, 3)); err != nil {
-		t.Fatal(err)
+	// Wrong sub-response count.
+	frame := encodeBatch(t, make([]Response, 3))
+	if err := ReadBatchResponses(smallReader(frame), make([]Response, 4)); !errors.Is(err, ErrFrame) {
+		t.Fatalf("count mismatch accepted: %v", err)
 	}
-	for name, rd := range map[string]io.Reader{
-		"plain": bytes.NewReader(frame.Bytes()),
-		"bufio": bufio.NewReaderSize(bytes.NewReader(frame.Bytes()), 16),
-	} {
-		if err := ReadBatchResponses(rd, make([]Response, 4)); !errors.Is(err, ErrFrame) {
-			t.Fatalf("%s reader: count mismatch accepted: %v", name, err)
-		}
-	}
-	// Truncated body, both reader kinds.
-	cut := frame.Bytes()[:frame.Len()-2]
-	for name, rd := range map[string]io.Reader{
-		"plain": bytes.NewReader(cut),
-		"bufio": bufio.NewReaderSize(bytes.NewReader(cut), 16),
-	} {
-		if err := ReadBatchResponses(rd, make([]Response, 3)); err != io.ErrUnexpectedEOF {
-			t.Fatalf("%s reader: torn batch body: want ErrUnexpectedEOF, got %v", name, err)
-		}
+	// Truncated body.
+	if err := ReadBatchResponses(smallReader(frame[:len(frame)-2]), make([]Response, 3)); err != io.ErrUnexpectedEOF {
+		t.Fatalf("torn batch body: want ErrUnexpectedEOF, got %v", err)
 	}
 	// Dead stream before the header.
-	if err := ReadBatchResponses(bytes.NewReader(nil), make([]Response, 1)); err != io.EOF {
-		t.Fatalf("plain reader: want io.EOF on clean close, got %v", err)
+	if err := ReadBatchResponses(smallReader(nil), make([]Response, 1)); err != io.EOF {
+		t.Fatalf("want io.EOF on clean close, got %v", err)
 	}
-	if err := ReadBatchResponses(bufio.NewReaderSize(bytes.NewReader(nil), 16), make([]Response, 1)); err != io.EOF {
-		t.Fatalf("bufio reader: want io.EOF on clean close, got %v", err)
-	}
-	// Torn header on the bufio path.
-	if err := ReadBatchResponses(bufio.NewReaderSize(bytes.NewReader([]byte{1, 2}), 16), make([]Response, 1)); err != io.ErrUnexpectedEOF {
-		t.Fatalf("bufio reader: torn header: want ErrUnexpectedEOF, got %v", err)
+	// Torn header.
+	if err := ReadBatchResponses(smallReader([]byte{1, 2}), make([]Response, 1)); err != io.ErrUnexpectedEOF {
+		t.Fatalf("torn header: want ErrUnexpectedEOF, got %v", err)
 	}
 }
 
 func TestWriteResponseExtraTooLarge(t *testing.T) {
 	var buf bytes.Buffer
 	resp := Response{Status: StatusOK, Extra: make([]byte, MaxFrame)}
-	if err := WriteResponse(&buf, resp); !errors.Is(err, ErrFrame) {
+	if err := WriteResponse(bufio.NewWriter(&buf), resp); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversized Extra accepted: %v", err)
 	}
-	if err := WriteResponse(bufio.NewWriter(&buf), resp); !errors.Is(err, ErrFrame) {
-		t.Fatalf("oversized Extra accepted on the bufio path: %v", err)
+	if buf.Len() != 0 {
+		t.Fatalf("refused response wrote %d bytes", buf.Len())
 	}
 }
 
@@ -192,9 +159,11 @@ func TestWriteBatchResponsesBufioMatchesSlowPath(t *testing.T) {
 	for i := range resps {
 		resps[i] = Response{Status: byte(i % 3), Value: uint64(i) * 0x9e3779b97f4a7c15}
 	}
-	var slow bytes.Buffer
-	if err := WriteBatchResponses(&slow, resps); err != nil {
-		t.Fatal(err)
+	// The reference encoding: the body length, then each sub-response's
+	// status byte and value word.
+	slow := binary.LittleEndian.AppendUint32(nil, uint32(len(resps)*RespFixedLen))
+	for _, r := range resps {
+		slow = binary.LittleEndian.AppendUint64(append(slow, r.Status), r.Value)
 	}
 	var fast bytes.Buffer
 	bw := bufio.NewWriterSize(&fast, 16) // every sub-response forces a flush
@@ -204,22 +173,17 @@ func TestWriteBatchResponsesBufioMatchesSlowPath(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(slow.Bytes(), fast.Bytes()) {
-		t.Fatalf("bufio batch fast path encoded differently:\nslow %x\nfast %x", slow.Bytes(), fast.Bytes())
+	if !bytes.Equal(slow, fast.Bytes()) {
+		t.Fatalf("bufio batch encoder differs from the reference:\nslow %x\nfast %x", slow, fast.Bytes())
 	}
 
-	for name, rd := range map[string]io.Reader{
-		"plain": bytes.NewReader(fast.Bytes()),
-		"bufio": bufio.NewReaderSize(bytes.NewReader(fast.Bytes()), 16),
-	} {
-		got := make([]Response, len(resps))
-		if err := ReadBatchResponses(rd, got); err != nil {
-			t.Fatalf("%s reader: %v", name, err)
-		}
-		for i := range resps {
-			if got[i].Status != resps[i].Status || got[i].Value != resps[i].Value {
-				t.Fatalf("%s reader, sub %d: got %+v want %+v", name, i, got[i], resps[i])
-			}
+	got := make([]Response, len(resps))
+	if err := ReadBatchResponses(smallReader(fast.Bytes()), got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range resps {
+		if got[i].Status != resps[i].Status || got[i].Value != resps[i].Value {
+			t.Fatalf("sub %d: got %+v want %+v", i, got[i], resps[i])
 		}
 	}
 }
@@ -232,44 +196,56 @@ func TestWriteBatchResponsesBufioFlushError(t *testing.T) {
 	if err := WriteBatchResponses(bw, resps); !errors.Is(err, errSink) {
 		t.Fatalf("want sink error from sub-response flush, got %v", err)
 	}
+
+	// Under four bytes free: the flush before the header fails.
+	bw = bufio.NewWriterSize(&failWriter{n: 0}, 16)
+	bw.Write(make([]byte, 13))
+	if err := WriteBatchResponses(bw, resps); !errors.Is(err, errSink) {
+		t.Fatalf("want sink error from the header flush, got %v", err)
+	}
+	// Room to spare but a sticky error: the header write surfaces it.
+	bw = bufio.NewWriterSize(&failWriter{n: 0}, 64)
+	bw.Write(make([]byte, 13))
+	if err := bw.Flush(); !errors.Is(err, errSink) {
+		t.Fatalf("want sink error from flush, got %v", err)
+	}
+	if err := WriteBatchResponses(bw, resps); !errors.Is(err, errSink) {
+		t.Fatalf("sticky bufio error swallowed: %v", err)
+	}
 }
 
 func TestWriteBatchResponsesSizeLimits(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBatchResponses(&buf, nil); !errors.Is(err, ErrFrame) {
+	bw := bufio.NewWriter(io.Discard)
+	if err := WriteBatchResponses(bw, nil); !errors.Is(err, ErrFrame) {
 		t.Fatalf("empty batch accepted: %v", err)
 	}
-	if err := WriteBatchResponses(&buf, make([]Response, MaxBatchOps+1)); !errors.Is(err, ErrFrame) {
+	if err := WriteBatchResponses(bw, make([]Response, MaxBatchOps+1)); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversized batch accepted: %v", err)
 	}
 }
 
 func TestReadResponseBufferedErrors(t *testing.T) {
 	// Truncated header: one byte then EOF is a torn frame.
-	if _, err := ReadResponse(bufio.NewReaderSize(bytes.NewReader([]byte{1}), 16)); err != io.ErrUnexpectedEOF {
+	if _, err := ReadResponse(smallReader([]byte{1})); err != io.ErrUnexpectedEOF {
 		t.Fatalf("torn header: want ErrUnexpectedEOF, got %v", err)
 	}
 	// Clean EOF before any bytes stays io.EOF.
-	if _, err := ReadResponse(bufio.NewReaderSize(bytes.NewReader(nil), 16)); err != io.EOF {
+	if _, err := ReadResponse(smallReader(nil)); err != io.EOF {
 		t.Fatalf("clean close: want io.EOF, got %v", err)
 	}
 	// Hostile length: below the fixed size.
 	bad := []byte{3, 0, 0, 0}
-	if _, err := ReadResponse(bufio.NewReaderSize(bytes.NewReader(bad), 16)); !errors.Is(err, ErrFrame) {
+	if _, err := ReadResponse(smallReader(bad)); !errors.Is(err, ErrFrame) {
 		t.Fatalf("undersized body length accepted: %v", err)
 	}
 	// Truncated fixed body.
 	torn := []byte{9, 0, 0, 0, StatusOK, 1, 2}
-	if _, err := ReadResponse(bufio.NewReaderSize(bytes.NewReader(torn), 16)); err != io.ErrUnexpectedEOF {
+	if _, err := ReadResponse(smallReader(torn)); err != io.ErrUnexpectedEOF {
 		t.Fatalf("torn body: want ErrUnexpectedEOF, got %v", err)
 	}
 	// Truncated Extra body.
-	var full bytes.Buffer
-	if err := WriteResponse(&full, Response{Status: StatusOK, Extra: []byte("abcdef")}); err != nil {
-		t.Fatal(err)
-	}
-	cut := full.Bytes()[:full.Len()-3]
-	if _, err := ReadResponse(bufio.NewReaderSize(bytes.NewReader(cut), 16)); err != io.ErrUnexpectedEOF {
+	full := encodeResponses(t, Response{Status: StatusOK, Extra: []byte("abcdef")})
+	if _, err := ReadResponse(smallReader(full[:len(full)-3])); err != io.ErrUnexpectedEOF {
 		t.Fatalf("torn extra: want ErrUnexpectedEOF, got %v", err)
 	}
 }

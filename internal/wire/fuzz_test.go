@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"testing"
@@ -8,9 +9,10 @@ import (
 	"grouphash/internal/layout"
 )
 
-// FuzzWireDecode feeds arbitrary byte streams through both decode
-// paths — RequestReader.Next, which the server runs on every byte a
-// client sends, and ReadResponse — asserting the framing invariants a
+// FuzzWireDecode feeds arbitrary byte streams through both decoders —
+// RequestReader.Next, which the server runs on every byte a client
+// sends, and ReadResponse over a bufio.Reader, as every client runs
+// it — asserting the framing invariants a
 // hostile or desynchronised peer must not be able to break:
 //
 //   - no panic, whatever the bytes;
@@ -31,9 +33,7 @@ func FuzzWireDecode(f *testing.F) {
 	req := AppendRequest(nil, Request{Op: OpPut, Key: layout.Key{Lo: 1, Hi: 2}, Value: 3})
 	f.Add(req)
 	f.Add(AppendRequest(req, Request{Op: OpGet, Key: layout.Key{Lo: ^uint64(0)}}))
-	var rbuf bytes.Buffer
-	WriteResponse(&rbuf, Response{Status: StatusOK, Value: 9, Extra: []byte("stats text")})
-	f.Add(rbuf.Bytes())
+	f.Add(encodeResponses(f, Response{Status: StatusOK, Value: 9, Extra: []byte("stats text")}))
 	// Hostile prefixes from TestHostileFrames and TestBatchHostileFrames:
 	// zero, off-by-one, just past the cap, and a huge 32-bit length.
 	for _, n := range []uint32{0, ReqBodyLen - 1, ReqBodyLen + 1, RespFixedLen - 1, MaxFrame, MaxFrame + 1, 1 << 31} {
@@ -98,24 +98,25 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 
+		// Responses are decoded the way every client does, through a
+		// bufio.Reader; it is kept at the 16-byte minimum so frames
+		// straddle refills. Bytes consumed are the bytes the reader
+		// pulled from rd less those still in its buffer.
 		rd = bytes.NewReader(data)
+		br := bufio.NewReaderSize(rd, 16)
 		for {
-			before := rd.Len()
-			resp, err := ReadResponse(rd)
+			before := len(data) - rd.Len() - br.Buffered()
+			resp, err := ReadResponse(br)
 			if err != nil {
 				break
 			}
-			if consumed := before - rd.Len(); consumed < 4 {
+			if consumed := len(data) - rd.Len() - br.Buffered() - before; consumed < 4 {
 				t.Fatalf("ReadResponse consumed %d bytes, must consume at least the prefix", consumed)
 			}
 			if len(resp.Extra) > MaxFrame-RespFixedLen {
 				t.Fatalf("decoded %d-byte extra, cap is %d", len(resp.Extra), MaxFrame-RespFixedLen)
 			}
-			var buf bytes.Buffer
-			if err := WriteResponse(&buf, resp); err != nil {
-				t.Fatalf("re-encoding decoded response: %v", err)
-			}
-			again, err := ReadResponse(bytes.NewReader(buf.Bytes()))
+			again, err := ReadResponse(smallReader(encodeResponses(t, resp)))
 			if err != nil || again.Status != resp.Status || again.Value != resp.Value || !bytes.Equal(again.Extra, resp.Extra) {
 				t.Fatalf("response round trip: %+v -> %v, %+v", resp, err, again)
 			}

@@ -136,95 +136,42 @@ func AppendRequest(buf []byte, r Request) []byte {
 	return append(buf, b[:]...)
 }
 
-// WriteRequest writes one request frame to w.
-func WriteRequest(w io.Writer, r Request) error {
-	_, err := w.Write(AppendRequest(nil, r))
-	return err
-}
-
-// WriteResponse writes one response frame to w.
-func WriteResponse(w io.Writer, resp Response) error {
+// WriteResponse writes one response frame to bw, encoding it straight
+// into the writer's own buffer: zero allocations per response on the
+// server's ack path, pinned by BenchmarkWriteResponseFixed.
+func WriteResponse(bw *bufio.Writer, resp Response) error {
 	if len(resp.Extra) > MaxFrame-RespFixedLen {
 		return fmt.Errorf("%w: %d-byte extra payload", ErrFrame, len(resp.Extra))
 	}
-	if bw, ok := w.(*bufio.Writer); ok {
-		// Encode straight into the writer's own buffer: a local scratch
-		// array would escape through the io.Writer parameter and cost
-		// one heap allocation per response on the server's ack path.
-		// Pinned at 0 allocs/op by BenchmarkWriteResponseFixed.
-		if bw.Available() < 4+RespFixedLen {
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-		}
-		b := bw.AvailableBuffer()
-		b = binary.LittleEndian.AppendUint32(b, uint32(RespFixedLen+len(resp.Extra)))
-		b = append(b, resp.Status)
-		b = binary.LittleEndian.AppendUint64(b, resp.Value)
-		if _, err := bw.Write(b); err != nil {
+	if bw.Available() < 4+RespFixedLen {
+		if err := bw.Flush(); err != nil {
 			return err
 		}
-		if len(resp.Extra) > 0 {
-			if _, err := bw.Write(resp.Extra); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	var b [4 + RespFixedLen]byte
-	binary.LittleEndian.PutUint32(b[0:4], uint32(RespFixedLen+len(resp.Extra)))
-	b[4] = resp.Status
-	binary.LittleEndian.PutUint64(b[5:13], resp.Value)
-	if _, err := w.Write(b[:]); err != nil {
+	b := bw.AvailableBuffer()
+	b = binary.LittleEndian.AppendUint32(b, uint32(RespFixedLen+len(resp.Extra)))
+	b = append(b, resp.Status)
+	b = binary.LittleEndian.AppendUint64(b, resp.Value)
+	if _, err := bw.Write(b); err != nil {
 		return err
 	}
 	if len(resp.Extra) > 0 {
-		if _, err := w.Write(resp.Extra); err != nil {
+		if _, err := bw.Write(resp.Extra); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ReadResponse reads one response frame from r. A clean EOF before
+// ReadResponse reads one response frame from br. A clean EOF before
 // the first length byte returns io.EOF untouched, so callers can tell
 // "connection closed between frames" from a truncated frame
-// (io.ErrUnexpectedEOF). When r is a *bufio.Reader — every real
-// client — the no-Extra case (every Get/Put/Insert/Delete on the hot
-// path) decodes straight out of the reader's own buffer via
-// Peek/Discard: zero allocations per response, pinned by
-// BenchmarkReadResponseFixed. Any other reader pays a scratch-buffer
-// escape; only the Extra-carrying case ever allocates a returned slice.
-func ReadResponse(r io.Reader) (Response, error) {
-	if br, ok := r.(*bufio.Reader); ok {
-		return readResponseBuffered(br)
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Response{}, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n < RespFixedLen || n > MaxFrame {
-		return Response{}, fmt.Errorf("%w: response body %d bytes", ErrFrame, n)
-	}
-	if n == RespFixedLen {
-		var b [RespFixedLen]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return Response{}, noEOF(err)
-		}
-		return Response{Status: b[0], Value: binary.LittleEndian.Uint64(b[1:9])}, nil
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return Response{}, noEOF(err)
-	}
-	return Response{Status: b[0], Value: binary.LittleEndian.Uint64(b[1:9]), Extra: b[RespFixedLen:]}, nil
-}
-
-// readResponseBuffered is ReadResponse for buffered streams: the frame
-// is decoded in place from the bufio buffer (Peek never allocates; the
-// minimum bufio buffer of 16 bytes covers the 13-byte fixed frame).
-func readResponseBuffered(br *bufio.Reader) (Response, error) {
+// (io.ErrUnexpectedEOF). The no-Extra case (every Get/Put/Delete on the
+// hot path) decodes in place from the reader's buffer via Peek/Discard
+// (the minimum bufio buffer of 16 bytes covers the 13-byte fixed
+// frame): zero allocations per response, pinned by
+// BenchmarkReadResponseFixed. Only an Extra payload allocates.
+func ReadResponse(br *bufio.Reader) (Response, error) {
 	hdr, err := br.Peek(4)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
@@ -295,51 +242,33 @@ func decodeRequestBody(b []byte) Request {
 
 // WriteBatchResponses writes the batch response frame answering an
 // OpBatch request: one length prefix, then len(resps) packed 9-byte
-// sub-responses. When w is a *bufio.Writer — the server's ack path —
-// sub-responses are encoded in place in the writer's buffer: zero
-// allocations per frame, pinned by BenchmarkWriteBatchResponses.
-// Extra payloads are not representable in a batch (OpStats is refused
-// inside one).
-func WriteBatchResponses(w io.Writer, resps []Response) error {
+// sub-responses, encoded in place in bw's buffer: zero allocations per
+// frame, pinned by BenchmarkWriteBatchResponses. Extra payloads are not
+// representable in a batch (OpStats is refused inside one).
+func WriteBatchResponses(bw *bufio.Writer, resps []Response) error {
 	if len(resps) == 0 || len(resps) > MaxBatchOps {
 		return fmt.Errorf("%w: batch of %d responses", ErrFrame, len(resps))
 	}
-	if bw, ok := w.(*bufio.Writer); ok {
-		if bw.Available() < 4 {
+	if bw.Available() < 4 {
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+	}
+	b := bw.AvailableBuffer()
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(resps)*RespFixedLen))
+	if _, err := bw.Write(b); err != nil {
+		return err
+	}
+	for i := range resps {
+		if bw.Available() < RespFixedLen {
 			if err := bw.Flush(); err != nil {
 				return err
 			}
 		}
-		b := bw.AvailableBuffer()
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(resps)*RespFixedLen))
+		b = bw.AvailableBuffer()
+		b = append(b, resps[i].Status)
+		b = binary.LittleEndian.AppendUint64(b, resps[i].Value)
 		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-		for i := range resps {
-			if bw.Available() < RespFixedLen {
-				if err := bw.Flush(); err != nil {
-					return err
-				}
-			}
-			b = bw.AvailableBuffer()
-			b = append(b, resps[i].Status)
-			b = binary.LittleEndian.AppendUint64(b, resps[i].Value)
-			if _, err := bw.Write(b); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(resps)*RespFixedLen))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, resp := range resps {
-		var b [RespFixedLen]byte
-		b[0] = resp.Status
-		binary.LittleEndian.PutUint64(b[1:9], resp.Value)
-		if _, err := w.Write(b[:]); err != nil {
 			return err
 		}
 	}
@@ -349,47 +278,27 @@ func WriteBatchResponses(w io.Writer, resps []Response) error {
 // ReadBatchResponses reads the batch response frame answering an
 // OpBatch request of len(dst) sub-operations, decoding into dst (which
 // the caller sizes — pipelining means it knows exactly how many
-// sub-responses the frame holds). When r is a *bufio.Reader — every
-// real client — sub-responses decode in place from the reader's buffer:
-// zero allocations per batch, whatever its size.
-func ReadBatchResponses(r io.Reader, dst []Response) error {
-	wantBody := uint32(len(dst) * RespFixedLen)
-	if br, ok := r.(*bufio.Reader); ok {
-		hdr, err := br.Peek(4)
-		if err != nil {
-			if err == io.EOF && len(hdr) > 0 {
-				err = io.ErrUnexpectedEOF
-			}
-			return err
+// sub-responses the frame holds). Sub-responses decode in place from
+// br's buffer: zero allocations per batch, whatever its size.
+func ReadBatchResponses(br *bufio.Reader, dst []Response) error {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
 		}
-		if n := binary.LittleEndian.Uint32(hdr); n != wantBody {
-			return fmt.Errorf("%w: batch response body %d bytes, want %d sub-responses", ErrFrame, n, len(dst))
-		}
-		br.Discard(4)
-		for i := range dst {
-			b, err := br.Peek(RespFixedLen)
-			if err != nil {
-				return noEOF(err)
-			}
-			dst[i] = Response{Status: b[0], Value: binary.LittleEndian.Uint64(b[1:9])}
-			br.Discard(RespFixedLen)
-		}
-		return nil
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
 	}
-	if n := binary.LittleEndian.Uint32(hdr[:]); n != wantBody {
+	if n := binary.LittleEndian.Uint32(hdr); n != uint32(len(dst)*RespFixedLen) {
 		return fmt.Errorf("%w: batch response body %d bytes, want %d sub-responses", ErrFrame, n, len(dst))
 	}
-	b := make([]byte, wantBody)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return noEOF(err)
-	}
+	br.Discard(4)
 	for i := range dst {
-		off := i * RespFixedLen
-		dst[i] = Response{Status: b[off], Value: binary.LittleEndian.Uint64(b[off+1 : off+9])}
+		b, err := br.Peek(RespFixedLen)
+		if err != nil {
+			return noEOF(err)
+		}
+		dst[i] = Response{Status: b[0], Value: binary.LittleEndian.Uint64(b[1:9])}
+		br.Discard(RespFixedLen)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -10,8 +11,42 @@ import (
 	"grouphash/internal/layout"
 )
 
-func TestRequestRoundtrip(t *testing.T) {
+// encodeResponses returns the frames WriteResponse writes for resps.
+func encodeResponses(t testing.TB, resps ...Response) []byte {
+	t.Helper()
 	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	for _, r := range resps {
+		if err := WriteResponse(bw, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// encodeBatch returns the frame WriteBatchResponses writes for resps.
+func encodeBatch(t testing.TB, resps []Response) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	if err := WriteBatchResponses(bw, resps); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// smallReader reads b through a bufio.Reader of the minimum 16-byte
+// size, so fixed frames straddle refills.
+func smallReader(b []byte) *bufio.Reader { return bufio.NewReaderSize(bytes.NewReader(b), 16) }
+
+func TestRequestRoundtrip(t *testing.T) {
+	var stream []byte
 	want := []Request{
 		{Op: OpPing},
 		{Op: OpGet, Key: layout.Key{Lo: 7, Hi: ^uint64(0)}},
@@ -19,11 +54,9 @@ func TestRequestRoundtrip(t *testing.T) {
 		{Op: OpDelete, Key: layout.Key{Lo: 9}},
 	}
 	for _, r := range want {
-		if err := WriteRequest(&buf, r); err != nil {
-			t.Fatal(err)
-		}
+		stream = AppendRequest(stream, r)
 	}
-	rr := NewRequestReader(&buf)
+	rr := NewRequestReader(bytes.NewReader(stream))
 	for i, w := range want {
 		got, subs, err := rr.Next()
 		if err != nil {
@@ -39,19 +72,14 @@ func TestRequestRoundtrip(t *testing.T) {
 }
 
 func TestResponseRoundtrip(t *testing.T) {
-	var buf bytes.Buffer
 	want := []Response{
 		{Status: StatusOK, Value: 99},
 		{Status: StatusNotFound},
 		{Status: StatusOK, Extra: []byte("stats text")},
 	}
-	for _, r := range want {
-		if err := WriteResponse(&buf, r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	br := bufio.NewReader(bytes.NewReader(encodeResponses(t, want...)))
 	for i, w := range want {
-		got, err := ReadResponse(&buf)
+		got, err := ReadResponse(br)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +89,7 @@ func TestResponseRoundtrip(t *testing.T) {
 	}
 }
 
-// TestHostileFrames feeds both read paths the frames a desynchronised
+// TestHostileFrames feeds both decoders the frames a desynchronised
 // or malicious peer would: response length prefixes too small or past
 // the frame cap, and single frames truncated at every possible byte
 // boundary. TestBatchHostileFrames covers RequestReader's length
@@ -70,11 +98,11 @@ func TestHostileFrames(t *testing.T) {
 	// Response prefixes: too small for the fixed part, and too big.
 	for _, n := range []uint32{0, RespFixedLen - 1, MaxFrame + 1} {
 		hdr := binary.LittleEndian.AppendUint32(nil, n)
-		if _, err := ReadResponse(bytes.NewReader(append(hdr, make([]byte, 16)...))); !errors.Is(err, ErrFrame) {
+		if _, err := ReadResponse(smallReader(append(hdr, make([]byte, 16)...))); !errors.Is(err, ErrFrame) {
 			t.Errorf("response prefix %d = %v, want ErrFrame", n, err)
 		}
 	}
-	// Truncation at every boundary of both paths: a stream dying
+	// Truncation at every boundary of both decoders: a stream dying
 	// mid-frame is ErrUnexpectedEOF — never mistakable for a clean
 	// close — except before byte one, which IS the clean close.
 	req := AppendRequest(nil, Request{Op: OpPut, Key: layout.Key{Lo: 1, Hi: 2}, Value: 3})
@@ -87,17 +115,13 @@ func TestHostileFrames(t *testing.T) {
 			t.Errorf("request cut at %d = %v, want %v", cut, err, want)
 		}
 	}
-	var buf bytes.Buffer
-	if err := WriteResponse(&buf, Response{Status: StatusOK, Value: 9, Extra: []byte("xyz")}); err != nil {
-		t.Fatal(err)
-	}
-	resp := buf.Bytes()
+	resp := encodeResponses(t, Response{Status: StatusOK, Value: 9, Extra: []byte("xyz")})
 	for cut := 0; cut < len(resp); cut++ {
 		want := io.ErrUnexpectedEOF
 		if cut == 0 {
 			want = io.EOF
 		}
-		if _, err := ReadResponse(bytes.NewReader(resp[:cut])); err != want {
+		if _, err := ReadResponse(smallReader(resp[:cut])); err != want {
 			t.Errorf("response cut at %d = %v, want %v", cut, err, want)
 		}
 	}
@@ -110,11 +134,11 @@ func TestMalformedFrames(t *testing.T) {
 		t.Fatalf("200-byte request prefix = %v, want ErrFrame", err)
 	}
 	// Oversized response length prefix.
-	if _, err := ReadResponse(bytes.NewReader([]byte{0, 0, 2, 0})); !errors.Is(err, ErrFrame) {
+	if _, err := ReadResponse(smallReader([]byte{0, 0, 2, 0})); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversized response = %v, want ErrFrame", err)
 	}
 	// Oversized outgoing extra payload is rejected before writing.
-	if err := WriteResponse(io.Discard, Response{Extra: make([]byte, MaxFrame)}); !errors.Is(err, ErrFrame) {
+	if err := WriteResponse(bufio.NewWriter(io.Discard), Response{Extra: make([]byte, MaxFrame)}); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversized extra = %v, want ErrFrame", err)
 	}
 }

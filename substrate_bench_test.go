@@ -192,7 +192,7 @@ func BenchmarkSubstrateRegionStorePersist(b *testing.B) {
 // BenchmarkSubstrateCacheHit measures the hierarchy's hit path on a hot
 // working set that fits in L1 — dominated by the MRU fast path.
 func BenchmarkSubstrateCacheHit(b *testing.B) {
-	h := cache.NewHierarchy(cache.SmallGeometry())
+	h := cache.NewHierarchy(cache.SmallGeometry(), nil)
 	for a := uint64(0); a < 2048; a += 64 {
 		h.Access(a, true)
 	}
@@ -208,7 +208,7 @@ func BenchmarkSubstrateCacheHit(b *testing.B) {
 // stays in L1: random lines over 64 MiB, a quarter of the accesses
 // writes, and every 16th access followed by a clflush of its line.
 func BenchmarkSubstrateCacheMiss(b *testing.B) {
-	h := cache.NewHierarchy(cache.PaperGeometry())
+	h := cache.NewHierarchy(cache.PaperGeometry(), nil)
 	const span = 64 << 20
 	x := uint64(88172645463325252)
 	b.ResetTimer()
@@ -228,7 +228,7 @@ func BenchmarkSubstrateCacheMiss(b *testing.B) {
 // hierarchy, which every simulated machine (every figure cell) does.
 func BenchmarkSubstrateNewHierarchy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if cache.NewHierarchy(cache.PaperGeometry()) == nil {
+		if cache.NewHierarchy(cache.PaperGeometry(), nil) == nil {
 			b.Fatal("nil hierarchy")
 		}
 	}
